@@ -21,10 +21,10 @@ from .data import (
     to_returns,
     write_observations_csv,
 )
+from .distributions import InvWishartParams
 from .errors import ConfigError, DataError, MvdlmError
 from .filter import run, trajectory_to_csv
 from .linalg import vech_indices
-from .model import validate
 from .simulate import simulate
 
 EXIT_OK = 0
@@ -48,35 +48,29 @@ def _load_observations(config, data_path):
 
 def _fit(config, data_path, sqrt_method):
     table = _load_observations(config, data_path)
-    spec = config.spec()
-    priors = config.priors()
-    validate(spec, priors)
-    return run(spec, priors, table.returns, sqrt_method=sqrt_method), table
+    return run(config.spec(), config.priors(), table.returns, sqrt_method=sqrt_method), table
 
 
 def _write_volatility_series(trajectory, path):
     """Plot-ready series: forecast-volatility diagonals and correlations."""
     p = trajectory.p
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    rows, cols = np.triu_indices(p, 1)
     header = (
         ["t"]
         + [f"fore_var_{i + 1}" for i in range(p)]
-        + [f"fore_corr_{i + 1}_{j + 1}" for i, j in pairs]
+        + [f"fore_corr_{i + 1}_{j + 1}" for i, j in zip(rows, cols)]
     )
+    sigma = trajectory.forecast_means  # NaN where undefined
+    diag = np.diagonal(sigma, axis1=1, axis2=2)
+    denom = np.sqrt(diag[:, rows] * diag[:, cols])
+    corr = np.divide(
+        sigma[:, rows, cols], denom, out=np.full(denom.shape, np.nan), where=denom > 0
+    )
+    table = np.hstack([diag, corr])
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for step in trajectory.steps:
-            try:
-                sigma = step.sigma_prior.mean
-            except MvdlmError:
-                sigma = np.full((p, p), np.nan)
-            diag = np.diag(sigma)
-            row = [step.t] + diag.tolist()
-            for i, j in pairs:
-                denom = np.sqrt(diag[i] * diag[j])
-                row.append(sigma[i, j] / denom if denom > 0 else float("nan"))
-            writer.writerow(row)
+        writer.writerows([t, *row.tolist()] for t, row in enumerate(table, start=1))
 
 
 def _print_report(report):
@@ -110,17 +104,9 @@ def cmd_grid(args):
     config = load_config(args.config)
     table = _load_observations(config, args.data)
     deltas, betas = config.grid_candidates()
-    spec = config.spec()
-    priors = config.priors()
     result = diagnostics.grid_search(
-        spec,
-        priors,
-        table.returns,
-        deltas,
-        betas,
-        weights=config.weights,
-        var_family=args.var_family,
-        sqrt_method=args.sqrt,
+        config.spec(), config.priors(), table.returns, deltas, betas,
+        weights=config.weights, var_family=args.var_family, sqrt_method=args.sqrt,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -210,29 +196,19 @@ def _read_trajectory_csv(path):
     u = data[:, [cols[f"u_{i + 1}"] for i in range(p)]]
     q = data[:, cols["Q"]]
     pairs = vech_indices(p)
-    sigma_post = np.full((data.shape[0], p, p), np.nan)
-    for (i, j), name in zip(pairs, [f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs]):
-        values = data[:, cols[name]]
-        sigma_post[:, i, j] = values
-        sigma_post[:, j, i] = values
+    lower = data[:, [cols[f"sigma_post_{i + 1}_{j + 1}"] for i, j in pairs]]
+    rows, columns = np.array(pairs).T
+    sigma_post = np.empty((data.shape[0], p, p))
+    sigma_post[:, rows, columns] = sigma_post[:, columns, rows] = lower
     return e, u, q, sigma_post
 
 
 def cmd_diagnose(args):
     config = load_config(args.config)
     e, u, q, sigma_post = _read_trajectory_csv(args.traj)
-    defined = ~np.isnan(u[:, 0])
-    if not np.any(defined):
-        raise MvdlmError("stored trajectory has no standardized errors")
-    msse = np.mean(u[defined] ** 2, axis=0)
-    report = diagnostics.DiagnosticsReport(
-        msse=msse,
-        mae=np.mean(np.abs(e), axis=0),
-        me=np.mean(e, axis=0),
-        loglik=_stored_loglik(config, e, q, sigma_post),
-        n_obs=e.shape[0],
-        sqrt_convention=args.sqrt,
-    )
+    msse, mae, me = diagnostics.error_summary(e, u)
+    loglik = _stored_loglik(config, e, q, sigma_post)
+    report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0], args.sqrt)
     diagnostics.export_report_json(report, args.out)
     _print_report(report)
     print(f"wrote {args.out}")
@@ -240,6 +216,7 @@ def cmd_diagnose(args):
 
 
 def _stored_loglik(config, e, q, sigma_post):
+    """The path log-likelihood fit reports, from the stored posterior means."""
     if np.any(np.isnan(sigma_post)):
         return None
     spec = config.spec()
@@ -249,8 +226,9 @@ def _stored_loglik(config, e, q, sigma_post):
     n = spec.working_dof()
     if n <= 2:
         return None
-    sigma_path = [priors.S0 / (n - 2.0)] + list(sigma_post)
-    return diagnostics.loglik_arrays(e, q, sigma_path, spec.vol_discounts)
+    sigma0 = InvWishartParams(n + 2 * spec.p, priors.S0).mean
+    sigma_path = np.concatenate([sigma0[None], sigma_post])
+    return diagnostics.loglik_arrays(e, q, sigma_path, spec.vol_discounts, posterior=True)
 
 
 def build_parser():

@@ -10,14 +10,13 @@ log-likelihood scores candidate discount configurations for grid search.
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.stats
 from scipy.special import multigammaln
 
-from .distributions import MultiTParams, mvt_logpdf
+from .distributions import InvWishartParams, MultiTParams, mvt_logpdf
 from .errors import (
     DegreesTooSmall,
     EmptyData,
@@ -29,12 +28,13 @@ from .errors import (
     MvdlmError,
     NoPositiveEigenvalues,
 )
-from .filter import _whiten, run
-from .linalg import cholesky_upper, inv_spd, logdet_spd, symmetrize
+from .filter import Trajectory, _whiten, state_pass, volatility_pass
+from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
 from .model import validate
 
 EIGENVALUE_THRESHOLD = 1e-10
 WEIGHT_TOL = 1e-10
+GRID_BLOCK = 64  # candidates per batched volatility pass in grid_search
 
 
 @dataclass(frozen=True)
@@ -132,25 +132,27 @@ def standardize(e, q, s_prev, vol_discounts=None, n=None, dof=None, method="spec
     return _whiten(e, float(q), s_prev, float(dof), method)
 
 
-def msse_mae_me(trajectory):
-    """Component-wise MSSE, MAE and ME of a trajectory (log-likelihood unset).
+def error_summary(e, u):
+    """Component-wise MSSE, MAE and ME of forecast errors ``e`` and
+    standardized errors ``u`` (N, p arrays).
 
-    The MSSE averages over the steps where the standardized error exists;
-    MAE and ME average the raw forecast errors over every step.
+    The MSSE averages over the steps where the standardized error exists
+    (u not NaN); MAE and ME average the raw forecast errors over every step.
     """
-    if len(trajectory) == 0:
-        raise EmptyData("diagnostics need at least one filtered step")
-    e = trajectory.errors
-    u = trajectory.standardized
     defined = ~np.isnan(u[:, 0])
     if not np.any(defined):
         raise FeatureUnavailable(
             "no standardized errors: the forecast law never had more than 2 "
             "degrees of freedom"
         )
-    msse = np.mean(u[defined] ** 2, axis=0)
-    mae = np.mean(np.abs(e), axis=0)
-    me = np.mean(e, axis=0)
+    return np.mean(u[defined] ** 2, axis=0), np.mean(np.abs(e), axis=0), np.mean(e, axis=0)
+
+
+def msse_mae_me(trajectory):
+    """Component-wise MSSE, MAE and ME of a trajectory (log-likelihood unset)."""
+    if len(trajectory) == 0:
+        raise EmptyData("diagnostics need at least one filtered step")
+    msse, mae, me = error_summary(trajectory.e, trajectory.u)
     return DiagnosticsReport(
         msse=msse,
         mae=mae,
@@ -161,37 +163,21 @@ def msse_mae_me(trajectory):
     )
 
 
-def _resolve_sigma_path(trajectory, sigma_path):
-    n_steps = len(trajectory)
-    if sigma_path is None or sigma_path == "posterior":
-        return trajectory.posterior_mean_path(include_initial=True)
-    if sigma_path == "forecast":
-        p = trajectory.p
-        dof0 = trajectory.initial_dof + 2 * p
-        first = trajectory.priors.S0 / (dof0 - 2 * p - 2)
-        path = [first]
-        for step in trajectory.steps:
-            path.append(step.sigma_prior.mean)
-        return path
-    path = [symmetrize(np.atleast_2d(s)) for s in sigma_path]
-    if len(path) != n_steps + 1:
-        raise LengthMismatch(
-            f"sigma path must list {n_steps + 1} matrices (initial plus one "
-            f"per step), got {len(path)}"
-        )
-    return path
-
-
-def loglik_arrays(errors, q_values, sigma_path, vol_discounts):
+def loglik_arrays(errors, q_values, sigma_path, vol_discounts, posterior=False):
     """Array-level core of the evolving-volatility path log-likelihood.
 
-    ``sigma_path`` lists N+1 SPD matrices (the plug-in value at step 0
+    ``sigma_path`` holds N+1 SPD matrices (the plug-in value at step 0
     followed by one per observation). For each step the positive
-    eigenvalues of
-    I - (C_{t-1}')^{-1} beta^{1/2} Sigma_t^{-1} beta^{1/2} C_{t-1}^{-1}
-    enter through their log-determinant, where C_{t-1} is the upper
-    Cholesky factor of Sigma_{t-1}^{-1}; eigenvalues below 1e-10 of the
-    largest magnitude are treated as zero.
+    eigenvalues of I - B_t, with
+    B_t = (C_{t-1}')^{-1} beta^{1/2} Sigma_t^{-1} beta^{1/2} C_{t-1}^{-1}
+    and C_{t-1} the upper Cholesky factor of Sigma_{t-1}^{-1}, enter
+    through their log-determinant; eigenvalues below
+    1e-10 * max(1, largest magnitude) are treated as zero.
+
+    With ``posterior`` the path must be the posterior means
+    Sigma_t = S_t / (n - 2) of the filter. There I - B_t has rank one and
+    its only non-zero eigenvalue is e_t' S_t^{-1} e_t / Q_t, which is used
+    directly instead of an eigendecomposition.
     """
     errors = np.atleast_2d(np.asarray(errors, dtype=float))
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
@@ -210,12 +196,12 @@ def loglik_arrays(errors, q_values, sigma_path, vol_discounts):
         raise LikelihoodUndefined(
             "the normalizing constant requires tr(beta)/p in (0, 1)"
         )
-    path = [symmetrize(np.atleast_2d(s)) for s in sigma_path]
-    if len(path) != n_steps + 1:
+    if len(sigma_path) != n_steps + 1:
         raise LengthMismatch(
-            f"sigma path must list {n_steps + 1} matrices, got {len(path)}"
+            f"sigma path must list {n_steps + 1} matrices (initial plus one "
+            f"per step), got {len(sigma_path)}"
         )
-    beta_root = np.sqrt(beta)
+    path = symmetrize(np.asarray(sigma_path, dtype=float).reshape(n_steps + 1, p, p))
     constant = n_steps * (
         0.5 * (m_param - p) * float(np.sum(np.log(beta)))
         + multigammaln((m_param + 1) / 2.0, p)
@@ -223,52 +209,62 @@ def loglik_arrays(errors, q_values, sigma_path, vol_discounts):
         - p * np.log(np.pi)
         - multigammaln(m_param / 2.0, p)
     )
-    total = 0.0
-    for i in range(n_steps):
-        sigma_prev = path[i]
-        sigma_cur = path[i + 1]
-        phi_cur = inv_spd(sigma_cur)
-        c_prev = cholesky_upper(inv_spd(sigma_prev))
-        c_prev_inv = np.linalg.inv(c_prev)
-        scaled = beta_root[:, None] * phi_cur * beta_root[None, :]
-        inner = symmetrize(c_prev_inv.T @ scaled @ c_prev_inv)
-        eigvals = np.linalg.eigvalsh(np.eye(p) - inner)
-        cutoff = EIGENVALUE_THRESHOLD * max(float(np.max(np.abs(eigvals))), 1e-300)
-        positive = eigvals[eigvals > cutoff]
-        if positive.size == 0:
-            raise NoPositiveEigenvalues(
-                f"step {i + 1}: the volatility transition factor is degenerate"
-            )
-        quad = float(errors[i] @ phi_cur @ errors[i]) / q_values[i]
-        total += (
-            p * np.log(q_values[i])
-            + (p - m_param) * logdet_spd(sigma_prev)
-            + quad
-            + p * float(np.sum(np.log(positive)))
-            + (m_param - p - 2) * logdet_spd(sigma_cur)
+    upper = cholesky_upper_stack(path)  # Sigma_t = C_t' C_t
+    logdet = 2.0 * np.sum(np.log(np.diagonal(upper, axis1=1, axis2=2)), axis=1)
+    lower = np.swapaxes(upper, 1, 2)
+    solved = np.linalg.solve(lower[1:], errors[:, :, None])[:, :, 0]
+    quad = np.sum(solved * solved, axis=1) / q_values  # e' Sigma_t^{-1} e / Q
+    if posterior:
+        eigvals = (quad / (1.0 / (1.0 - b) - 2.0))[:, None]  # exact: no cutoff
+        positive = eigvals > 0.0
+    else:
+        # I - B_t is similar to I - K_t'K_t with K_t = C_t'^{-1} beta^{1/2} C_{t-1}'
+        k_mat = np.linalg.solve(lower[1:], np.sqrt(beta)[:, None] * lower[:-1])
+        eigvals = np.linalg.eigvalsh(np.eye(p) - np.swapaxes(k_mat, 1, 2) @ k_mat)
+        cutoff = EIGENVALUE_THRESHOLD * np.maximum(np.max(np.abs(eigvals), axis=1), 1.0)
+        positive = eigvals > cutoff[:, None]
+    if not positive.any(axis=1).all():
+        step = int(np.argmin(positive.any(axis=1))) + 1
+        raise NoPositiveEigenvalues(
+            f"step {step}: the volatility transition factor is degenerate"
         )
-    return constant - 0.5 * total
+    log_eig = np.sum(np.log(eigvals, where=positive, out=np.zeros_like(eigvals)), axis=1)
+    total = np.sum(
+        p * np.log(q_values)
+        + (p - m_param) * logdet[:-1]
+        + quad
+        + p * log_eig
+        + (m_param - p - 2) * logdet[1:]
+    )
+    return float(constant - 0.5 * total)
 
 
 def loglik_time_varying(trajectory, sigma_path=None):
     """Path log-likelihood of a volatility sequence under the evolving model.
 
     ``sigma_path`` may be "posterior" (default: per-step posterior means,
-    including the prior mean at step 0), "forecast" (one-step forecast
-    means) or an explicit sequence of N+1 SPD matrices.
+    including the prior mean at step 0, scored through the rank-one closed
+    form), "forecast" (one-step forecast means) or an explicit sequence of
+    N+1 SPD matrices.
     """
     if trajectory.constant_volatility:
         raise MvdlmError(
             "the evolving-volatility likelihood is undefined at beta = I; "
             "use loglik_constant"
         )
-    path = _resolve_sigma_path(trajectory, sigma_path)
-    return loglik_arrays(
-        trajectory.errors,
-        trajectory.q_values,
-        path,
-        trajectory.spec.vol_discounts,
+    posterior = sigma_path is None or (
+        isinstance(sigma_path, str) and sigma_path == "posterior"
     )
+    if posterior:
+        sigma_path = trajectory.posterior_mean_path()
+    elif isinstance(sigma_path, str) and sigma_path == "forecast":
+        sigma_path = np.concatenate(
+            [trajectory.posterior_means[:1], trajectory.forecast_means]
+        )
+        if np.isnan(sigma_path).any():
+            raise DofTooSmall("the one-step forecast mean of the volatility is undefined")
+    beta = trajectory.spec.vol_discounts
+    return loglik_arrays(trajectory.e, trajectory.Q, sigma_path, beta, posterior=posterior)
 
 
 def loglik_constant_arrays(errors, q_values, sigma):
@@ -297,7 +293,8 @@ def loglik_constant(trajectory, sigma=None):
     if len(trajectory) == 0:
         raise EmptyData("likelihood evaluation needs at least one step")
     if sigma is None:
-        sigma = trajectory.steps[-1].sigma_post.mean
+        final = trajectory.final
+        sigma = InvWishartParams(final.n + 2 * trajectory.p, final.S).mean
     return loglik_constant_arrays(trajectory.errors, trajectory.q_values, sigma)
 
 
@@ -332,17 +329,6 @@ def var_portfolio(mu, sigma, config):
             )
         quantile = scipy.stats.t.ppf(level, df=k) * math.sqrt((k - 2.0) / k)
     return port_mean + quantile * math.sqrt(port_var)
-
-
-def standardized_error_dofs(trajectory):
-    """Forecast degrees of freedom per step (constant across steps unless
-    the volatility is time-invariant)."""
-    if trajectory.constant_volatility:
-        n0 = float(trajectory.priors.n0)
-        return n0 + np.arange(len(trajectory), dtype=float)
-    b = trajectory.spec.mean_beta
-    k = b / (1.0 - b)
-    return np.full(len(trajectory), k)
 
 
 def lbf(u_model1, u_model2, dof_model1, dof_model2, labels=("M1", "M2")):
@@ -392,8 +378,8 @@ def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
     return lbf(
         u1,
         u2,
-        standardized_error_dofs(traj1),
-        standardized_error_dofs(traj2),
+        traj1.forecast_dofs,
+        traj2.forecast_dofs,
         labels=labels,
     )
 
@@ -403,11 +389,8 @@ def compute_diagnostics(trajectory, with_loglik=True):
     report = msse_mae_me(trajectory)
     if not with_loglik:
         return report
-    if trajectory.constant_volatility:
-        loglik = loglik_constant(trajectory)
-    else:
-        loglik = loglik_time_varying(trajectory)
-    return replace(report, loglik=loglik)
+    score = loglik_constant if trajectory.constant_volatility else loglik_time_varying
+    return replace(report, loglik=score(trajectory))
 
 
 @dataclass(frozen=True)
@@ -447,14 +430,10 @@ class GridSearchResult:
             writer = csv.writer(handle)
             writer.writerow(header)
             for row in self.rows:
-                record = [row.delta]
-                record.extend(row.beta)
-                record.extend(row.msse.tolist())
-                record.extend(row.me.tolist())
-                record.append(row.loglik)
-                record.append(float("nan") if row.var95 is None else row.var95)
-                record.append(float("nan") if row.var99 is None else row.var99)
-                writer.writerow(record)
+                var = [float("nan") if v is None else v for v in (row.var95, row.var99)]
+                writer.writerow(
+                    [row.delta, *row.beta, *row.msse.tolist(), *row.me.tolist(), row.loglik, *var]
+                )
 
 
 def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
@@ -471,11 +450,8 @@ def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
     spec = trajectory.spec
     f_vec = spec.design_at(final.t)
     mu = final.m.T @ f_vec
-    sigma = trajectory.steps[-1].sigma_post.mean
-    if trajectory.constant_volatility:
-        dof = float(trajectory.priors.n0) + len(trajectory)
-    else:
-        dof = spec.mean_beta * trajectory.initial_dof
+    sigma = InvWishartParams(final.n + 2 * spec.p, final.S).mean
+    dof = spec.mean_beta * final.n  # of the forecast law at step N + 1
     values = []
     for alpha in alphas:
         config = VaRConfig(
@@ -483,15 +459,6 @@ def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
         )
         values.append(var_portfolio(mu, sigma, config))
     return values
-
-
-def _evaluate_candidate(spec, priors, observations, weights, var_family, sqrt_method):
-    trajectory = run(spec, priors, observations, sqrt_method=sqrt_method)
-    report = compute_diagnostics(trajectory)
-    var95 = var99 = None
-    if weights is not None:
-        var95, var99 = var_at_horizon(trajectory, weights, var_family)
-    return report, var95, var99
 
 
 def grid_search(
@@ -503,7 +470,6 @@ def grid_search(
     weights=None,
     var_family="t",
     sqrt_method="spectral",
-    max_workers=None,
 ):
     """Score every (delta, beta) candidate and rank by log-likelihood.
 
@@ -514,14 +480,18 @@ def grid_search(
     ``excluded`` instead of being scored; all-ones candidates run the
     constant-volatility branch and are scored with its likelihood.
     Ranking is by log-likelihood, descending, with lexicographic
-    (delta, beta) tie-breaks. Candidates evaluate in a thread pool and are
-    merged deterministically.
+    (delta, beta) tie-breaks.
+
+    The state pass runs once per delta; the candidates sharing it run
+    through one batched volatility pass per block of ``GRID_BLOCK``, and
+    each row holds exactly what :func:`compute_diagnostics` and
+    :func:`var_at_horizon` give for that candidate's own trajectory.
     """
     delta_grid = list(delta_grid)
     beta_grid = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_grid]
     if not delta_grid or not beta_grid:
         raise EmptyGrid("both the delta grid and the beta grid must be non-empty")
-    candidates = []
+    groups = {}
     excluded = []
     for delta in delta_grid:
         for beta in beta_grid:
@@ -531,43 +501,34 @@ def grid_search(
                 vol_discounts=beta,
             )
             report = validate(spec, priors)
-            if not report.constant_volatility and not report.features[
-                "forecast_moments"
-            ]:
-                excluded.append(
-                    (
-                        float(delta),
-                        tuple(beta.tolist()),
-                        f"mean volatility discount {report.mean_beta:.6g} <= 2/3",
-                    )
-                )
+            if not report.constant_volatility and not report.features["forecast_moments"]:
+                reason = f"mean volatility discount {report.mean_beta:.6g} <= 2/3"
+                excluded.append((float(delta), tuple(beta.tolist()), reason))
                 continue
-            candidates.append((float(delta), beta, spec))
-    if not candidates and not excluded:
-        raise EmptyGrid("the candidate grid is empty")
-
-    def evaluate(item):
-        delta, beta, spec = item
-        report, var95, var99 = _evaluate_candidate(
-            spec, priors, observations, weights, var_family, sqrt_method
-        )
-        return GridRow(
-            delta=delta,
-            beta=tuple(beta.tolist()),
-            msse=report.msse,
-            me=report.me,
-            loglik=report.loglik,
-            var95=var95,
-            var99=var99,
-        )
-
-    if max_workers is None:
-        max_workers = min(8, max(1, len(candidates)))
-    if max_workers == 1 or len(candidates) <= 1:
-        rows = [evaluate(item) for item in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(evaluate, candidates))
+            groups.setdefault(float(delta), []).append((spec, report.n))
+    rows = []
+    for delta, cells in groups.items():
+        states = state_pass(cells[0][0], priors, observations)
+        for lo in range(0, len(cells), GRID_BLOCK):
+            block = cells[lo:lo + GRID_BLOCK]
+            vol = volatility_pass(
+                states.e,
+                states.Q,
+                [spec.vol_discounts for spec, _ in block],
+                priors.S0,
+                [n for _, n in block],
+                sqrt_method,
+            )
+            for k, (spec, _) in enumerate(block):
+                trajectory = Trajectory.from_passes(states, vol, k, spec, priors, sqrt_method)
+                report = compute_diagnostics(trajectory)
+                var95 = var99 = None
+                if weights is not None:
+                    var95, var99 = var_at_horizon(trajectory, weights, var_family)
+                beta = tuple(spec.vol_discounts.tolist())
+                rows.append(
+                    GridRow(delta, beta, report.msse, report.me, report.loglik, var95, var99)
+                )
     rows.sort(key=lambda row: (-row.loglik, row.delta, row.beta))
     return GridSearchResult(rows=tuple(rows), excluded=tuple(excluded))
 

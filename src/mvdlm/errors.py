@@ -25,6 +25,10 @@ class DegreesTooSmall(MvdlmError):
     """Standardization requires more than 2 degrees of freedom."""
 
 
+class StateOverflow(MvdlmError):
+    """The state covariance overflowed to a non-finite value."""
+
+
 class DimensionMismatch(MvdlmError):
     """An array does not have the shape the model requires."""
 

@@ -14,9 +14,10 @@ JITTER_SCALE = 1e-10
 
 
 def symmetrize(m):
-    """Return (M + M') / 2, removing floating-point asymmetry drift."""
+    """Return (M + M') / 2 over the last two axes, removing floating-point
+    asymmetry drift."""
     m = np.asarray(m, dtype=float)
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def cholesky_upper(m):
@@ -41,18 +42,18 @@ def cholesky_upper(m):
         ) from exc
 
 
-def cholesky_lower(m):
-    """Lower-triangular L with M = LL' (same jitter policy as the upper factor)."""
-    return cholesky_upper(m).T
+def cholesky_upper_stack(m):
+    """Upper factors of a (..., p, p) stack of SPD matrices.
 
-
-def is_spd(m):
-    """True when the (symmetrized) matrix admits a Cholesky factorization."""
+    One batched factorization; when it fails, each matrix is factored by
+    :func:`cholesky_upper`, with its jitter retry and error.
+    """
+    m = np.asarray(m, dtype=float)
     try:
-        cholesky_upper(m)
-    except NonPositiveDefinite:
-        return False
-    return True
+        return np.swapaxes(np.linalg.cholesky(m), -1, -2)
+    except np.linalg.LinAlgError:
+        flat = m.reshape((-1,) + m.shape[-2:])
+        return np.stack([cholesky_upper(x) for x in flat]).reshape(m.shape)
 
 
 def inv_spd(m):
@@ -69,43 +70,8 @@ def logdet_spd(m):
     return 2.0 * np.sum(np.log(np.diag(c)))
 
 
-def spectral_sqrt(m):
-    """Symmetric square root V diag(sqrt(lambda)) V' of an SPD matrix."""
-    m = symmetrize(m)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    if np.min(eigvals) < -JITTER_SCALE * max(np.max(np.abs(eigvals)), 1.0):
-        raise NonPositiveDefinite("matrix has a negative eigenvalue")
-    eigvals = np.clip(eigvals, 0.0, None)
-    return symmetrize(eigvecs @ np.diag(np.sqrt(eigvals)) @ eigvecs.T)
-
-
-def whitening_root(w, method="spectral"):
-    """Square root of an SPD whitening matrix W.
-
-    ``spectral`` returns the symmetric root; ``cholesky`` returns the upper
-    factor C with W = C'C. Either choice satisfies root' root = W up to
-    transposition, so u = root @ e has identity covariance whenever
-    Var(e) = W^{-1}.
-    """
-    if method == "spectral":
-        return spectral_sqrt(w)
-    if method == "cholesky":
-        return cholesky_upper(w)
-    raise ValueError(f"unknown square-root method {method!r}")
-
-
-def vech(m):
-    """Column-stacked lower triangle of a symmetric matrix.
-
-    Order: (1,1), (2,1), ..., (p,1), (2,2), (3,2), ..., (p,p).
-    """
-    m = np.asarray(m)
-    p = m.shape[0]
-    rows, cols = np.triu_indices(p)
-    return m.T[rows, cols]
-
-
 def vech_indices(p):
-    """(i, j) index pairs matching the order produced by :func:`vech`."""
+    """(i, j) index pairs of the column-stacked lower triangle of a p x p
+    matrix: (1,1), (2,1), ..., (p,1), (2,2), (3,2), ..., (p,p), zero-based."""
     rows, cols = np.triu_indices(p)
     return list(zip(cols.tolist(), rows.tolist()))

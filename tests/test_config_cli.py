@@ -199,6 +199,32 @@ class TestCliPipeline:
         rev_vals = np.loadtxt(rev, delimiter=",", skiprows=1)[:, 1]
         assert_allclose(fwd_vals, -rev_vals, atol=0)
 
+    def test_fit_and_diagnose_agree_on_small_returns(self, tmp_path):
+        # returns of scale 1e-4 against S0 = I: both commands score the
+        # path through the same rank-one closed form
+        config_path = write_config(
+            tmp_path, {"p": 4, "d": 2, "design": [1.0, 0.0],
+                       "vol_discounts": [0.66, 0.9, 0.9, 0.66],
+                       "weights": [0.25] * 4, "grid": None}
+        )
+        obs = 1e-4 * np.random.default_rng(8020214).standard_normal((120, 4))
+        obs_path = tmp_path / "small.csv"
+        write_observations_csv(obs_path, obs)
+        out_dir = tmp_path / "fit"
+        assert main(
+            ["fit", "--config", str(config_path), "--data", str(obs_path),
+             "--out", str(out_dir)]
+        ) == 0
+        assert main(
+            ["diagnose", "--config", str(config_path),
+             "--traj", str(out_dir / "trajectory.csv"),
+             "--out", str(tmp_path / "diag.json")]
+        ) == 0
+        fit = json.loads((out_dir / "report.json").read_text())
+        diag = json.loads((tmp_path / "diag.json").read_text())
+        assert_allclose(diag["loglik"], fit["loglik"], rtol=1e-12)
+        assert_allclose(diag["msse"], fit["msse"], rtol=1e-12)
+
     def test_fit_with_price_data(self, tmp_path):
         config_path = write_config(tmp_path, {"data_kind": "prices"})
         rng = np.random.default_rng(5)
@@ -243,6 +269,19 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+    def test_state_covariance_overflow_exits_model_error(self, tmp_path, capsys):
+        config_path = write_config(
+            tmp_path, {"d": 2, "design": [1.0, 0.0], "state_discounts": 0.08,
+                       "priors": {"m0": 0.0, "P0": 1000.0, "S0": 1.0, "n0": 1.0}}
+        )
+        obs_path, _ = write_returns(tmp_path, n=300)
+        code = main(
+            ["fit", "--config", str(config_path), "--data", str(obs_path),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 4
+        assert "state covariance overflowed at step" in capsys.readouterr().err
 
     def test_model_error(self, tmp_path):
         # S0 not positive definite surfaces as a model error

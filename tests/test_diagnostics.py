@@ -4,7 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import gammaln
+from scipy.special import gammaln, multigammaln
 
 from mvdlm import ModelSpec, Priors, run
 from mvdlm.diagnostics import (
@@ -29,7 +29,9 @@ from mvdlm.errors import (
     InvalidWeights,
     LengthMismatch,
     MvdlmError,
+    NoPositiveEigenvalues,
 )
+from mvdlm import diagnostics
 from mvdlm.filter import mle_constant
 from mvdlm.simulate import simulate
 
@@ -186,6 +188,67 @@ class TestLoglikTimeVarying:
         )
         rotated = loglik_time_varying(run(spec, priors_rot, obs @ h.T))
         assert abs(base - rotated) < 1e-8
+
+
+class TestLoglikRankOne:
+    """Returns of scale 1e-4 against S0 = I: the only eigenvalue of I - B_t
+    on the posterior-mean path is lambda_t = e_t' S_t^{-1} e_t / Q_t, far
+    below 1e-10 of nothing else; round-off eigenvalues must not enter."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(8020214)
+        self.obs = 1e-4 * rng.standard_normal((120, 4))
+        self.spec = ModelSpec(
+            p=4, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+            state_discounts=[0.95, 0.95], vol_discounts=[0.66, 0.9, 0.9, 0.66],
+        )
+        self.priors = Priors(m0=np.zeros((2, 4)), P0=np.eye(2), S0=np.eye(4))
+
+    def test_matches_per_step_closed_form(self):
+        traj = run(self.spec, self.priors, self.obs)
+        value = loglik_time_varying(traj)
+        # plain per-step evaluation from the recursion's scales
+        p = 4
+        beta = self.spec.vol_discounts
+        b = beta.mean()
+        n = 1.0 / (1.0 - b)
+        m = b / (1.0 - b) + p - 1
+        big_n = len(traj)
+        const = big_n * (
+            0.5 * (m - p) * np.sum(np.log(beta))
+            + multigammaln((m + 1) / 2.0, p)
+            - 0.5 * p * np.log(2.0)
+            - p * np.log(np.pi)
+            - multigammaln(m / 2.0, p)
+        )
+        scales = [self.priors.S0] + [s.sigma_post.scale for s in traj.steps]
+        total = 0.0
+        for t in range(1, big_n + 1):
+            e, q = traj.steps[t - 1].e, traj.steps[t - 1].Q
+            lam = float(e @ np.linalg.solve(scales[t], e)) / q
+            logdet_prev = np.linalg.slogdet(scales[t - 1] / (n - 2))[1]
+            logdet_cur = np.linalg.slogdet(scales[t] / (n - 2))[1]
+            total += (
+                p * np.log(q)
+                + (p - m) * logdet_prev
+                + (n - 2) * lam
+                + p * np.log(lam)
+                + (m - p - 2) * logdet_cur
+            )
+        assert_allclose(value, const - 0.5 * total, rtol=1e-10)
+
+    def test_general_route_cutoff_keeps_small_eigenvalue(self):
+        # the eigendecomposition route on the same explicit path measures its
+        # cutoff against max(1, |eig|) and so keeps lambda_t as well
+        traj = run(self.spec, self.priors, self.obs)
+        explicit = loglik_time_varying(traj, sigma_path=traj.posterior_mean_path())
+        assert_allclose(explicit, loglik_time_varying(traj), rtol=1e-8)
+
+    def test_zero_error_step_is_degenerate(self):
+        spec, priors = local_level(1, 1.0, [0.9])
+        traj = run(spec, priors, np.zeros((3, 1)))
+        with pytest.raises(NoPositiveEigenvalues):
+            loglik_time_varying(traj)
 
 
 class TestLoglikConstant:
@@ -352,21 +415,65 @@ class TestGridSearch:
         )
         assert_allclose(result.rows[0].loglik, loglik_constant(traj), rtol=1e-12)
 
-    def test_deterministic_ranking_and_parallel_merge(self):
+    def test_deterministic_ranking(self):
         spec, priors = local_level(2, 0.9, [0.9, 0.9])
         obs = np.random.default_rng(7).standard_normal((40, 2))
         betas = [[0.85, 0.85], [0.9, 0.9], [0.95, 0.95]]
-        serial = grid_search(
-            spec, priors, obs, [0.8, 0.9], betas, max_workers=1
-        )
-        parallel = grid_search(
-            spec, priors, obs, [0.8, 0.9], betas, max_workers=4
-        )
-        assert [r.beta for r in serial.rows] == [r.beta for r in parallel.rows]
-        assert [r.loglik for r in serial.rows] == [r.loglik for r in parallel.rows]
+        first = grid_search(spec, priors, obs, [0.8, 0.9], betas)
+        second = grid_search(spec, priors, obs, [0.8, 0.9], betas)
+        assert [(r.delta, r.beta) for r in first.rows] == [
+            (r.delta, r.beta) for r in second.rows
+        ]
+        assert [r.loglik for r in first.rows] == [r.loglik for r in second.rows]
         # ranked by log-likelihood, descending
-        logliks = [r.loglik for r in serial.rows]
+        logliks = [r.loglik for r in first.rows]
         assert logliks == sorted(logliks, reverse=True)
+
+    @pytest.mark.parametrize("sqrt_method", ["spectral", "cholesky"])
+    def test_batched_rows_equal_direct_runs(self, sqrt_method, monkeypatch):
+        p, weights = 3, [0.2, 0.3, 0.5]
+        spec = ModelSpec(
+            p=p, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+            state_discounts=[0.9, 0.9], vol_discounts=[0.9] * p,
+        )
+        priors = Priors(m0=np.zeros((2, p)), P0=np.eye(2), S0=np.eye(p), n0=2.0)
+        obs = np.random.default_rng(12).standard_normal((60, p))
+        deltas = [0.8, 0.95]
+        betas = [
+            [1.0, 1.0, 1.0],  # constant-volatility branch
+            [0.6, 0.65, 0.7],  # mean 0.65 <= 2/3: excluded
+            [0.7, 0.95, 0.85],  # non-scalar
+            [0.9, 0.9, 0.9],
+            [0.99, 0.8, 0.9],
+        ]
+        result = grid_search(
+            spec, priors, obs, deltas, betas, weights=weights, sqrt_method=sqrt_method
+        )
+        assert result.excluded == tuple(
+            (d, (0.6, 0.65, 0.7), "mean volatility discount 0.65 <= 2/3") for d in deltas
+        )
+        assert len(result.rows) == len(deltas) * (len(betas) - 1)
+        for row in result.rows:
+            cell = ModelSpec(
+                p=p, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+                state_discounts=[row.delta] * 2, vol_discounts=row.beta,
+            )
+            traj = run(cell, priors, obs, sqrt_method=sqrt_method)
+            report = compute_diagnostics(traj)
+            assert_allclose(row.msse, report.msse, rtol=1e-12)
+            assert_allclose(row.me, report.me, rtol=1e-12)
+            assert_allclose(row.loglik, report.loglik, rtol=1e-12)
+            assert_allclose(
+                [row.var95, row.var99], var_at_horizon(traj, weights), rtol=1e-12
+            )
+        # smaller blocks (several volatility passes per delta) rank identically
+        monkeypatch.setattr(diagnostics, "GRID_BLOCK", 2)
+        again = grid_search(
+            spec, priors, obs, deltas, betas, weights=weights, sqrt_method=sqrt_method
+        )
+        assert [(r.delta, r.beta, r.loglik) for r in again.rows] == [
+            (r.delta, r.beta, r.loglik) for r in result.rows
+        ]
 
     def test_empty_grid(self):
         spec, priors = local_level(1, 0.9, [0.9])

@@ -11,12 +11,15 @@ from mvdlm.errors import (
     FeatureUnavailable,
     MvdlmError,
     RankDeficient,
+    StateOverflow,
 )
 from mvdlm.filter import (
     _closed_form_scale,
     linear_transform,
     mle_constant,
+    state_pass,
     trajectory_to_csv,
+    volatility_pass,
 )
 from mvdlm.model import FilterState
 from mvdlm.simulate import paired_volatility_scenario, simulate
@@ -163,6 +166,58 @@ class TestRun:
         for step in traj.steps:
             assert step.Q >= 1.0
             assert_allclose(step.r, step.e / step.Q, atol=1e-12)
+
+
+class TestTwoPassEngine:
+    def test_run_equals_predict_update_loop(self):
+        # the single-step API is the loop reference of the batched passes
+        scenario = paired_volatility_scenario(n_steps=80, seed=2)
+        spec, priors = scenario.spec, scenario.priors
+        obs = scenario.path.observations
+        for sqrt_method in ("spectral", "cholesky"):
+            traj = run(spec, priors, obs, sqrt_method=sqrt_method)
+            state = initial_state(spec, priors)
+            for i, batched in enumerate(traj.steps):
+                state, step = update(state, obs[i], spec, i + 1, sqrt_method=sqrt_method)
+                for name in ("f", "e", "Q", "R"):
+                    assert np.array_equal(getattr(step, name), getattr(batched, name))
+                assert np.array_equal(step.sigma_post.scale, batched.sigma_post.scale)
+                assert_allclose(step.u, batched.u, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(state.m, traj.final.m)
+            assert np.array_equal(state.P, traj.final.P)
+
+    def test_volatility_pass_rows_equal_single_runs(self):
+        scenario = paired_volatility_scenario(n_steps=60, seed=4)
+        spec, priors = scenario.spec, scenario.priors
+        states = state_pass(spec, priors, scenario.path.observations)
+        betas = np.array([[0.9, 0.8, 0.8, 0.9], [1.0] * 4, [0.95] * 4])
+        n0 = [1 / (1 - 0.85), priors.n0, 1 / (1 - 0.95)]
+        vol = volatility_pass(states.e, states.Q, betas, priors.S0, n0)
+        for k in range(3):
+            one = volatility_pass(states.e, states.Q, betas[k:k + 1], priors.S0, n0[k])
+            assert np.array_equal(vol.S[k], one.S[0])
+            assert np.array_equal(vol.n[k], one.n[0])
+            assert_allclose(vol.u[k], one.u[0], rtol=1e-12, atol=1e-14)
+        assert_allclose(vol.n[1], priors.n0 + np.arange(61))  # grows at beta = 1
+        assert np.all(vol.n[0] == n0[0])  # fixed point elsewhere
+
+    def test_fixed_point_asserted(self):
+        with pytest.raises(MvdlmError, match="fixed point"):
+            volatility_pass(np.zeros((2, 1)), np.ones(2), [[0.9]], np.eye(1), 5.0)
+
+    def test_state_covariance_overflow_is_typed(self):
+        # delta = 0.08 inflates the unobserved level component 12.5x per
+        # step from P0 = 1000 I until it overflows near step 278
+        spec = ModelSpec(
+            p=2, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+            state_discounts=[0.08, 0.08], vol_discounts=[0.9, 0.9],
+        )
+        priors = Priors(m0=np.zeros((2, 2)), P0=1000.0 * np.eye(2), S0=np.eye(2))
+        obs = np.random.default_rng(3).standard_normal((300, 2))
+        with pytest.raises(StateOverflow, match=r"step 27\d in state component 2"):
+            run(spec, priors, obs)
+        # short inputs stay finite
+        assert np.isfinite(run(spec, priors, obs[:100]).S).all()
 
 
 class TestConstantVolatility:
