@@ -5,7 +5,6 @@ numerical error, 1 unexpected internal error.
 """
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -17,8 +16,10 @@ from .config import load_config
 from .data import (
     ingest,
     ingest_returns,
+    read_columns,
     synthetic_dates,
     to_returns,
+    write_csv,
     write_observations_csv,
 )
 from .distributions import InvWishartParams
@@ -55,22 +56,15 @@ def _write_volatility_series(trajectory, path):
     """Plot-ready series: forecast-volatility diagonals and correlations."""
     p = trajectory.p
     rows, cols = np.triu_indices(p, 1)
-    header = (
-        ["t"]
-        + [f"fore_var_{i + 1}" for i in range(p)]
-        + [f"fore_corr_{i + 1}_{j + 1}" for i, j in zip(rows, cols)]
-    )
+    header = ["t", *(f"fore_var_{i + 1}" for i in range(p)),
+              *(f"fore_corr_{i + 1}_{j + 1}" for i, j in zip(rows, cols))]
     sigma = trajectory.forecast_means  # NaN where undefined
     diag = np.diagonal(sigma, axis1=1, axis2=2)
     denom = np.sqrt(diag[:, rows] * diag[:, cols])
     corr = np.divide(
         sigma[:, rows, cols], denom, out=np.full(denom.shape, np.nan), where=denom > 0
     )
-    table = np.hstack([diag, corr])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([t, *row.tolist()] for t, row in enumerate(table, start=1))
+    write_csv(path, [header], range(1, len(sigma) + 1), np.hstack([diag, corr]))
 
 
 def _print_report(report):
@@ -172,11 +166,7 @@ def cmd_compare(args):
     traj2, _ = _fit(config2, args.data, args.sqrt)
     labels = (Path(args.config).stem, Path(args.config2).stem)
     series = diagnostics.lbf_from_trajectories(traj1, traj2, labels=labels)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "lbf"])
-        for t, value in enumerate(series.values, start=1):
-            writer.writerow([t, value])
+    write_csv(args.out, [["t", "lbf"]], range(1, len(series) + 1), series.values[:, None])
     total = series.cumulative
     favored = labels[0] if total > 0 else labels[1] if total < 0 else "neither"
     print(f"cumulative LBF = {total:.4f} (favours {favored})")
@@ -185,22 +175,18 @@ def cmd_compare(args):
 
 
 def _read_trajectory_csv(path):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(cell) for cell in record] for record in reader if record]
-    data = np.asarray(rows, dtype=float)
-    cols = {name: i for i, name in enumerate(header)}
-    p = sum(1 for name in header if name.startswith("e_"))
-    e = data[:, [cols[f"e_{i + 1}"] for i in range(p)]]
-    u = data[:, [cols[f"u_{i + 1}"] for i in range(p)]]
-    q = data[:, cols["Q"]]
+    """e, u, Q and the posterior-mean volatilities of a trajectory CSV."""
+    with open(path) as handle:  # without e_ columns, e_1 is reported missing
+        p = sum(name.startswith("e_") for name in handle.readline().split(",")) or 1
     pairs = vech_indices(p)
-    lower = data[:, [cols[f"sigma_post_{i + 1}_{j + 1}"] for i, j in pairs]]
+    data = read_columns(path, [
+        *(f"{name}_{i + 1}" for name in "eu" for i in range(p)), "Q",
+        *(f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs),
+    ])
     rows, columns = np.array(pairs).T
     sigma_post = np.empty((data.shape[0], p, p))
-    sigma_post[:, rows, columns] = sigma_post[:, columns, rows] = lower
-    return e, u, q, sigma_post
+    sigma_post[:, rows, columns] = sigma_post[:, columns, rows] = data[:, 2 * p + 1:]
+    return data[:, :p], data[:, p:2 * p], data[:, 2 * p], sigma_post
 
 
 def cmd_diagnose(args):

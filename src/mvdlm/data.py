@@ -9,6 +9,8 @@ line 1).
 
 import csv
 import datetime
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,63 +64,65 @@ def _read_table(path, columns=None):
             raise ParseError("file is empty", row=1) from None
         header = [h.strip() for h in header]
         if len(header) < 2 or header[0].lower() != "date":
-            raise ParseError(
-                "header must be 'date,<name1>,...,<namep>'", row=1
-            )
-        all_names = header[1:]
-        if columns is None:
-            indices = list(range(1, len(header)))
-            names = all_names
-        else:
-            names = list(columns)
-            indices = []
-            for name in names:
-                if name not in all_names:
-                    raise ParseError(f"column {name!r} not in header", row=1)
-                indices.append(1 + all_names.index(name))
+            raise ParseError("header must be 'date,<name1>,...,<namep>'", row=1)
+        names = header[1:] if columns is None else list(columns)
+        indices = (range(1, len(header)) if columns is None
+                   else [1 + i for i in _column_indices(header[1:], names)])
         dates = []
         rows = []
         prev_date = None
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if len(record) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, found {len(record)}",
-                    row=line_no,
-                )
+        for line_no, record in _data_rows(reader, len(header)):
             try:
                 date = datetime.date.fromisoformat(record[0].strip())
             except ValueError:
-                raise ParseError(
-                    f"bad date {record[0]!r}", row=line_no, col=1
-                ) from None
+                raise ParseError(f"bad date {record[0]!r}", row=line_no, col=1) from None
             if prev_date is not None and date <= prev_date:
-                raise NonMonotoneDates(
-                    f"date {date.isoformat()} does not increase past "
-                    f"{prev_date.isoformat()}",
-                    row=line_no,
-                )
+                raise NonMonotoneDates(f"date {date.isoformat()} does not increase past "
+                                       f"{prev_date.isoformat()}", row=line_no)
             prev_date = date
-            values = []
-            for col in indices:
-                cell = record[col].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"bad number {cell!r}", row=line_no, col=col + 1
-                    ) from None
-                if not np.isfinite(value):
-                    raise ParseError(
-                        f"non-finite value {cell!r}", row=line_no, col=col + 1
-                    )
-                values.append(value)
+            try:
+                values = [float(record[col]) for col in indices]
+            except ValueError:
+                values = None
+            if values is None or not all(map(math.isfinite, values)):
+                _check_cells(record, indices, line_no, finite=True)
             dates.append(date)
             rows.append(values)
     if not rows:
         raise ParseError("no data rows", row=2)
     return tuple(dates), np.asarray(rows, dtype=float), tuple(names)
+
+
+def _data_rows(reader, width):
+    """(line number, cells) of each non-blank row of a csv reader past the
+    header; a row of another width than the header raises ParseError."""
+    for line_no, record in enumerate(reader, start=2):
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        if len(record) != width:
+            raise ParseError(f"expected {width} cells, found {len(record)}", row=line_no)
+        yield line_no, record
+
+
+def _column_indices(header, names):
+    """Positions (first occurrences) of ``names`` in the ``header`` list."""
+    for name in names:
+        if name not in header:
+            raise ParseError(f"column {name!r} not in header", row=1)
+    return [header.index(name) for name in names]
+
+
+def _check_cells(cells, indices, line_no, finite):
+    """Raise a ParseError at the first cell of ``indices`` that is not a
+    number (or, when ``finite``, not a finite one)."""
+    for col in indices:
+        cell = cells[col].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"bad number {cell!r}", row=line_no, col=col + 1) from None
+        if finite and not math.isfinite(value):
+            raise ParseError(f"non-finite value {cell!r}", row=line_no, col=col + 1)
 
 
 def ingest(path, columns=None):
@@ -175,8 +179,43 @@ def write_observations_csv(path, values, dates=None, names=None):
         dates = synthetic_dates(n)
     if names is None:
         names = [f"series_{i + 1}" for i in range(p)]
+    write_csv(path, [["date", *names]], (date.isoformat() for date in dates), values)
+
+
+def write_csv(path, head, leads=(), table=()):
+    """Write the rows ``head`` (the header, or any row of mixed cells) with
+    csv.writer, quoted as needed, then row i of the float array ``table``
+    as a line starting with ``leads[i]``: CRLF ends and shortest round-trip
+    floats, as csv.writer writes them. Rows are converted one at a time so
+    the file is never held whole."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date"] + list(names))
-        for date, row in zip(dates, values):
-            writer.writerow([date.isoformat()] + [repr(float(v)) for v in row])
+        csv.writer(handle).writerows(head)
+        handle.writelines(f"{lead},{','.join(map(repr, row.tolist()))}\r\n"
+                          for lead, row in zip(leads, table))
+
+
+def read_columns(path, names):
+    """The named columns of a numeric CSV whose header needs no quoting, as
+    a column-major (N, len(names)) float array (so column sums run in
+    numpy's pairwise order); NaN cells read as NaN. A missing column, a line
+    shorter than the header or a cell of ``names`` that is not a number
+    raises a :class:`ParseError` naming it; cells past the header's width
+    are ignored."""
+    with open(path) as handle:
+        header = handle.readline().rstrip("\r\n").split(",")
+    # the last column is read too, so that a truncated line fails the parse
+    usecols = _column_indices(header, names) + [len(header) - 1]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: raised below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
+    except ValueError as exc:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            for line_no, cells in _data_rows(reader, len(header)):
+                _check_cells(cells, usecols, line_no, finite=False)
+        raise ParseError(str(exc)) from None
+    if not data.shape[0]:
+        raise ParseError("no data rows", row=2)
+    return np.asfortranarray(data[:, :-1])

@@ -18,11 +18,10 @@ class DegenerateDegrees(MvdlmError):
 
 
 class DofTooSmall(MvdlmError):
-    """Degrees of freedom too small for the requested density or moment."""
+    """Degrees of freedom too small for a density, moment or standardization."""
 
 
-class DegreesTooSmall(MvdlmError):
-    """Standardization requires more than 2 degrees of freedom."""
+DegreesTooSmall = DofTooSmall
 
 
 class StateOverflow(MvdlmError):

@@ -18,15 +18,14 @@ the last line. Also here: the maximum-likelihood estimator of a constant
 volatility and closure under full-row-rank linear maps of y_t.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import write_csv
 from .distributions import InvWishartParams, MultiTParams
 from .errors import (
-    DegreesTooSmall,
     DimensionMismatch,
     DofTooSmall,
     EmptyData,
@@ -270,7 +269,7 @@ def _whiten_rows(e, q, scale, dof, method):
 def _whiten(e, q, scale, dof, method):
     """Standardize one forecast error; needs dof > 2."""
     if dof <= 2.0:
-        raise DegreesTooSmall(
+        raise DofTooSmall(
             f"standardization requires more than 2 degrees of freedom, got {dof}"
         )
     return _whiten_rows(e, q, scale, dof, method)
@@ -587,25 +586,13 @@ def trajectory_to_csv(trajectory, path):
     """
     p = trajectory.p
     pairs = vech_indices(p)
-    header = (
-        ["t"]
-        + [f"f_{i + 1}" for i in range(p)]
-        + [f"e_{i + 1}" for i in range(p)]
-        + [f"u_{i + 1}" for i in range(p)]
-        + ["Q"]
-        + [f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs]
-        + [f"sigma_fore_{i + 1}_{j + 1}" for i, j in pairs]
-    )
+    header = [
+        "t", *(f"{name}_{i + 1}" for name in "feu" for i in range(p)), "Q",
+        *(f"sigma_{kind}_{i + 1}_{j + 1}" for kind in ("post", "fore") for i, j in pairs),
+    ]
     rows, cols = (np.array(idx) for idx in zip(*pairs))
     table = np.column_stack([
-        trajectory.f,
-        trajectory.e,
-        trajectory.u,
-        trajectory.Q,
-        trajectory.posterior_means[1:, rows, cols],
-        trajectory.forecast_means[:, rows, cols],
+        trajectory.f, trajectory.e, trajectory.u, trajectory.Q,
+        trajectory.posterior_means[1:, rows, cols], trajectory.forecast_means[:, rows, cols],
     ])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([t, *row.tolist()] for t, row in enumerate(table, start=1))
+    write_csv(path, [header], range(1, len(table) + 1), table)

@@ -176,6 +176,7 @@ class TestConstantVolatilityMle:
         report("constant-volatility-mle", checks)
 
 
+@pytest.mark.slow
 class TestPrecisionEvolutionMonteCarlo:
     def test_moments_and_scalar_law(self):
         checks = []

@@ -296,3 +296,47 @@ class TestExitCodes:
             ]
         )
         assert code == 4
+
+
+class TestMalformedTrajectory:
+    """diagnose reports a damaged trajectory file as a data error (exit 3)
+    naming the missing column or the bad line."""
+
+    @pytest.fixture
+    def fitted(self, tmp_path):
+        config_path = write_config(tmp_path)
+        obs_path, _ = write_returns(tmp_path, n=20)
+        assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
+                     "--out", str(tmp_path / "fit")]) == 0
+        lines = (tmp_path / "fit" / "trajectory.csv").read_text().splitlines()
+        return config_path, lines
+
+    def diagnose(self, tmp_path, config_path, lines, capsys):
+        traj = tmp_path / "damaged.csv"
+        traj.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["diagnose", "--config", str(config_path), "--traj", str(traj),
+                     "--out", str(tmp_path / "diag.json")])
+        return code, capsys.readouterr().err
+
+    def test_duplicated_header(self, tmp_path, fitted, capsys):
+        config_path, lines = fitted
+        code, err = self.diagnose(tmp_path, config_path, lines[:5] + lines, capsys)
+        assert code == 3
+        assert "bad number 'e_1' (line 6, column 4)" in err
+
+    def test_truncated_row(self, tmp_path, fitted, capsys):
+        config_path, lines = fitted
+        width = len(lines[0].split(","))
+        lines[-1] = lines[-1][: lines[-1].rindex(",")]
+        code, err = self.diagnose(tmp_path, config_path, lines, capsys)
+        assert code == 3
+        assert f"expected {width} cells, found {width - 1} (line {len(lines)})" in err
+
+    def test_missing_column(self, tmp_path, fitted, capsys):
+        config_path, lines = fitted
+        col = lines[0].split(",").index("u_1")
+        lines = [",".join(c for i, c in enumerate(line.split(",")) if i != col) for line in lines]
+        code, err = self.diagnose(tmp_path, config_path, lines, capsys)
+        assert code == 3
+        assert "column 'u_1' not in header (line 1)" in err

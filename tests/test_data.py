@@ -116,3 +116,25 @@ class TestRoundTrip:
         assert np.array_equal(table.returns, values)
         write_observations_csv(second, table.returns, dates=table.dates, names=table.names)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestIngestCellLocation:
+    """The first offending cell of a row, in column order, is reported."""
+
+    @pytest.mark.parametrize(
+        "row, message, col",
+        [
+            ("2005-01-05, 1 ,nan,abc", "non-finite value 'nan'", 3),
+            ("2005-01-05,1,abc,inf", "bad number 'abc'", 3),
+            ("2005-01-05,-inf,2,3", "non-finite value '-inf'", 2),
+        ],
+    )
+    def test_first_bad_cell(self, tmp_path, row, message, col):
+        path = write(tmp_path, f"date,a,b,c\n2005-01-04,1,2,3\n{row}\n")
+        with pytest.raises(ParseError, match=message) as err:
+            ingest_returns(path)
+        assert (err.value.row, err.value.col) == (3, col)
+
+    def test_padded_cells_parse(self, tmp_path):
+        table = ingest_returns(write(tmp_path, "date,a,b\n2005-01-04, 1.5 ,\t-2\n"))
+        assert np.array_equal(table.returns, [[1.5, -2.0]])

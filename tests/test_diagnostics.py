@@ -519,3 +519,40 @@ class TestReportExport:
         export_report_csv(report, tmp_path / "report.csv")
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "msse_1,mae_1,me_1,loglik,n_obs,sqrt_convention"
+
+
+class TestLbfClosedForm:
+    """lbf evaluates all steps in one closed form; the per-step density
+    loop it replaced stays here as the reference."""
+
+    @staticmethod
+    def loop_reference(u1, u2, k1, k2):
+        from mvdlm.distributions import MultiTParams, mvt_logpdf
+
+        p = u1.shape[1]
+        values = []
+        for t in range(len(u1)):
+            params = [
+                MultiTParams(dof=k, location=np.zeros(p), scale_row=1.0,
+                             scale_col=(k - 2) * np.eye(p))
+                for k in (k1[t], k2[t])
+            ]
+            values.append(mvt_logpdf(u1[t], params[0]) - mvt_logpdf(u2[t], params[1]))
+        return np.array(values)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 16])
+    def test_matches_per_step_loop(self, p):
+        rng = np.random.default_rng(p)
+        u1, u2 = rng.standard_normal((2, 50, p)) * 1.5
+        k1 = 2.5 + 30.0 * rng.random(50)
+        k2 = np.full(50, 9.0)
+        series = lbf(u1, u2, k1, k2)
+        assert_allclose(series.values, self.loop_reference(u1, u2, k1, k2), rtol=1e-12)
+
+    def test_first_bad_step_named(self):
+        u = np.zeros((5, 2))
+        k1 = np.array([9.0, 9.0, 2.0, 1.0, 9.0])
+        with pytest.raises(DegreesTooSmall, match="^step 3: standardized-error densities"):
+            lbf(u, u, k1, 9.0)
+        with pytest.raises(DegreesTooSmall, match="^step 2:"):
+            lbf(u, u, 9.0, [9.0, np.nan, 9.0, 9.0, 9.0])
