@@ -49,7 +49,6 @@ from .model import (
     Priors,
     ValidationReport,
     compute_n,
-    evolution_covariance,
     validate,
 )
 from .simulate import PairedScenario, SimPath, paired_volatility_scenario, simulate
@@ -75,7 +74,6 @@ __all__ = [
     "compute_diagnostics",
     "compute_n",
     "errors",
-    "evolution_covariance",
     "evolve_precision",
     "grid_search",
     "invwishart_logpdf",

@@ -227,7 +227,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True):
+    def add_common(p, data=True, var_family=False):
         p.add_argument("--config", required=True, help="JSON configuration file")
         if data:
             p.add_argument("--data", required=True, help="input CSV")
@@ -235,8 +235,11 @@ def build_parser():
             "--sqrt",
             choices=("spectral", "cholesky"),
             default="spectral",
-            help="square-root convention for standardized errors",
+            help="square-root convention for standardized errors, recorded in the report",
         )
+        if var_family:
+            p.add_argument("--var-family", choices=("t", "normal"), default="t",
+                           help="quantile family for the VaR values")
 
     p_fit = sub.add_parser("fit", help="filter a series and write diagnostics")
     add_common(p_fit)
@@ -244,13 +247,9 @@ def build_parser():
     p_fit.set_defaults(func=cmd_fit)
 
     p_grid = sub.add_parser("grid", help="rank discount candidates by log-likelihood")
-    add_common(p_grid)
+    add_common(p_grid, var_family=True)
     p_grid.add_argument("--out", required=True, help="output CSV path")
     p_grid.add_argument("--top", type=int, default=5, help="rows to print")
-    p_grid.add_argument(
-        "--var-family", choices=("t", "normal"), default="t",
-        help="quantile family for the VaR columns",
-    )
     p_grid.set_defaults(func=cmd_grid)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic path")
@@ -260,12 +259,8 @@ def build_parser():
     p_sim.set_defaults(func=cmd_simulate)
 
     p_var = sub.add_parser("var", help="portfolio Value-at-Risk at the horizon")
-    add_common(p_var)
+    add_common(p_var, var_family=True)
     p_var.add_argument("--out", required=True, help="output JSON path")
-    p_var.add_argument(
-        "--var-family", choices=("t", "normal"), default="t",
-        help="quantile family",
-    )
     p_var.set_defaults(func=cmd_var)
 
     p_cmp = sub.add_parser("compare", help="sequential log Bayes factors")
@@ -275,13 +270,9 @@ def build_parser():
     p_cmp.set_defaults(func=cmd_compare)
 
     p_diag = sub.add_parser("diagnose", help="re-run diagnostics on a stored trajectory")
-    p_diag.add_argument("--config", required=True)
+    add_common(p_diag, data=False)
     p_diag.add_argument("--traj", required=True, help="trajectory CSV from fit")
     p_diag.add_argument("--out", required=True, help="output JSON path")
-    p_diag.add_argument(
-        "--sqrt", choices=("spectral", "cholesky"), default="spectral",
-        help="convention recorded in the report",
-    )
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
 

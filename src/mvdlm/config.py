@@ -160,10 +160,7 @@ class RunConfig:
             raise ConfigError(
                 f"{self.path}: grid needs non-empty 'deltas' and 'betas'"
             )
-        beta_vectors = []
-        for entry in betas:
-            beta_vectors.append(_as_vector(entry, self.p, "grid beta"))
-        return [float(x) for x in deltas], beta_vectors
+        return [float(x) for x in deltas], [_as_vector(b, self.p, "grid beta") for b in betas]
 
 
 def load_config(path):

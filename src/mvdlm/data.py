@@ -198,9 +198,8 @@ def read_columns(path, names):
     """The named columns of a numeric CSV whose header needs no quoting, as
     a column-major (N, len(names)) float array (so column sums run in
     numpy's pairwise order); NaN cells read as NaN. A missing column, a line
-    shorter than the header or a cell of ``names`` that is not a number
-    raises a :class:`ParseError` naming it; cells past the header's width
-    are ignored."""
+    of another width than the header or a cell of ``names`` that is not a
+    number raises a :class:`ParseError` naming it."""
     with open(path) as handle:
         header = handle.readline().rstrip("\r\n").split(",")
     # the last column is read too, so that a truncated line fails the parse
@@ -209,6 +208,11 @@ def read_columns(path, names):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: raised below
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
+        with open(path, "rb") as handle:  # loadtxt skips cells past usecols: count them all
+            commas = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord(","))
+                         for block in iter(lambda: handle.read(1 << 20), b""))
+        if commas != (len(header) - 1) * (data.shape[0] + 1):
+            raise ValueError("the file holds more cells than lines of the header's width")
     except ValueError as exc:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)

@@ -28,9 +28,9 @@ from .errors import (
     MvdlmError,
     NoPositiveEigenvalues,
 )
-from .filter import Trajectory, _whiten, state_pass, volatility_pass
+from .filter import Trajectory, _discount, _whiten, state_pass, volatility_pass
 from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
-from .model import validate
+from .model import compute_n, validate
 
 EIGENVALUE_THRESHOLD = 1e-10
 WEIGHT_TOL = 1e-10
@@ -114,20 +114,19 @@ def standardize(e, q, s_prev, vol_discounts=None, n=None, dof=None, method="spec
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     s_prev = symmetrize(np.atleast_2d(s_prev))
-    if vol_discounts is not None:
-        beta = np.atleast_1d(np.asarray(vol_discounts, dtype=float))
-        b = float(np.mean(beta))
-        if b < 1.0:
-            if n is None:
-                n = 1.0 / (1.0 - b)
-            k = b * n
-            root = np.sqrt(beta)
-            scale = symmetrize(s_prev * np.outer(root, root))
-            return _whiten(e, float(q), scale, k, method)
-    if dof is None:
+    beta = np.atleast_1d(np.asarray(1.0 if vol_discounts is None else vol_discounts, dtype=float))
+    if np.mean(beta) < 1.0:
+        dof = float(np.mean(beta)) * (compute_n(beta) if n is None else n)
+        root = np.sqrt(beta)
+        s_prev = _discount(s_prev, np.outer(root, root))
+    elif dof is None:
         raise DofTooSmall(
             "explicit degrees of freedom are required when no discounting "
             "below 1 is in effect"
+        )
+    if dof <= 2.0:
+        raise DofTooSmall(
+            f"standardization requires more than 2 degrees of freedom, got {dof}"
         )
     return _whiten(e, float(q), s_prev, float(dof), method)
 
@@ -295,7 +294,7 @@ def loglik_constant(trajectory, sigma=None):
     if sigma is None:
         final = trajectory.final
         sigma = InvWishartParams(final.n + 2 * trajectory.p, final.S).mean
-    return loglik_constant_arrays(trajectory.errors, trajectory.q_values, sigma)
+    return loglik_constant_arrays(trajectory.e, trajectory.Q, sigma)
 
 
 def var_portfolio(mu, sigma, config):
@@ -380,19 +379,11 @@ def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
     """Log Bayes factors of two fitted models over the same observations."""
     if len(traj1) != len(traj2):
         raise LengthMismatch("trajectories cover different horizons")
-    u1 = traj1.standardized
-    u2 = traj2.standardized
-    if np.any(np.isnan(u1)) or np.any(np.isnan(u2)):
+    if np.any(np.isnan(traj1.u)) or np.any(np.isnan(traj2.u)):
         raise FeatureUnavailable(
             "both models must produce standardized errors at every step"
         )
-    return lbf(
-        u1,
-        u2,
-        traj1.forecast_dofs,
-        traj2.forecast_dofs,
-        labels=labels,
-    )
+    return lbf(traj1.u, traj2.u, traj1.forecast_dofs, traj2.forecast_dofs, labels=labels)
 
 
 def compute_diagnostics(trajectory, with_loglik=True):

@@ -91,8 +91,7 @@ class SingularBetaParams:
     """Singular multivariate beta with second shape fixed at 1/2.
 
     ``shape_a`` is (tr(beta)/p * n + p - 1)/2 in the volatility evolution;
-    the second shape must make 2*shape_b a positive integer and only the
-    single-degree case shape_b = 1/2 is supported here.
+    only the single-degree case shape_b = 1/2 is supported here.
     """
 
     shape_a: float
@@ -100,9 +99,6 @@ class SingularBetaParams:
     shape_b: float = 0.5
 
     def __post_init__(self):
-        two_b = 2.0 * self.shape_b
-        if two_b <= 0 or abs(two_b - round(two_b)) > 1e-12:
-            raise ValueError("2 * shape_b must be a positive integer")
         if self.shape_b != 0.5:
             raise ValueError("only shape_b = 1/2 is supported")
         if self.shape_a <= (self.p - 1) / 2.0:
@@ -262,7 +258,6 @@ def evolve_precision(phi_prev, beta, n, rng):
     c_prev = cholesky_upper(phi_prev)
     inner = c_prev.T @ b @ c_prev
     inv_root = 1.0 / np.sqrt(beta)
-    phi_new = inner * np.outer(inv_root, inv_root)
-    phi_new = symmetrize(phi_new)
+    phi_new = symmetrize(inner * np.outer(inv_root, inv_root))
     cholesky_upper(phi_new)  # fail fast if the draw degenerated
     return phi_new

@@ -1,13 +1,14 @@
 """The sequential conjugate filter.
 
 One engine of two passes drives both branches. The state pass runs the
-beta-independent recursions once per (delta, F, G):
+beta-independent recursions once per (delta, F, G): first the data-free
+covariance pass, shared with the single-step API and the simulator,
 
-    R_t = G_t P_{t-1} G_t' + Omega_t,    Q_t = F_t' R_t F_t + 1
-    e_t = y_t - m_{t-1}' G_t' F_t,       m_t = G_t m_{t-1} + R_t F_t e_t' / Q_t
-    P_t = R_t - R_t F_t F_t' R_t / Q_t
+    Omega_t = Delta^{1/2} G_t P_{t-1} G_t' Delta^{1/2},  R_t = G_t P_{t-1} G_t' + Omega_t
+    Q_t = F_t' R_t F_t + 1,  A_t = R_t F_t / Q_t,  P_t = R_t - A_t F_t' R_t
 
-and the volatility pass runs, for K candidate discount vectors at once,
+then the mean pass a_t = G_t m_{t-1}, f_t = a_t' F_t, e_t = y_t - f_t,
+m_t = a_t + A_t e_t'. The volatility pass runs, for K discount vectors at once,
 
     S_t = beta^{1/2} S_{t-1} beta^{1/2} + e_t e_t' / Q_t
     n_t = tr(beta)/p * n_{t-1} + 1
@@ -53,6 +54,8 @@ class Prediction:
     sigma_prior: InvWishartParams
     forecast: MultiTParams
     sigma_forecast_mean: np.ndarray | None
+    gain: np.ndarray  # R_t F_t / Q_t
+    P: np.ndarray  # posterior state covariance P_t (data-free)
 
 
 @dataclass(frozen=True)
@@ -125,11 +128,6 @@ class Trajectory:
     constant_volatility: bool
     sqrt_convention: str = "spectral"
 
-    # Descriptive names of the arrays, as earlier versions spelled them.
-    forecasts = property(lambda self: self.f)
-    errors = property(lambda self: self.e)
-    q_values = property(lambda self: self.Q)
-    standardized = property(lambda self: self.u)
     residuals = property(lambda self: self.e / self.Q[:, None])
     p = property(lambda self: self.spec.p)
 
@@ -150,7 +148,7 @@ class Trajectory:
     def prior_scales(self):
         """Scales beta^{1/2} S_{t-1} beta^{1/2} of the one-step priors, (N, p, p)."""
         root = self.spec.beta_sqrt
-        return symmetrize(self.S[:-1] * np.outer(root, root))
+        return _discount(self.S[:-1], np.outer(root, root))
 
     @property
     def forecast_dofs(self):
@@ -183,16 +181,12 @@ class Trajectory:
             for i in range(len(self))
         )
 
-    def posterior_mean_path(self, include_initial=True):
-        """Plug-in volatility path from the per-step posterior means.
-
-        Returns the (N+1, p, p) array Sigma_0, Sigma_1, ..., Sigma_N
-        (Sigma_0 comes from the priors) or Sigma_1..Sigma_N when
-        ``include_initial`` is false. Raises when a mean is undefined.
+    def posterior_mean_path(self):
+        """Plug-in volatility path from the per-step posterior means: the
+        (N+1, p, p) array Sigma_0 (from the priors), Sigma_1, ..., Sigma_N.
+        Raises when a mean is undefined.
         """
         means = self.posterior_means
-        if not include_initial:
-            means = means[1:]
         if np.isnan(means).any():
             raise DofTooSmall(
                 f"posterior mean of the volatility requires n > 2, got {self.n.min()}"
@@ -200,38 +194,101 @@ class Trajectory:
         return means
 
 
-def _delta_outer(spec):
-    """Delta^{1/2} 1 1' Delta^{1/2} with Delta = diag((1 - delta_i)/delta_i)."""
-    root = np.sqrt((1.0 - spec.state_discounts) / spec.state_discounts)
-    return np.outer(root, root)
-
-
-def _state_prior(m, P, g, f_vec, delta_outer, t):
-    """R_t, f_t and Q_t from the posterior at t-1.
-
-    G P G' is formed once and inflated by the discount matrix. A
-    non-finite R_t or Q_t raises :class:`StateOverflow` naming the step and
-    the state component; callers silence numpy's overflow warnings for it.
-    """
+def _evolve(P, g, delta_outer):
+    """Omega_t = Delta^{1/2} G P G' Delta^{1/2} and R_t = G P G' + Omega_t,
+    with ``delta_outer`` = Delta^{1/2} 1 1' Delta^{1/2}: the discount
+    construction, made here and nowhere else."""
     inner = g @ P @ g.T
-    r_mat = symmetrize(inner + symmetrize(inner * delta_outer))
-    f = (g @ m).T @ f_vec
-    q = float(f_vec @ r_mat @ f_vec) + 1.0
-    if not (np.isfinite(q) and np.isfinite(r_mat).all()):
-        bad = ~np.isfinite(r_mat).all(axis=1)
-        where = f"state component {int(np.argmax(bad)) + 1}" if bad.any() else "Q_t"
-        raise StateOverflow(
-            f"state covariance overflowed at step {t} in {where}: the state "
-            "discounts inflate a component the observations do not inform"
-        )
-    return r_mat, f, q
+    omega = symmetrize(inner * delta_outer)
+    return omega, symmetrize(inner + omega)
 
 
-def _state_posterior(m, g, f_vec, r_mat, q, e):
-    """m_t and P_t after absorbing the forecast error e_t."""
+def _observe(r_mat, f_vec):
+    """Q_t = F' R_t F + 1, the gain R_t F / Q_t and P_t = R_t - gain F' R_t."""
+    fr = f_vec @ r_mat
+    q = float(fr @ f_vec) + 1.0
     gain = r_mat @ f_vec / q
-    m_new = g @ m + np.outer(gain, e)
-    return m_new, symmetrize(r_mat - np.outer(gain, f_vec @ r_mat))
+    return q, gain, symmetrize(r_mat - gain[:, None] * fr)
+
+
+def _state_blocks(spec, P0):
+    """Index arrays of the observed block O, then of each unobserved block.
+
+    With F and G constant, components i and j share a block when G_ij,
+    G_ji or P0_ij is non-zero, and O joins the blocks that meet F's
+    support. A time-varying F or G leaves one block, O, of every component.
+    """
+    if not spec.time_invariant:
+        return [np.arange(spec.d)]
+    g = spec.evolution != 0.0
+    linked = g | g.T | (P0 != 0.0) | np.eye(spec.d, dtype=bool)
+    for _ in range(spec.d.bit_length()):  # transitive closure by squaring
+        linked = linked @ linked
+    observed = linked[spec.design != 0.0].any(axis=0)
+    rest = sorted({tuple(np.flatnonzero(row)) for row in linked[~observed]})
+    return [np.flatnonzero(observed), *(np.array(block) for block in rest)]
+
+
+@dataclass(frozen=True)
+class CovariancePass:
+    """The data-free state recursions over N steps."""
+
+    omega: np.ndarray  # (N, d, d) evolution covariances Omega_t
+    R: np.ndarray  # (N, d, d) prior state covariances
+    Q: np.ndarray  # (N,) forecast spreads
+    gain: np.ndarray  # (N, d) gains R_t F_t / Q_t
+    P: np.ndarray  # (d, d) posterior state covariance after step N
+
+
+def covariance_pass(spec, P0, n_steps, start=1):
+    """Run the data-free recursions for steps start..start+N-1 from P0.
+
+    The kernel runs on the observed block O (see :func:`_state_blocks`).
+    Every other block has zero gain, and its R and P follow the prior-only
+    recursion P_t = R_t = G P_{t-1} G' + Omega_t. They may overflow without
+    reaching O; an entry of Omega, R or P past the float range reads inf,
+    never NaN. A non-finite R_t or Q_t on O raises :class:`StateOverflow`.
+    """
+    d, varying = spec.d, not spec.time_invariant
+    root = np.sqrt((1.0 - spec.state_discounts) / spec.state_discounts)
+    omega, r = np.zeros((2, n_steps, d, d))
+    q, gain, P = np.ones(n_steps), np.zeros((n_steps, d)), np.zeros((d, d))
+    for k, idx in enumerate(_state_blocks(spec, P0)):
+        sub = np.ix_(idx, idx)
+        g, f_vec = (None, None) if varying else (spec.evolution[sub], spec.design[idx])
+        delta_outer, P_b = np.outer(root[idx], root[idx]), P0[sub]
+        omega_b, r_b = np.empty((2, n_steps, len(idx), len(idx)))
+        gain_b = np.empty((n_steps, len(idx)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n_steps):
+                if varying:
+                    g, f_vec = spec.evolution_at(start + i), spec.design_at(start + i)
+                omega_b[i], r_b[i] = _evolve(P_b, g, delta_outer)
+                if k:
+                    P_b = r_b[i]
+                else:
+                    q[i], gain_b[i], P_b = _observe(r_b[i], f_vec)
+        if k:  # overflowed entries read inf, not the NaN of inf - inf (P_b views r_b)
+            omega_b[np.isnan(omega_b)] = r_b[np.isnan(r_b)] = np.inf
+        else:
+            _check_finite(r_b, idx, start, q)
+            gain[:, idx] = gain_b
+        omega[:, idx[:, None], idx], r[:, idx[:, None], idx], P[sub] = omega_b, r_b, P_b
+    return CovariancePass(omega=omega, R=r, Q=q, gain=gain, P=P)
+
+
+def _check_finite(stack, idx, start, q=1.0):
+    """Raise :class:`StateOverflow` at the first step whose matrix in
+    ``stack`` (components ``idx`` of the state) or spread ``q`` is not finite."""
+    rows = ~np.isfinite(stack).all(axis=2)
+    bad = rows.any(axis=1) | ~np.isfinite(q)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"state component {idx[np.argmax(rows[i])] + 1}" if rows[i].any() else "Q_t"
+        raise StateOverflow(
+            f"state covariance overflowed at step {start + i} in {where}: the state "
+            "discounts inflate it past the float range"
+        )
 
 
 def _discount(S, beta_outer):
@@ -244,7 +301,7 @@ def _absorb(prior_scale, e, q):
     return symmetrize(prior_scale + np.outer(e, e) / q)
 
 
-def _whiten_rows(e, q, scale, dof, method):
+def _whiten(e, q, scale, dof, method):
     """Standardized errors {(dof - 2) Q^{-1} scale^{-1}}^{1/2} e over a
     (..., p, p) stack of scales; rows with dof <= 2 come back NaN.
 
@@ -266,15 +323,6 @@ def _whiten_rows(e, q, scale, dof, method):
     raise ValueError(f"unknown square-root method {method!r}")
 
 
-def _whiten(e, q, scale, dof, method):
-    """Standardize one forecast error; needs dof > 2."""
-    if dof <= 2.0:
-        raise DofTooSmall(
-            f"standardization requires more than 2 degrees of freedom, got {dof}"
-        )
-    return _whiten_rows(e, q, scale, dof, method)
-
-
 def _as_observation_matrix(observations, p):
     obs = np.asarray(observations, dtype=float)
     if obs.size == 0:
@@ -291,10 +339,11 @@ def _as_observation_matrix(observations, p):
 
 
 def state_pass(spec, priors, observations):
-    """Run the beta-independent state recursions over every observation.
+    """Run the beta-independent state recursions over every observation:
+    the covariance pass, then the mean pass on the data.
 
-    F_t and G_t are resolved per step, so time-varying designs work.
-    Returns a :class:`StatePass`.
+    A time-varying F_t or G_t is resolved per step. Returns a
+    :class:`StatePass`.
     """
     y = _as_observation_matrix(observations, spec.p)
     missing = ~np.isfinite(y).all(axis=1)
@@ -304,21 +353,19 @@ def state_pass(spec, priors, observations):
             "non-finite components"
         )
     n_steps = y.shape[0]
+    cov = covariance_pass(spec, priors.P0, n_steps)
     f = np.empty((n_steps, spec.p))
-    e = np.empty((n_steps, spec.p))
-    q = np.empty(n_steps)
-    r = np.empty((n_steps, spec.d, spec.d))
-    m, P = priors.m0, priors.P0
-    delta_outer = _delta_outer(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = i + 1
-            g = spec.evolution_at(t)
-            f_vec = spec.design_at(t)
-            r[i], f[i], q[i] = _state_prior(m, P, g, f_vec, delta_outer, t)
-            e[i] = y[i] - f[i]
-            m, P = _state_posterior(m, g, f_vec, r[i], q[i], e[i])
-    return StatePass(f=f, e=e, Q=q, R=r, m=m, P=P)
+    m = priors.m0
+    g, f_vec = spec.evolution, spec.design
+    varying = not spec.time_invariant
+    gains = cov.gain[:, :, None]
+    for i in range(n_steps):
+        if varying:
+            g, f_vec = spec.evolution_at(i + 1), spec.design_at(i + 1)
+        a = g @ m
+        f[i] = a.T @ f_vec
+        m = a + gains[i] * (y[i] - f[i])
+    return StatePass(f=f, e=y - f, Q=cov.Q, R=cov.R, m=m, P=cov.P)
 
 
 def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral", check_identities=True):
@@ -355,7 +402,7 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral", check_identities
         S[:, i + 1] = _absorb(_discount(S[:, i], beta_outer), e[i], Q[i])
     prior_scales = _discount(S[:, :-1], beta_outer[:, None])
     dof = mean_beta[:, None] * n_path[:, :-1]
-    u = _whiten_rows(e, Q, prior_scales, dof, sqrt_method)
+    u = _whiten(e, Q, prior_scales, dof, sqrt_method)
     if check_identities and n_steps and not constant.all():
         final = S[~constant, -1]
         closed = _closed_form_scales(e, Q, roots[~constant], S0)
@@ -397,13 +444,12 @@ def predict(state, spec, t):
 
     Returns the prior state covariance R_t, the forecast mean and spread,
     the inverted-Wishart prior of the step volatility, the multivariate-t
-    forecast law of y_t and (when defined) the forecast mean of the
-    volatility matrix.
+    forecast law of y_t, (when defined) the forecast mean of the volatility
+    matrix, and the data-free gain and P_t that :func:`update` applies.
     """
-    g = spec.evolution_at(t)
-    f_vec = spec.design_at(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_mat, f, q = _state_prior(state.m, state.P, g, f_vec, _delta_outer(spec), t)
+    cov = covariance_pass(spec, state.P, 1, start=t)
+    f = (spec.evolution_at(t) @ state.m).T @ spec.design_at(t)
+    q = float(cov.Q[0])
     root = spec.beta_sqrt
     scale_prior = _discount(state.S, np.outer(root, root))
     k = spec.mean_beta * state.n
@@ -413,7 +459,9 @@ def predict(state, spec, t):
         sigma_forecast_mean = sigma_prior.mean
     except MvdlmError:
         sigma_forecast_mean = None
-    return Prediction(t, r_mat, f, q, sigma_prior, forecast, sigma_forecast_mean)
+    return Prediction(
+        t, cov.R[0], f, q, sigma_prior, forecast, sigma_forecast_mean, cov.gain[0], cov.P
+    )
 
 
 def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
@@ -431,9 +479,7 @@ def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
         prediction = predict(state, spec, t)
     q = prediction.Q
     e = y_t - prediction.f
-    m_new, p_new = _state_posterior(
-        state.m, spec.evolution_at(t), spec.design_at(t), prediction.R, q, e
-    )
+    m_new = spec.evolution_at(t) @ state.m + np.outer(prediction.gain, e)
     s_new = _absorb(prediction.sigma_prior.scale, e, q)
     n_new = spec.mean_beta * state.n + 1.0
     k = prediction.forecast.dof
@@ -442,7 +488,7 @@ def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
     step = StepResult(
         t, prediction.f, q, prediction.R, e, e / q, u, prediction.sigma_prior, sigma_post
     )
-    return FilterState(t=t, m=m_new, P=p_new, S=s_new, n=n_new), step
+    return FilterState(t=t, m=m_new, P=prediction.P, S=s_new, n=n_new), step
 
 
 def _filter(spec, priors, observations, n, sqrt_method, check_identities):
@@ -527,9 +573,7 @@ def linear_transform(spec, priors, observations, a_matrix, sqrt_method="spectral
     a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     q_dim, p = a_matrix.shape
     if p != spec.p:
-        raise DimensionMismatch(
-            f"transform has {p} columns, expected {spec.p}"
-        )
+        raise DimensionMismatch(f"transform has {p} columns, expected {spec.p}")
     if q_dim > p or np.linalg.matrix_rank(a_matrix) < q_dim:
         raise RankDeficient("transform must have full row rank q <= p")
     beta = spec.vol_discounts
@@ -561,9 +605,7 @@ def linear_transform(spec, priors, observations, a_matrix, sqrt_method="spectral
     scale = np.maximum(np.max(np.abs(expected), axis=(1, 2), initial=0.0), 1.0)
     max_err = float(np.max(err / scale, initial=0.0))
     if max_err > 1e-10:
-        raise MvdlmError(
-            f"scale closure violated: max relative deviation {max_err:.3e}"
-        )
+        raise MvdlmError(f"scale closure violated: max relative deviation {max_err:.3e}")
     marginal_dof = float(base.n[0]) + 2 * (spec.p - q_dim) + 2 * q_dim
     return LinearTransformResult(transformed, base, a_matrix, marginal_dof, max_err)
 

@@ -131,6 +131,11 @@ class ModelSpec:
         return _resolve_sequence(self.evolution, t, (self.d, self.d), "evolution")
 
     @property
+    def time_invariant(self):
+        """True when F and G are constant arrays."""
+        return isinstance(self.design, np.ndarray) and isinstance(self.evolution, np.ndarray)
+
+    @property
     def mean_beta(self):
         """tr(beta)/p, the mean volatility discount."""
         return float(np.mean(self.vol_discounts))
@@ -199,21 +204,6 @@ class ValidationReport:
     notes: tuple = ()
 
 
-def evolution_covariance(spec, p_prev, t):
-    """State-evolution covariance implied by discounting.
-
-    Computes Delta^{1/2} G_t P_{t-1} G_t' Delta^{1/2} with
-    Delta = diag((1 - delta_i)/delta_i); the result is the zero matrix when
-    every delta_i equals 1.
-    """
-    p_prev = symmetrize(p_prev)
-    g = spec.evolution_at(t)
-    delta_root = np.sqrt((1.0 - spec.state_discounts) / spec.state_discounts)
-    inner = g @ p_prev @ g.T
-    omega = inner * np.outer(delta_root, delta_root)
-    return symmetrize(omega)
-
-
 def validate(spec, priors):
     """Check spec and priors, returning the resolved branch and feature set.
 
@@ -222,26 +212,16 @@ def validate(spec, priors):
     tr(beta)/p > 1/2. In the constant-volatility branch both are available
     once enough observations have accumulated, so they are reported enabled.
     """
-    if priors.m0.shape != (spec.d, spec.p):
-        raise DimensionMismatch(
-            f"m0 has shape {priors.m0.shape}, expected {(spec.d, spec.p)}"
-        )
-    if priors.P0.shape != (spec.d, spec.d):
-        raise DimensionMismatch(
-            f"P0 has shape {priors.P0.shape}, expected {(spec.d, spec.d)}"
-        )
-    if priors.S0.shape != (spec.p, spec.p):
-        raise DimensionMismatch(
-            f"S0 has shape {priors.S0.shape}, expected {(spec.p, spec.p)}"
-        )
-    try:
-        cholesky_upper(priors.P0)
-    except NonPositiveDefinite as exc:
-        raise NonPositiveDefinite("P0 is not positive definite") from exc
-    try:
-        cholesky_upper(priors.S0)
-    except NonPositiveDefinite as exc:
-        raise NonPositiveDefinite("S0 is not positive definite") from exc
+    matrices = {"m0": (spec.d, spec.p), "P0": (spec.d, spec.d), "S0": (spec.p, spec.p)}
+    for name, shape in matrices.items():
+        value = getattr(priors, name)
+        if value.shape != shape:
+            raise DimensionMismatch(f"{name} has shape {value.shape}, expected {shape}")
+    for name in ("P0", "S0"):
+        try:
+            cholesky_upper(getattr(priors, name))
+        except NonPositiveDefinite as exc:
+            raise NonPositiveDefinite(f"{name} is not positive definite") from exc
     # F_1 and G_1 must resolve; a matrix-valued design would make the
     # forecast spread non-scalar, which this model rules out.
     spec.design_at(1)

@@ -3,10 +3,9 @@
 Draws an initial volatility matrix from its inverted-Wishart prior, an
 initial state conditional on it, then alternates the stochastic precision
 evolution, the matrix-normal state evolution and the observation equation.
-The state-evolution covariance is built with the same discount construction
-the filter uses, seeded from the prior state covariance and propagated with
-the filter's (data-free) covariance recursion, so simulated paths are the
-oracle for filter calibration.
+The state-evolution covariances Omega_t come from the filter's data-free
+covariance pass, seeded from the prior state covariance, so simulated paths
+are the oracle for filter calibration.
 """
 
 from dataclasses import dataclass
@@ -18,8 +17,9 @@ from .distributions import (
     invwishart_sample,
     matrix_normal_sample,
 )
+from .filter import _check_finite, covariance_pass
 from .linalg import cholesky_upper, inv_spd, symmetrize
-from .model import ModelSpec, Priors, evolution_covariance, validate
+from .model import ModelSpec, Priors, validate
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,15 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     ``sigma0`` and ``theta0`` override the prior draws of the initial
     volatility and state (useful for fixed-truth calibration studies).
     When every volatility discount is 1 the volatility stays at its initial
-    value for the whole path.
+    value for the whole path. An Omega_t that is not finite (the state
+    discounts inflate a component past the float range within the horizon)
+    raises :class:`StateOverflow`.
     """
     report = validate(spec, priors)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    omega = covariance_pass(spec, priors.P0, n_steps).omega
+    _check_finite(omega, np.arange(spec.d), 1)
     if rng is None:
         rng = np.random.default_rng(seed)
     p, d = spec.p, spec.d
@@ -67,26 +71,17 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     theta = theta0
     sigma = sigma0
     phi = None if report.constant_volatility else inv_spd(sigma0)
-    p_cov = priors.P0
     for i in range(n_steps):
         t = i + 1
-        g = spec.evolution_at(t)
-        f_vec = spec.design_at(t)
-        omega = evolution_covariance(spec, p_cov, t)
         if not report.constant_volatility:
             phi = evolve_precision(phi, spec.vol_discounts, n, rng)
             sigma = inv_spd(phi)
-        w_noise = matrix_normal_sample(np.zeros((d, p)), omega, sigma, rng)
-        theta = g @ theta + w_noise
+        w_noise = matrix_normal_sample(np.zeros((d, p)), omega[i], sigma, rng)
+        theta = spec.evolution_at(t) @ theta + w_noise
         eps = cholesky_upper(sigma).T @ rng.standard_normal(p)
-        observations[i] = theta.T @ f_vec + eps
+        observations[i] = theta.T @ spec.design_at(t) + eps
         states[i] = theta
         volatilities[i] = sigma
-        # Data-free covariance recursion mirrors the filter.
-        r_cov = symmetrize(g @ p_cov @ g.T + omega)
-        q = float(f_vec @ r_cov @ f_vec) + 1.0
-        gain = r_cov @ f_vec / q
-        p_cov = symmetrize(r_cov - np.outer(gain, f_vec @ r_cov))
     return SimPath(
         observations=observations,
         states=states,

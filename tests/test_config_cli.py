@@ -273,7 +273,8 @@ class TestExitCodes:
     def test_state_covariance_overflow_exits_model_error(self, tmp_path, capsys):
         config_path = write_config(
             tmp_path, {"d": 2, "design": [1.0, 0.0], "state_discounts": 0.08,
-                       "priors": {"m0": 0.0, "P0": 1000.0, "S0": 1.0, "n0": 1.0}}
+                       "priors": {"m0": 0.0, "P0": [1000.0, 1.0, 1.0, 1000.0],
+                                  "S0": 1.0, "n0": 1.0}}
         )
         obs_path, _ = write_returns(tmp_path, n=300)
         code = main(
@@ -296,6 +297,40 @@ class TestExitCodes:
             ]
         )
         assert code == 4
+
+
+REFERENCE = {"d": 2, "design": [1.0, 0.0], "state_discounts": 0.08,
+             "priors": {"m0": 0.0, "P0": 1000.0, "S0": 1.0, "n0": 1.0}}
+
+
+class TestReferenceConfiguration:
+    """The paper's setup: the second state component is never observed and
+    delta = 0.08 inflates it from P0 = 1000 I until it overflows."""
+
+    def test_fit_equals_level_model(self, tmp_path):
+        obs_path, _ = write_returns(tmp_path, n=333)
+        outputs = []
+        for name, overrides in (
+            ("full", REFERENCE),
+            ("level", {**REFERENCE, "d": 1, "design": [1.0]}),
+        ):
+            config_path = write_config(tmp_path, overrides, name=f"{name}.json")
+            assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
+                         "--out", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / name / file).read_bytes() for file in (
+                "trajectory.csv", "report.json", "volatility_series.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("horizon,code", [(333, 4), (100, 0)])
+    def test_simulate(self, tmp_path, capsys, horizon, code):
+        config_path = write_config(tmp_path, {**REFERENCE, "horizon": horizon})
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == code
+        if code:
+            assert "overflowed at step 279 in state component 2" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert len(out.read_text().splitlines()) == horizon + 1
 
 
 class TestMalformedTrajectory:
@@ -332,6 +367,14 @@ class TestMalformedTrajectory:
         code, err = self.diagnose(tmp_path, config_path, lines, capsys)
         assert code == 3
         assert f"expected {width} cells, found {width - 1} (line {len(lines)})" in err
+
+    def test_trailing_cells(self, tmp_path, fitted, capsys):
+        config_path, lines = fitted
+        width = len(lines[0].split(","))
+        lines[5] += ",1.0,2.0"
+        code, err = self.diagnose(tmp_path, config_path, lines, capsys)
+        assert code == 3
+        assert f"expected {width} cells, found {width + 2} (line 6)" in err
 
     def test_missing_column(self, tmp_path, fitted, capsys):
         config_path, lines = fitted

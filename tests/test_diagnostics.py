@@ -91,7 +91,7 @@ class TestMsse:
         traj = run(spec, priors, path.observations)
         report = msse_mae_me(traj)
         assert np.all(report.msse > 0.8) and np.all(report.msse < 1.25)
-        u = traj.standardized
+        u = traj.u
         n = len(traj)
         assert np.all(np.abs(u.mean(axis=0)) < 3.0 / np.sqrt(n))
         emp_cov = u.T @ u / n
@@ -147,7 +147,7 @@ class TestLoglikTimeVarying:
         from mvdlm.diagnostics import loglik_arrays
 
         doubled = loglik_arrays(
-            2.0 * traj.errors, traj.q_values, path, spec.vol_discounts
+            2.0 * traj.e, traj.Q, path, spec.vol_discounts
         )
         quad = sum(
             float(s.e[0]) ** 2 / (s.Q * path[i + 1][0, 0])

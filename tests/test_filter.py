@@ -13,8 +13,10 @@ from mvdlm.errors import (
     RankDeficient,
     StateOverflow,
 )
+from mvdlm.diagnostics import compute_diagnostics, loglik_time_varying
 from mvdlm.filter import (
     _closed_form_scale,
+    covariance_pass,
     linear_transform,
     mle_constant,
     state_pass,
@@ -206,18 +208,118 @@ class TestTwoPassEngine:
             volatility_pass(np.zeros((2, 1)), np.ones(2), [[0.9]], np.eye(1), 5.0)
 
     def test_state_covariance_overflow_is_typed(self):
-        # delta = 0.08 inflates the unobserved level component 12.5x per
-        # step from P0 = 1000 I until it overflows near step 278
+        # delta = 0.08 inflates the second component 12.5x per step; P0
+        # couples it to the observed first one, so it stays in the observed
+        # block and overflows there near step 279
         spec = ModelSpec(
             p=2, d=2, design=[1.0, 0.0], evolution=np.eye(2),
             state_discounts=[0.08, 0.08], vol_discounts=[0.9, 0.9],
         )
-        priors = Priors(m0=np.zeros((2, 2)), P0=1000.0 * np.eye(2), S0=np.eye(2))
+        priors = Priors(m0=np.zeros((2, 2)), P0=[[1000.0, 1.0], [1.0, 1000.0]], S0=np.eye(2))
         obs = np.random.default_rng(3).standard_normal((300, 2))
         with pytest.raises(StateOverflow, match=r"step 27\d in state component 2"):
             run(spec, priors, obs)
         # short inputs stay finite
         assert np.isfinite(run(spec, priors, obs[:100]).S).all()
+
+
+def reference_model(d, p=4, beta=(0.95, 0.92, 0.92, 0.95)):
+    """The paper's setup: a local level under delta = 0.08 and P0 = 1000 I;
+    with d = 2 its second component is never observed."""
+    spec = ModelSpec(
+        p=p, d=d, design=np.eye(d)[0], evolution=np.eye(d),
+        state_discounts=np.full(d, 0.08), vol_discounts=beta,
+    )
+    return spec, Priors(m0=np.zeros((d, p)), P0=1000.0 * np.eye(d), S0=np.eye(p))
+
+
+class TestObservedBlock:
+    def test_reference_configuration_equals_d1(self):
+        obs = 0.01 * np.random.default_rng(8).standard_normal((333, 4))
+        full, level = (run(*reference_model(d), obs) for d in (2, 1))
+        for name in ("f", "e", "Q", "S", "n", "u"):
+            assert np.array_equal(getattr(full, name), getattr(level, name)), name
+        reports = [compute_diagnostics(traj) for traj in (full, level)]
+        assert np.array_equal(reports[0].msse, reports[1].msse)
+        assert reports[0].loglik == reports[1].loglik
+        forecast = [loglik_time_varying(traj, "forecast") for traj in (full, level)]
+        assert forecast[0] == forecast[1]
+        assert np.array_equal(full.R[:, 0, 0], level.R[:, 0, 0])
+        assert np.array_equal(full.final.m[:1], level.final.m)
+        assert np.all(full.final.m[1] == 0.0)  # zero gain: m evolves by G_UU alone
+        # the unobserved component overflows to inf without a NaN anywhere
+        assert np.isinf(full.R[-1, 1, 1]) and np.isinf(full.final.P[1, 1])
+        assert not np.isnan(full.R).any() and not np.isnan(full.final.P).any()
+        assert np.all(full.R[:, 0, 1] == 0.0)
+
+    def test_unobserved_block_follows_prior_recursion(self):
+        spec, priors = reference_model(2)
+        cov = covariance_pass(spec, priors.P0, 300)
+        assert np.all(cov.gain[:, 1] == 0.0)
+        finite = np.isfinite(cov.R[:, 1, 1])
+        assert 270 < np.count_nonzero(finite) < 290 and finite[:270].all()
+        r_u = cov.R[finite, 1, 1]
+        assert_allclose(r_u[0], 1000.0 / 0.08, rtol=1e-12)
+        assert_allclose(r_u[1:], r_u[:-1] / 0.08, rtol=1e-12)  # P_U = R_U
+        assert_allclose(cov.omega[finite, 1, 1], r_u * 0.92, rtol=1e-12)
+        assert cov.P[1, 1] == cov.R[-1, 1, 1]
+
+    def test_coupled_unobserved_block_reads_inf(self):
+        # a 2 x 2 unobserved block whose recursion meets inf - inf
+        spec = ModelSpec(
+            p=4, d=3, design=[1.0, 0.0, 0.0],
+            evolution=[[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]],
+            state_discounts=np.full(3, 0.08), vol_discounts=(0.95, 0.92, 0.92, 0.95),
+        )
+        priors = Priors(m0=np.zeros((3, 4)), P0=1000.0 * np.eye(3), S0=np.eye(4))
+        obs = 0.01 * np.random.default_rng(8).standard_normal((333, 4))
+        full, level = run(spec, priors, obs), run(*reference_model(1), obs)
+        for name in ("f", "e", "Q", "S", "u"):
+            assert np.array_equal(getattr(full, name), getattr(level, name)), name
+        assert not np.isnan(full.R).any() and not np.isnan(full.final.P).any()
+        assert np.isinf(full.final.P[1:, 1:]).all()
+
+    def test_single_step_api_decouples(self):
+        spec, priors = reference_model(2)
+        obs = 0.01 * np.random.default_rng(9).standard_normal((300, 4))
+        traj = run(spec, priors, obs)
+        state = initial_state(spec, priors)
+        for i, batched in enumerate(traj.steps):
+            state, step = update(state, obs[i], spec, i + 1)
+            for name in ("f", "e", "Q", "R"):
+                assert np.array_equal(getattr(step, name), getattr(batched, name))
+        assert np.array_equal(state.m, traj.final.m)
+        assert np.array_equal(state.P, traj.final.P)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_callable_sequences_equal_constant_arrays(self, coupled):
+        # constant arrays take the reduced route (O = {1, 2} here, U = {3}
+        # unless P0 couples it); callables run every component
+        design = np.array([1.0, 0.0, 0.0])
+        evolution = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.7]])
+        P0 = np.diag([1.0, 0.5, 2.0])
+        if coupled:
+            P0[0, 2] = P0[2, 0] = 0.3
+        obs = 0.1 * np.random.default_rng(6).standard_normal((150, 2))
+        runs = []
+        for provider in (lambda x: x, lambda x: (lambda t: x)):
+            spec = ModelSpec(
+                p=2, d=3, design=provider(design), evolution=provider(evolution),
+                state_discounts=[0.9, 0.95, 0.8], vol_discounts=[0.95, 0.9],
+            )
+            priors = Priors(m0=np.zeros((3, 2)), P0=P0, S0=np.eye(2))
+            runs.append(run(spec, priors, obs))
+        constant, callable_ = runs
+        for name in ("f", "e", "Q", "R", "S", "n", "u"):
+            assert np.array_equal(getattr(constant, name), getattr(callable_, name)), name
+        assert np.array_equal(constant.final.m, callable_.final.m)
+        assert np.array_equal(constant.final.P, callable_.final.P)
+
+    def test_simulate_overflow_is_typed(self):
+        spec, priors = reference_model(2)
+        with pytest.raises(StateOverflow, match="at step 279 in state component 2"):
+            simulate(spec, priors, 333, seed=5)
+        assert np.isfinite(simulate(spec, priors, 100, seed=5).observations).all()
 
 
 class TestConstantVolatility:

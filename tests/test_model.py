@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mvdlm import ModelSpec, Priors, compute_n, evolution_covariance, validate
+from mvdlm import ModelSpec, Priors, compute_n, validate
+from mvdlm.filter import covariance_pass
 from mvdlm.errors import (
     DegenerateDegrees,
     DimensionMismatch,
@@ -36,13 +37,18 @@ class TestComputeN:
         assert abs(n * (1.0 - np.mean(beta)) - 1.0) < 1e-12
 
 
+def evolution_covariance(spec, p_prev):
+    """Omega_1 of the covariance pass started from ``p_prev``."""
+    return covariance_pass(spec, np.asarray(p_prev, dtype=float), 1).omega[0]
+
+
 class TestEvolutionCovariance:
     def test_no_discounting_gives_zero(self):
         spec = ModelSpec(
             p=1, d=2, design=[1.0, 0.0], evolution=np.eye(2),
             state_discounts=[1.0, 1.0], vol_discounts=[0.9],
         )
-        omega = evolution_covariance(spec, np.eye(2), 1)
+        omega = evolution_covariance(spec, np.eye(2))
         assert_allclose(omega, np.zeros((2, 2)))
 
     def test_scalar_hand_value(self):
@@ -50,14 +56,14 @@ class TestEvolutionCovariance:
             p=1, d=1, design=[1.0], evolution=[[1.0]],
             state_discounts=[0.5], vol_discounts=[0.9],
         )
-        assert_allclose(evolution_covariance(spec, [[1.0]], 1), [[1.0]])
+        assert_allclose(evolution_covariance(spec, [[1.0]]), [[1.0]])
 
     def test_two_dim_hand_value(self):
         spec = ModelSpec(
             p=1, d=2, design=[1.0, 0.0], evolution=np.eye(2),
             state_discounts=[0.9, 0.9], vol_discounts=[0.9],
         )
-        assert_allclose(evolution_covariance(spec, np.eye(2), 1), np.eye(2) / 9.0)
+        assert_allclose(evolution_covariance(spec, np.eye(2)), np.eye(2) / 9.0)
 
     @given(
         st.floats(min_value=0.1, max_value=1.0),
@@ -71,7 +77,7 @@ class TestEvolutionCovariance:
             state_discounts=[d1, d2], vol_discounts=[0.9],
         )
         p_prev = np.array([[1.0, rho], [rho, 1.0]])
-        omega = evolution_covariance(spec, p_prev, 1)
+        omega = evolution_covariance(spec, p_prev)
         assert np.max(np.abs(omega - omega.T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(omega)) >= -1e-10
 
