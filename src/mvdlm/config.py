@@ -35,10 +35,9 @@ from .model import ModelSpec, Priors
 
 def _as_matrix(value, rows, cols, what):
     if isinstance(value, (int, float)):
-        if rows == cols:
-            return float(value) * np.eye(rows)
-        return np.full((rows, cols), float(value))
-    arr = np.asarray(value, dtype=float)
+        arr = float(value) * np.eye(rows) if rows == cols else np.full((rows, cols), float(value))
+    else:
+        arr = np.asarray(value, dtype=float)
     if arr.ndim == 1:
         if arr.size != rows * cols:
             raise ConfigError(
@@ -48,16 +47,21 @@ def _as_matrix(value, rows, cols, what):
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
         raise ConfigError(f"{what}: expected shape {(rows, cols)}, got {arr.shape}")
-    return arr
+    return _finite(arr, what)
 
 
 def _as_vector(value, length, what):
-    if isinstance(value, (int, float)):
-        return np.full(length, float(value))
-    arr = np.asarray(value, dtype=float)
+    scalar = isinstance(value, (int, float))
+    arr = np.full(length, float(value)) if scalar else np.asarray(value, dtype=float)
     if arr.shape != (length,):
         raise ConfigError(f"{what}: expected {length} entries, got shape {arr.shape}")
-    return arr
+    return _finite(arr, what)
+
+
+def _finite(value, what):  # JSON admits NaN and Infinity; the model does not
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{what}: values must be finite")
+    return value
 
 
 class RunConfig:
@@ -144,7 +148,7 @@ class RunConfig:
                 m0=_as_matrix(raw.get("m0", 0.0), self.d, self.p, "m0"),
                 P0=_as_matrix(raw.get("P0", 1.0), self.d, self.d, "P0"),
                 S0=_as_matrix(raw.get("S0", 1.0), self.p, self.p, "S0"),
-                n0=float(raw.get("n0", 1.0)),
+                n0=_finite(float(raw.get("n0", 1.0)), "n0"),
             )
         except ConfigError:
             raise

@@ -11,11 +11,11 @@ Generator; densities are pure functions.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import multigammaln
 
 from .errors import DofTooSmall, DimensionMismatch, NonPositiveDefinite
-from .linalg import cholesky_upper, inv_spd, logdet_spd, symmetrize
+from .linalg import cholesky_upper, factor_symmetric, inv_spd, logdet_spd, symmetrize
+from .linalg import solve_upper_t
 
 __all__ = [
     "InvWishartParams",
@@ -151,7 +151,7 @@ def mvt_logpdf(x, params):
     c = cholesky_upper(s)
     v = x - params.location
     # v' S^{-1} v through one triangular solve.
-    w = scipy.linalg.solve_triangular(c, v, trans="T", lower=False)
+    w = solve_upper_t(c, v)
     quad = float(w @ w)
     logdet_s = 2.0 * np.sum(np.log(np.diag(c)))
     return (
@@ -173,22 +173,25 @@ def wishart_sample(dof, scale, rng):
     p = scale.shape[0]
     if dof <= p - 1:
         raise DofTooSmall(f"Wishart sampling requires dof > p - 1 = {p - 1}")
-    lower = cholesky_upper(scale).T
-    t = np.zeros((p, p))
-    for i in range(p):
-        t[i, i] = np.sqrt(rng.gamma(shape=(dof - i) / 2.0, scale=2.0))
-    idx = np.tril_indices(p, -1)
-    t[idx] = rng.standard_normal(len(idx[0]))
-    a = lower @ t
+    a = factor_symmetric(scale).T @ _bartlett((dof - np.arange(p)) / 2.0, rng)
     return symmetrize(a @ a.T)
+
+
+def _bartlett(half_dofs, rng):
+    """Bartlett factor of W_p(dof, I): the roots of gamma((dof - i)/2, 2)
+    draws on the diagonal, then standard normals below it, row by row."""
+    p = len(half_dofs)
+    t = np.diag(np.sqrt(rng.gamma(half_dofs, 2.0)))
+    z = rng.standard_normal(p * (p - 1) // 2)
+    for i in range(1, p):
+        t[i, :i] = z[i * (i - 1) // 2:i * (i + 1) // 2]
+    return t
 
 
 def invwishart_sample(dof, scale, rng):
     """Draw Sigma ~ IW_p(dof, scale), i.e. Sigma^{-1} ~ W_p(dof - p - 1, scale^{-1})."""
-    scale = symmetrize(np.atleast_2d(scale))
-    p = scale.shape[0]
-    phi = wishart_sample(dof - p - 1, inv_spd(scale), rng)
-    return inv_spd(phi)
+    scale = np.atleast_2d(scale)
+    return inv_spd(wishart_sample(dof - scale.shape[0] - 1, inv_spd(scale), rng))
 
 
 def matrix_normal_sample(mean, row_cov, col_cov, rng):
@@ -199,19 +202,16 @@ def matrix_normal_sample(mean, row_cov, col_cov, rng):
     """
     mean = np.atleast_2d(np.asarray(mean, dtype=float))
     row_cov = symmetrize(np.atleast_2d(row_cov))
-    col_cov = symmetrize(np.atleast_2d(col_cov))
     if not np.any(row_cov):
         return mean.copy()
-    l_row = _psd_lower_factor(row_cov)
-    l_col = cholesky_upper(col_cov).T
     z = rng.standard_normal(mean.shape)
-    return mean + l_row @ z @ l_col.T
+    return mean + _psd_lower_factor(row_cov) @ z @ cholesky_upper(np.atleast_2d(col_cov))
 
 
 def _psd_lower_factor(m):
-    """Lower factor L with LL' = M, tolerating semi-definite M."""
+    """Lower factor L with LL' = M (exactly symmetric), tolerating semi-definite M."""
     try:
-        return cholesky_upper(m).T
+        return factor_symmetric(m).T
     except NonPositiveDefinite:
         eigvals, eigvecs = np.linalg.eigh(symmetrize(m))
         eigvals = np.clip(eigvals, 0.0, None)
@@ -225,14 +225,34 @@ def singular_beta_sample(params, rng):
     (upper Cholesky), B = (C')^{-1} A C^{-1}. The result is symmetric with
     eigenvalues in [0, 1] and I - B of rank one.
     """
-    p = params.p
-    a = wishart_sample(2.0 * params.shape_a, np.eye(p), rng)
-    u = rng.standard_normal(p)
-    c = cholesky_upper(a + np.outer(u, u))
+    return _singular_beta((2.0 * params.shape_a - np.arange(params.p)) / 2.0, rng)
+
+
+def _singular_beta(half_dofs, rng):
+    """:func:`singular_beta_sample` given the half dofs of its Wishart draw."""
+    t = _bartlett(half_dofs, rng)
+    a = symmetrize(t @ t.T)
+    u = rng.standard_normal(len(half_dofs))
+    c = factor_symmetric(a + np.outer(u, u))
     # (C')^{-1} A C^{-1} via two triangular solves.
-    y = scipy.linalg.solve_triangular(c, a, trans="T", lower=False)
-    b = scipy.linalg.solve_triangular(c, y.T, trans="T", lower=False).T
-    return symmetrize(b)
+    return symmetrize(solve_upper_t(c, solve_upper_t(c, a).T).T)
+
+
+def _evolution_constants(beta, n):
+    """The half dofs of the singular-beta draw at shape_a = (tr(beta)/p n + p - 1)/2,
+    after its check, and beta^{-1/2} 1 1' beta^{-1/2}."""
+    p = len(beta)
+    params = SingularBetaParams(shape_a=(float(np.mean(beta)) * n + p - 1) / 2.0, p=p)
+    inv_root = 1.0 / np.sqrt(beta)
+    return (2.0 * params.shape_a - np.arange(p)) / 2.0, np.outer(inv_root, inv_root)
+
+
+def _evolve_factored(c_prev, half_dofs, scale_outer, rng):
+    """Phi_t = beta^{-1/2} C' B C beta^{-1/2} from the factor C of Phi_{t-1},
+    and the factor of Phi_t, which fails fast if the draw degenerated."""
+    b = _singular_beta(half_dofs, rng)
+    phi = symmetrize(c_prev.T @ b @ c_prev * scale_outer)
+    return phi, factor_symmetric(phi)
 
 
 def evolve_precision(phi_prev, beta, n, rng):
@@ -249,15 +269,6 @@ def evolve_precision(phi_prev, beta, n, rng):
     p = beta.shape[0]
     phi_prev = symmetrize(np.atleast_2d(phi_prev))
     if phi_prev.shape != (p, p):
-        raise DimensionMismatch(
-            f"phi_prev has shape {phi_prev.shape}, expected {(p, p)}"
-        )
-    mean_beta = float(np.mean(beta))
-    shape_a = (mean_beta * n + p - 1) / 2.0
-    b = singular_beta_sample(SingularBetaParams(shape_a=shape_a, p=p), rng)
-    c_prev = cholesky_upper(phi_prev)
-    inner = c_prev.T @ b @ c_prev
-    inv_root = 1.0 / np.sqrt(beta)
-    phi_new = symmetrize(inner * np.outer(inv_root, inv_root))
-    cholesky_upper(phi_new)  # fail fast if the draw degenerated
-    return phi_new
+        raise DimensionMismatch(f"phi_prev has shape {phi_prev.shape}, expected {(p, p)}")
+    half_dofs, scale_outer = _evolution_constants(beta, n)
+    return _evolve_factored(factor_symmetric(phi_prev), half_dofs, scale_outer, rng)[0]

@@ -238,6 +238,8 @@ class CovariancePass:
     Q: np.ndarray  # (N,) forecast spreads
     gain: np.ndarray  # (N, d) gains R_t F_t / Q_t
     P: np.ndarray  # (d, d) posterior state covariance after step N
+    F: np.ndarray  # (N, d) designs F_t, a broadcast view when constant
+    G: np.ndarray  # (N, d, d) evolutions G_t, likewise
 
 
 def covariance_pass(spec, P0, n_steps, start=1):
@@ -248,21 +250,26 @@ def covariance_pass(spec, P0, n_steps, start=1):
     recursion P_t = R_t = G P_{t-1} G' + Omega_t. They may overflow without
     reaching O; an entry of Omega, R or P past the float range reads inf,
     never NaN. A non-finite R_t or Q_t on O raises :class:`StateOverflow`.
+    A time-varying F_t or G_t is resolved here, once per step.
     """
     d, varying = spec.d, not spec.time_invariant
+    if varying:
+        F, G = np.empty((n_steps, d)), np.empty((n_steps, d, d))
+        for i in range(n_steps):
+            G[i], F[i] = spec.evolution_at(start + i), spec.design_at(start + i)
+    else:
+        F, G = (np.broadcast_to(x, (n_steps, *x.shape)) for x in (spec.design, spec.evolution))
     root = np.sqrt((1.0 - spec.state_discounts) / spec.state_discounts)
     omega, r = np.zeros((2, n_steps, d, d))
     q, gain, P = np.ones(n_steps), np.zeros((n_steps, d)), np.zeros((d, d))
     for k, idx in enumerate(_state_blocks(spec, P0)):
         sub = np.ix_(idx, idx)
-        g, f_vec = (None, None) if varying else (spec.evolution[sub], spec.design[idx])
+        g_b, f_b = G[:, idx[:, None], idx], F[:, idx]
         delta_outer, P_b = np.outer(root[idx], root[idx]), P0[sub]
         omega_b, r_b = np.empty((2, n_steps, len(idx), len(idx)))
         gain_b = np.empty((n_steps, len(idx)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                if varying:
-                    g, f_vec = spec.evolution_at(start + i), spec.design_at(start + i)
+            for i, g, f_vec in zip(range(n_steps), g_b, f_b):
                 omega_b[i], r_b[i] = _evolve(P_b, g, delta_outer)
                 if k:
                     P_b = r_b[i]
@@ -274,7 +281,7 @@ def covariance_pass(spec, P0, n_steps, start=1):
             _check_finite(r_b, idx, start, q)
             gain[:, idx] = gain_b
         omega[:, idx[:, None], idx], r[:, idx[:, None], idx], P[sub] = omega_b, r_b, P_b
-    return CovariancePass(omega=omega, R=r, Q=q, gain=gain, P=P)
+    return CovariancePass(omega=omega, R=r, Q=q, gain=gain, P=P, F=F, G=G)
 
 
 def _check_finite(stack, idx, start, q=1.0):
@@ -340,10 +347,8 @@ def _as_observation_matrix(observations, p):
 
 def state_pass(spec, priors, observations):
     """Run the beta-independent state recursions over every observation:
-    the covariance pass, then the mean pass on the data.
-
-    A time-varying F_t or G_t is resolved per step. Returns a
-    :class:`StatePass`.
+    the covariance pass, then the mean pass on the data, which reads the
+    F_t and G_t the covariance pass resolved. Returns a :class:`StatePass`.
     """
     y = _as_observation_matrix(observations, spec.p)
     missing = ~np.isfinite(y).all(axis=1)
@@ -356,12 +361,8 @@ def state_pass(spec, priors, observations):
     cov = covariance_pass(spec, priors.P0, n_steps)
     f = np.empty((n_steps, spec.p))
     m = priors.m0
-    g, f_vec = spec.evolution, spec.design
-    varying = not spec.time_invariant
     gains = cov.gain[:, :, None]
-    for i in range(n_steps):
-        if varying:
-            g, f_vec = spec.evolution_at(i + 1), spec.design_at(i + 1)
+    for i, g, f_vec in zip(range(n_steps), cov.G, cov.F):
         a = g @ m
         f[i] = a.T @ f_vec
         m = a + gains[i] * (y[i] - f[i])
@@ -448,7 +449,7 @@ def predict(state, spec, t):
     matrix, and the data-free gain and P_t that :func:`update` applies.
     """
     cov = covariance_pass(spec, state.P, 1, start=t)
-    f = (spec.evolution_at(t) @ state.m).T @ spec.design_at(t)
+    f = (cov.G[0] @ state.m).T @ cov.F[0]
     q = float(cov.Q[0])
     root = spec.beta_sqrt
     scale_prior = _discount(state.S, np.outer(root, root))

@@ -5,7 +5,7 @@ so everything here is plain dense numpy with explicit symmetrization.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import NonPositiveDefinite
 
@@ -21,25 +21,36 @@ def symmetrize(m):
 
 
 def cholesky_upper(m):
-    """Upper-triangular C with M = C'C and strictly positive diagonal.
+    """Upper-triangular C with M = C'C and strictly positive diagonal, for
+    the symmetrized M (see :func:`factor_symmetric`)."""
+    return factor_symmetric(symmetrize(m))
 
-    On failure one jitter retry is made, adding ``JITTER_SCALE * tr(M)/dim``
-    to the diagonal; if that also fails a :class:`NonPositiveDefinite` is
-    raised.
-    """
-    m = symmetrize(m)
-    try:
-        return scipy.linalg.cholesky(m, lower=False)
-    except scipy.linalg.LinAlgError:
-        pass
+
+def factor_symmetric(m):
+    """Upper Cholesky factor of an exactly symmetric M by LAPACK ``potrf``. A
+    failure gets one retry with ``JITTER_SCALE * tr(M)/dim`` added to the diagonal;
+    a second failure, or a non-finite M, raises :class:`NonPositiveDefinite`."""
+    if not np.isfinite(m).all():
+        raise NonPositiveDefinite(f"matrix of shape {m.shape} is not finite")
+    c, info = dpotrf(m, lower=0, clean=1)
+    if info == 0:
+        return c
     dim = m.shape[0]
     jitter = JITTER_SCALE * np.trace(m) / dim
-    try:
-        return scipy.linalg.cholesky(m + jitter * np.eye(dim), lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonPositiveDefinite(
-            f"matrix of shape {m.shape} is not positive definite"
-        ) from exc
+    c, info = dpotrf(m + jitter * np.eye(dim), lower=0, clean=1)
+    if info == 0:
+        return c
+    raise NonPositiveDefinite(f"matrix of shape {m.shape} is not positive definite")
+
+
+def solve_upper_t(c, b):
+    """X with C'X = B for an upper-triangular C such as a Cholesky factor (``trtrs``)."""
+    return dtrtrs(c, b, lower=0, trans=1)[0]
+
+
+def inv_factor(c):
+    """(C'C)^{-1} from the upper factor C (LAPACK ``potrs``), symmetrized."""
+    return symmetrize(dpotrs(c, np.eye(c.shape[0]), lower=0)[0])
 
 
 def cholesky_upper_stack(m):
@@ -58,10 +69,7 @@ def cholesky_upper_stack(m):
 
 def inv_spd(m):
     """Inverse of an SPD matrix via its Cholesky factor, symmetrized."""
-    c = cholesky_upper(m)
-    identity = np.eye(m.shape[0])
-    inv = scipy.linalg.cho_solve((c, False), identity)
-    return symmetrize(inv)
+    return inv_factor(cholesky_upper(m))
 
 
 def logdet_spd(m):

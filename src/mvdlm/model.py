@@ -111,16 +111,10 @@ class ModelSpec:
             if not 0.0 < beta <= 1.0:
                 raise DiscountOutOfRange(f"volatility discount beta_{i + 1} = {beta}")
         # Freeze constant providers as arrays of the right shape up front.
-        if not callable(self.design) and not isinstance(self.design, dict):
-            object.__setattr__(
-                self, "design", _resolve_sequence(self.design, 1, (self.d,), "design")
-            )
-        if not callable(self.evolution) and not isinstance(self.evolution, dict):
-            object.__setattr__(
-                self,
-                "evolution",
-                _resolve_sequence(self.evolution, 1, (self.d, self.d), "evolution"),
-            )
+        for name, shape in (("design", (self.d,)), ("evolution", (self.d, self.d))):
+            provider = getattr(self, name)
+            if not callable(provider) and not isinstance(provider, dict):
+                object.__setattr__(self, name, _resolve_sequence(provider, 1, shape, name))
 
     def design_at(self, t):
         """F_t as a d-vector."""

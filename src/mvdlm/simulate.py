@@ -3,22 +3,20 @@
 Draws an initial volatility matrix from its inverted-Wishart prior, an
 initial state conditional on it, then alternates the stochastic precision
 evolution, the matrix-normal state evolution and the observation equation.
-The state-evolution covariances Omega_t come from the filter's data-free
-covariance pass, seeded from the prior state covariance, so simulated paths
-are the oracle for filter calibration.
+Omega_t, F_t and G_t come from the filter's data-free covariance pass, so
+simulated paths are the oracle for filter calibration. The factor of Phi_t
+checks the draw, is the next step's C_{t-1} and gives Sigma_t = Phi_t^{-1},
+whose factor drives both the state and the observation noise.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    evolve_precision,
-    invwishart_sample,
-    matrix_normal_sample,
-)
+from .distributions import _evolution_constants, _evolve_factored, _psd_lower_factor
+from .distributions import invwishart_sample, matrix_normal_sample
 from .filter import _check_finite, covariance_pass
-from .linalg import cholesky_upper, inv_spd, symmetrize
+from .linalg import cholesky_upper, factor_symmetric, inv_factor, symmetrize
 from .model import ModelSpec, Priors, validate
 
 
@@ -49,37 +47,39 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     report = validate(spec, priors)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    omega = covariance_pass(spec, priors.P0, n_steps).omega
-    _check_finite(omega, np.arange(spec.d), 1)
+    cov = covariance_pass(spec, priors.P0, n_steps)
+    _check_finite(cov.omega, np.arange(spec.d), 1)
     if rng is None:
         rng = np.random.default_rng(seed)
     p, d = spec.p, spec.d
-    n = report.n
     if sigma0 is None:
-        sigma0 = invwishart_sample(n + 2 * p, priors.S0, rng)
+        sigma = invwishart_sample(report.n + 2 * p, priors.S0, rng)
     else:
-        sigma0 = symmetrize(np.atleast_2d(sigma0))
+        sigma = symmetrize(np.atleast_2d(sigma0))
     if theta0 is None:
-        theta0 = matrix_normal_sample(priors.m0, priors.P0, sigma0, rng)
+        theta = matrix_normal_sample(priors.m0, priors.P0, sigma, rng)
     else:
-        theta0 = np.atleast_2d(np.asarray(theta0, dtype=float))
+        theta = np.atleast_2d(np.asarray(theta0, dtype=float))
 
     observations = np.empty((n_steps, p))
     states = np.empty((n_steps, d, p))
     volatilities = np.empty((n_steps, p, p))
 
-    theta = theta0
-    sigma = sigma0
-    phi = None if report.constant_volatility else inv_spd(sigma0)
+    root = cholesky_upper(sigma)
+    evolving = not report.constant_volatility
+    if evolving:
+        half_dofs, scale_outer = _evolution_constants(spec.vol_discounts, report.n)
+        phi_root = factor_symmetric(inv_factor(root))
+    moving = cov.omega.any(axis=(1, 2))
     for i in range(n_steps):
-        t = i + 1
-        if not report.constant_volatility:
-            phi = evolve_precision(phi, spec.vol_discounts, n, rng)
-            sigma = inv_spd(phi)
-        w_noise = matrix_normal_sample(np.zeros((d, p)), omega[i], sigma, rng)
-        theta = spec.evolution_at(t) @ theta + w_noise
-        eps = cholesky_upper(sigma).T @ rng.standard_normal(p)
-        observations[i] = theta.T @ spec.design_at(t) + eps
+        if evolving:
+            _, phi_root = _evolve_factored(phi_root, half_dofs, scale_outer, rng)
+            sigma = inv_factor(phi_root)
+            root = factor_symmetric(sigma)
+        theta = cov.G[i] @ theta
+        if moving[i]:
+            theta = theta + _psd_lower_factor(cov.omega[i]) @ rng.standard_normal((d, p)) @ root
+        observations[i] = theta.T @ cov.F[i] + root.T @ rng.standard_normal(p)
         states[i] = theta
         volatilities[i] = sigma
     return SimPath(

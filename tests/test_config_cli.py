@@ -284,6 +284,15 @@ class TestExitCodes:
         assert code == 4
         assert "state covariance overflowed at step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("S0", float("nan")), ("P0", float("inf"))])
+    def test_non_finite_config_value(self, tmp_path, capsys, key, value):
+        # JSON admits NaN and Infinity
+        config_path = write_config(tmp_path, {"priors": {**BASE_CONFIG["priors"], key: value}})
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+        assert f"{key}: values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_error(self, tmp_path):
         # S0 not positive definite surfaces as a model error
         config_path = write_config(

@@ -44,6 +44,11 @@ class TestCholeskyUpper:
         with pytest.raises(NonPositiveDefinite):
             cholesky_upper([[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(NonPositiveDefinite, match="not finite"):
+            cholesky_upper([[1.0, 0.0], [0.0, bad]])
+
 
 class TestInvWishartLogpdf:
     def test_scalar_inverse_gamma_oracle(self):
@@ -201,6 +206,22 @@ class TestEvolvePrecision:
             total += evolve_precision(phi_prev, [beta, beta], n, rng)
         drift = np.abs(np.diag(total / n_draws) / (n + p - 1) - 1.0)
         assert np.all(drift < 0.005)
+
+    @pytest.mark.slow
+    def test_conditional_mean_identity(self):
+        # E[Phi_t | Phi_{t-1}] = a/(a + 1/2) beta^{-1/2} Phi_{t-1} beta^{-1/2}
+        # with a = (tr(beta)/p n + p - 1)/2, since E[B] = a/(a + 1/2) I
+        beta = np.array([0.66, 0.9, 0.9, 0.66])
+        p = len(beta)
+        n = 1.0 / (1.0 - beta.mean())
+        a = (beta.mean() * n + p - 1) / 2.0
+        phi_prev = 0.7 * np.eye(p) + 0.3 * np.ones((p, p))
+        rng = np.random.default_rng(5)
+        draws = np.array([evolve_precision(phi_prev, beta, n, rng) for _ in range(40_000)])
+        inv_root = 1.0 / np.sqrt(beta)
+        expected = a / (a + 0.5) * phi_prev * np.outer(inv_root, inv_root)
+        se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - expected) < 4.0 * se)
 
     def test_spd_preserved(self):
         rng = np.random.default_rng(14)

@@ -315,6 +315,22 @@ class TestObservedBlock:
         assert np.array_equal(constant.final.m, callable_.final.m)
         assert np.array_equal(constant.final.P, callable_.final.P)
 
+    def test_callable_design_resolved_once_per_step(self):
+        calls = []
+
+        def design(t):
+            calls.append(t)
+            return np.array([1.0, 0.0])
+
+        spec = ModelSpec(p=2, d=2, design=design, evolution=np.eye(2),
+                         state_discounts=[0.9, 0.95], vol_discounts=[0.9, 0.95])
+        priors = Priors(m0=np.zeros((2, 2)), P0=np.eye(2), S0=np.eye(2))
+        run(spec, priors, 0.1 * np.random.default_rng(3).standard_normal((150, 2)))
+        assert calls == [1, *range(1, 151)]  # validate, then once per step
+        calls.clear()
+        simulate(spec, priors, 150, seed=3)
+        assert calls == [1, *range(1, 151)]
+
     def test_simulate_overflow_is_typed(self):
         spec, priors = reference_model(2)
         with pytest.raises(StateOverflow, match="at step 279 in state component 2"):
