@@ -22,7 +22,6 @@ from .data import (
     write_csv,
     write_observations_csv,
 )
-from .distributions import InvWishartParams
 from .errors import ConfigError, DataError, MvdlmError
 from .filter import run, trajectory_to_csv
 from .linalg import vech_indices
@@ -193,28 +192,14 @@ def cmd_diagnose(args):
     config = load_config(args.config)
     e, u, q, sigma_post = _read_trajectory_csv(args.traj)
     msse, mae, me = diagnostics.error_summary(e, u)
-    loglik = _stored_loglik(config, e, q, sigma_post)
+    prior = run(config.spec(), config.priors(), [])  # Sigma_0: the posterior of no data
+    means = np.concatenate([prior.posterior_means, sigma_post])
+    loglik = diagnostics.posterior_loglik(e, q, means, prior.spec.vol_discounts)
     report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0], args.sqrt)
     diagnostics.export_report_json(report, args.out)
     _print_report(report)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _stored_loglik(config, e, q, sigma_post):
-    """The path log-likelihood fit reports, from the stored posterior means."""
-    if np.any(np.isnan(sigma_post)):
-        return None
-    spec = config.spec()
-    priors = config.priors()
-    if spec.constant_volatility:
-        return diagnostics.loglik_constant_arrays(e, q, sigma_post[-1])
-    n = spec.working_dof()
-    if n <= 2:
-        return None
-    sigma0 = InvWishartParams(n + 2 * spec.p, priors.S0).mean
-    sigma_path = np.concatenate([sigma0[None], sigma_post])
-    return diagnostics.loglik_arrays(e, q, sigma_path, spec.vol_discounts, posterior=True)
 
 
 def build_parser():

@@ -64,6 +64,23 @@ def _finite(value, what):  # JSON admits NaN and Infinity; the model does not
     return value
 
 
+# A JSON number parses to int or float (true and false to bool).
+def _numbers(value, what):
+    """A list of finite numbers (None passes through), else ConfigError."""
+    numbers = type(value) is list and all(type(x) in (int, float) for x in value)
+    if value is not None and not numbers:
+        raise ConfigError(f"{what}: expected a list of numbers, got {value!r}")
+    return value if value is None else _finite(value, what)
+
+
+def _whole(value, what, low):
+    """A whole number >= ``low`` as an int (None passes through), else ConfigError."""
+    whole = type(value) is int or type(value) is float and value.is_integer()
+    if value is not None and not (whole and value >= low):
+        raise ConfigError(f"{what}: expected a whole number >= {low}, got {value!r}")
+    return value if value is None else int(value)
+
+
 class RunConfig:
     """Parsed configuration; builds the model spec and priors on demand."""
 
@@ -84,13 +101,13 @@ class RunConfig:
         if self.data_kind not in ("prices", "returns"):
             raise ConfigError(f"{path}: unknown data_kind {self.data_kind!r}")
         self.names = raw.get("names")
-        self.seed = raw.get("seed")
-        self.horizon = raw.get("horizon")
-        self.weights = raw.get("weights")
+        self.seed = _whole(raw.get("seed"), "seed", 0)
+        self.horizon = _whole(raw.get("horizon"), "horizon", 1)
+        self.weights = _numbers(raw.get("weights"), "weights")
         self.grid = raw.get("grid")
         var = raw.get("var", {})
         self.var_family = var.get("family", "t")
-        self.var_alphas = var.get("alphas", [95, 99])
+        self.var_alphas = _numbers(var.get("alphas", [95, 99]), "var.alphas")
 
     def spec(self):
         raw = self.raw
@@ -164,7 +181,8 @@ class RunConfig:
             raise ConfigError(
                 f"{self.path}: grid needs non-empty 'deltas' and 'betas'"
             )
-        return [float(x) for x in deltas], [_as_vector(b, self.p, "grid beta") for b in betas]
+        deltas = [float(x) for x in _numbers(deltas, "grid.deltas")]
+        return deltas, [_as_vector(b, self.p, "grid beta") for b in betas]
 
 
 def load_config(path):

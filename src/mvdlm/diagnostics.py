@@ -3,8 +3,9 @@
 The standardized one-step forecast errors drive the mean-of-squares
 statistic (close to 1 per component under a well-specified model), the
 sequential log Bayes factor compares two fitted models through the
-predictive densities of their standardized errors, and the path
-log-likelihood scores candidate discount configurations for grid search.
+predictive densities of their standardized errors, and one scoring rule,
+:func:`posterior_loglik`, gives the log-likelihood that fit, grid search and
+diagnose report.
 """
 
 import json
@@ -28,7 +29,7 @@ from .errors import (
     MvdlmError,
     NoPositiveEigenvalues,
 )
-from .filter import Trajectory, _discount, _whiten, state_pass, volatility_pass
+from .filter import Trajectory, _whiten, forecast_law, state_pass, volatility_pass
 from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
 from .model import compute_n, validate
 
@@ -105,25 +106,23 @@ class LbfSeries:
 def standardize(e, q, s_prev, vol_discounts=None, n=None, dof=None, method="spectral"):
     """Standardize a one-step forecast error.
 
-    With volatility discounts supplied (all below 1) the predictive
-    degrees of freedom are k = tr(beta)/p * n, defaulting n to the working
-    value 1/(1 - tr(beta)/p), and the scale is beta^{1/2} S_prev beta^{1/2}.
-    Without discounts (or with all discounts equal to 1) the caller passes
-    the degrees of freedom explicitly and S_prev is used unscaled. Requires
-    more than 2 degrees of freedom.
+    The scale and the degrees of freedom are the forecast law's
+    (:func:`~mvdlm.filter.forecast_law`) at (S_prev, n): beta^{1/2} S_prev
+    beta^{1/2} and k = tr(beta)/p * n. With discounts below 1, n defaults to
+    the working value 1/(1 - tr(beta)/p). Without discounts (or with all
+    discounts equal to 1) S_prev is used unscaled and k is n, or else the
+    explicit ``dof``. Requires more than 2 degrees of freedom.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    s_prev = symmetrize(np.atleast_2d(s_prev))
     beta = np.atleast_1d(np.asarray(1.0 if vol_discounts is None else vol_discounts, dtype=float))
-    if np.mean(beta) < 1.0:
-        dof = float(np.mean(beta)) * (compute_n(beta) if n is None else n)
-        root = np.sqrt(beta)
-        s_prev = _discount(s_prev, np.outer(root, root))
-    elif dof is None:
+    if n is None:
+        n = compute_n(beta) if np.mean(beta) < 1.0 else dof
+    if n is None:
         raise DofTooSmall(
             "explicit degrees of freedom are required when no discounting "
             "below 1 is in effect"
         )
+    s_prev, dof = forecast_law(beta)(symmetrize(np.atleast_2d(s_prev)), n)
     if dof <= 2.0:
         raise DofTooSmall(
             f"standardization requires more than 2 degrees of freedom, got {dof}"
@@ -238,6 +237,20 @@ def loglik_arrays(errors, q_values, sigma_path, vol_discounts, posterior=False):
     return float(constant - 0.5 * total)
 
 
+def posterior_loglik(errors, q_values, means, vol_discounts):
+    """The log-likelihood that fit, grid search and diagnose report, from the
+    (N+1, p, p) posterior means Sigma_0 (the prior's)..Sigma_N: at beta = I
+    the constant-volatility likelihood of Sigma_N, else the path likelihood
+    through the rank-one closed form. A NaN mean read raises DofTooSmall."""
+    constant = np.all(np.asarray(vol_discounts) == 1.0)
+    used = means[-1] if constant else means
+    if np.isnan(used).any():
+        raise DofTooSmall("posterior mean of the volatility requires n > 2")
+    if constant:
+        return loglik_constant_arrays(errors, q_values, used)
+    return loglik_arrays(errors, q_values, used, vol_discounts, posterior=True)
+
+
 def loglik_time_varying(trajectory, sigma_path=None):
     """Path log-likelihood of a volatility sequence under the evolving model.
 
@@ -251,19 +264,16 @@ def loglik_time_varying(trajectory, sigma_path=None):
             "the evolving-volatility likelihood is undefined at beta = I; "
             "use loglik_constant"
         )
-    posterior = sigma_path is None or (
-        isinstance(sigma_path, str) and sigma_path == "posterior"
-    )
-    if posterior:
-        sigma_path = trajectory.posterior_mean_path()
-    elif isinstance(sigma_path, str) and sigma_path == "forecast":
+    beta = trajectory.spec.vol_discounts
+    if sigma_path is None or isinstance(sigma_path, str) and sigma_path == "posterior":
+        return posterior_loglik(trajectory.e, trajectory.Q, trajectory.posterior_means, beta)
+    if isinstance(sigma_path, str) and sigma_path == "forecast":
         sigma_path = np.concatenate(
             [trajectory.posterior_means[:1], trajectory.forecast_means]
         )
         if np.isnan(sigma_path).any():
             raise DofTooSmall("the one-step forecast mean of the volatility is undefined")
-    beta = trajectory.spec.vol_discounts
-    return loglik_arrays(trajectory.e, trajectory.Q, sigma_path, beta, posterior=posterior)
+    return loglik_arrays(trajectory.e, trajectory.Q, sigma_path, beta)
 
 
 def loglik_constant_arrays(errors, q_values, sigma):
@@ -287,13 +297,13 @@ def loglik_constant_arrays(errors, q_values, sigma):
 def loglik_constant(trajectory, sigma=None):
     """Log-likelihood of a single constant volatility matrix.
 
-    Defaults to the final posterior mean of the constant-volatility run.
+    Defaults to the final posterior mean, scored by :func:`posterior_loglik`.
     """
     if len(trajectory) == 0:
         raise EmptyData("likelihood evaluation needs at least one step")
     if sigma is None:
-        final = trajectory.final
-        sigma = InvWishartParams(final.n + 2 * trajectory.p, final.S).mean
+        means, ones = trajectory.posterior_means, np.ones(trajectory.p)
+        return posterior_loglik(trajectory.e, trajectory.Q, means, ones)
     return loglik_constant_arrays(trajectory.e, trajectory.Q, sigma)
 
 
@@ -387,12 +397,14 @@ def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
 
 
 def compute_diagnostics(trajectory, with_loglik=True):
-    """Full diagnostics report with the branch-appropriate log-likelihood."""
+    """Full diagnostics report with the log-likelihood of :func:`posterior_loglik`."""
     report = msse_mae_me(trajectory)
     if not with_loglik:
         return report
-    score = loglik_constant if trajectory.constant_volatility else loglik_time_varying
-    return replace(report, loglik=score(trajectory))
+    loglik = posterior_loglik(
+        trajectory.e, trajectory.Q, trajectory.posterior_means, trajectory.spec.vol_discounts
+    )
+    return replace(report, loglik=loglik)
 
 
 @dataclass(frozen=True)
@@ -446,7 +458,7 @@ def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
     f_vec = spec.design_at(final.t)
     mu = final.m.T @ f_vec
     sigma = InvWishartParams(final.n + 2 * spec.p, final.S).mean
-    dof = spec.mean_beta * final.n  # of the forecast law at step N + 1
+    dof = forecast_law(spec.vol_discounts)(final.S, final.n)[1]  # of step N + 1
     values = []
     for alpha in alphas:
         config = VaRConfig(

@@ -15,8 +15,9 @@ m_t = a_t + A_t e_t'. The volatility pass runs, for K discount vectors at once,
 
 At beta = I, n grows by one per observation (the constant-volatility
 branch); with beta < I and n = 1/(1 - tr(beta)/p) it is a fixed point of
-the last line. Also here: the maximum-likelihood estimator of a constant
-volatility and closure under full-row-rank linear maps of y_t.
+the last line. :func:`forecast_law` alone gives each step's prior scale and
+forecast degrees of freedom. Also here: the maximum-likelihood estimator of a
+constant volatility and closure under full-row-rank linear maps of y_t.
 """
 
 import warnings
@@ -144,16 +145,13 @@ class Trajectory:
     def __len__(self):
         return len(self.Q)
 
-    @property
-    def prior_scales(self):
-        """Scales beta^{1/2} S_{t-1} beta^{1/2} of the one-step priors, (N, p, p)."""
-        root = self.spec.beta_sqrt
-        return _discount(self.S[:-1], np.outer(root, root))
+    def forecast_laws(self):
+        """The N one-step forecast laws: prior scales (N, p, p) and degrees of
+        freedom (N,), by :func:`forecast_law`."""
+        return forecast_law(self.spec.vol_discounts)(self.S[:-1], self.n[:-1])
 
-    @property
-    def forecast_dofs(self):
-        """Degrees of freedom k_t = tr(beta)/p n_{t-1} of the forecast laws, (N,)."""
-        return self.spec.mean_beta * self.n[:-1]
+    prior_scales = property(lambda self: self.forecast_laws()[0])
+    forecast_dofs = property(lambda self: self.forecast_laws()[1])
 
     @property
     def posterior_means(self):
@@ -163,14 +161,15 @@ class Trajectory:
     @property
     def forecast_means(self):
         """One-step forecast means of the volatility, NaN where undefined."""
-        return _iw_means(self.prior_scales, self.forecast_dofs + 2 * self.p, self.p)
+        scales, dofs = self.forecast_laws()
+        return _iw_means(scales, dofs + 2 * self.p, self.p)
 
     @property
     def steps(self):
         """Per-step records rebuilt from the arrays (a read-only view)."""
         p = self.p
-        prior_scales = self.prior_scales
-        prior_dofs = self.forecast_dofs + 2 * p
+        prior_scales, dofs = self.forecast_laws()
+        prior_dofs = dofs + 2 * p
         return tuple(
             StepResult(
                 i + 1, self.f[i], float(self.Q[i]), self.R[i], self.e[i],
@@ -298,14 +297,14 @@ def _check_finite(stack, idx, start, q=1.0):
         )
 
 
-def _discount(S, beta_outer):
-    """Prior scale beta^{1/2} S beta^{1/2} (element-wise with sqrt(b) sqrt(b)')."""
-    return symmetrize(S * beta_outer)
-
-
-def _absorb(prior_scale, e, q):
-    """Posterior scale prior + e e' / Q."""
-    return symmetrize(prior_scale + np.outer(e, e) / q)
+def forecast_law(beta):
+    """The one-step forecast law under the array of discounts ``beta``: the
+    map from the posterior (S, n) to the prior scale beta^{1/2} S beta^{1/2}
+    and the degrees of freedom k = tr(beta)/p n. On stacks, the leading axes
+    of ``beta`` (..., p) and of ``n`` broadcast against those of S (..., p, p)."""
+    root = np.sqrt(beta)
+    outer, mean = root[..., :, None] * root[..., None, :], np.mean(beta, axis=-1)
+    return lambda S, n: (symmetrize(S * outer), mean * n)
 
 
 def _whiten(e, q, scale, dof, method):
@@ -369,44 +368,40 @@ def state_pass(spec, priors, observations):
     return StatePass(f=f, e=y - f, Q=cov.Q, R=cov.R, m=m, P=cov.P)
 
 
-def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral", check_identities=True):
+def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
     """Run the volatility recursions for K discount vectors at once.
 
     ``betas`` is (K, p) and ``n`` the starting degrees of freedom (scalar or
-    (K,)). Rows with every beta_i = 1 grow n by one per step; for the
-    others n must be the fixed point 1/(1 - tr(beta)/p), which is asserted.
-    With ``check_identities`` the closed-form expression for S_N is checked
-    against the recursion to relative 1e-8 for every time-varying row.
-    Returns a :class:`VolatilityPass`.
+    (K,)). Rows with every beta_i = 1 grow n by one per step. For the others
+    n must be the fixed point 1/(1 - tr(beta)/p), which is asserted, and the
+    closed-form expression for S_N is checked against the recursion to
+    relative 1e-8. Returns a :class:`VolatilityPass`.
     """
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n_cells, p = betas.shape
     n_steps = len(Q)
-    mean_beta = np.array([float(np.mean(beta)) for beta in betas])
     constant = np.all(betas == 1.0, axis=1)
     n0 = np.broadcast_to(np.asarray(n, dtype=float), (n_cells,))
-    drift = np.abs(mean_beta * n0 + 1.0 - n0)
-    off = ~constant & (drift > FIXED_POINT_TOL * np.maximum(1.0, np.abs(n0)))
+    law = forecast_law(betas)
+    n1 = law(S0, n0)[1] + 1.0
+    off = ~constant & (np.abs(n1 - n0) > FIXED_POINT_TOL * np.maximum(1.0, np.abs(n0)))
     if off.any():
         k = int(np.argmax(off))
         raise MvdlmError(
-            f"degrees-of-freedom fixed point violated at step 1: "
-            f"{mean_beta[k] * n0[k] + 1.0} != {n0[k]}"
+            f"degrees-of-freedom fixed point violated at step 1: {n1[k]} != {n0[k]}"
         )
     growth = np.broadcast_to(constant[:, None], (n_cells, n_steps))
     n_path = np.cumsum(np.hstack([n0[:, None], growth]), axis=1)
-    roots = np.sqrt(betas)
-    beta_outer = roots[:, :, None] * roots[:, None, :]
     S = np.empty((n_cells, n_steps + 1, p, p))
-    S[:, 0] = S0
+    prior, dof = np.empty((n_cells, n_steps, p, p)), np.empty((n_cells, n_steps))
+    S[:, 0], S[:, 1:] = S0, e[:, :, None] * e[:, None, :] / Q[:, None, None]  # step t adds its prior
     for i in range(n_steps):
-        S[:, i + 1] = _absorb(_discount(S[:, i], beta_outer), e[i], Q[i])
-    prior_scales = _discount(S[:, :-1], beta_outer[:, None])
-    dof = mean_beta[:, None] * n_path[:, :-1]
-    u = _whiten(e, Q, prior_scales, dof, sqrt_method)
-    if check_identities and n_steps and not constant.all():
+        prior[:, i], dof[:, i] = law(S[:, i], n_path[:, i])
+        S[:, i + 1] = symmetrize(prior[:, i] + S[:, i + 1])
+    u = _whiten(e, Q, prior, dof, sqrt_method)
+    if n_steps and not constant.all():
         final = S[~constant, -1]
-        closed = _closed_form_scales(e, Q, roots[~constant], S0)
+        closed = _closed_form_scales(e, Q, np.sqrt(betas[~constant]), S0)
         rel = np.max(np.abs(closed - final), axis=(1, 2)) / np.maximum(
             np.max(np.abs(final), axis=(1, 2)), 1e-300
         )
@@ -451,9 +446,7 @@ def predict(state, spec, t):
     cov = covariance_pass(spec, state.P, 1, start=t)
     f = (cov.G[0] @ state.m).T @ cov.F[0]
     q = float(cov.Q[0])
-    root = spec.beta_sqrt
-    scale_prior = _discount(state.S, np.outer(root, root))
-    k = spec.mean_beta * state.n
+    scale_prior, k = forecast_law(spec.vol_discounts)(state.S, state.n)
     sigma_prior = InvWishartParams(dof=k + 2 * spec.p, scale=scale_prior)
     forecast = MultiTParams(dof=k, location=f, scale_row=q, scale_col=scale_prior)
     try:
@@ -466,7 +459,9 @@ def predict(state, spec, t):
 
 
 def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
-    """Absorb the observation y_t, returning the new state and step record."""
+    """Absorb the observation y_t, returning the new state and step record.
+    S_t, n_t and u_t come from a one-step :func:`volatility_pass`, which
+    asserts the degrees-of-freedom fixed point as in :func:`run`."""
     y_t = np.asarray(y_t, dtype=float)
     if y_t.shape != (spec.p,):
         raise DimensionMismatch(
@@ -478,57 +473,43 @@ def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
         )
     if prediction is None or prediction.t != t:
         prediction = predict(state, spec, t)
-    q = prediction.Q
-    e = y_t - prediction.f
+    q, e = prediction.Q, y_t - prediction.f
     m_new = spec.evolution_at(t) @ state.m + np.outer(prediction.gain, e)
-    s_new = _absorb(prediction.sigma_prior.scale, e, q)
-    n_new = spec.mean_beta * state.n + 1.0
-    k = prediction.forecast.dof
-    u = _whiten(e, q, prediction.sigma_prior.scale, k, sqrt_method) if k > 2.0 else None
+    vol = volatility_pass(
+        e[None], np.array([q]), spec.vol_discounts, state.S, state.n, sqrt_method
+    )
+    s_new, n_new, u = vol.S[0, 1], float(vol.n[0, 1]), vol.u[0, 0]
     sigma_post = InvWishartParams(dof=n_new + 2 * spec.p, scale=s_new)
     step = StepResult(
-        t, prediction.f, q, prediction.R, e, e / q, u, prediction.sigma_prior, sigma_post
+        t, prediction.f, q, prediction.R, e, e / q, None if np.isnan(u[0]) else u,
+        prediction.sigma_prior, sigma_post,
     )
     return FilterState(t=t, m=m_new, P=prediction.P, S=s_new, n=n_new), step
 
 
-def _filter(spec, priors, observations, n, sqrt_method, check_identities):
-    """One state pass and a one-row volatility pass."""
+def run(spec, priors, observations, sqrt_method="spectral"):
+    """Filter a full observation sequence: one state pass, then a one-row
+    :func:`volatility_pass` from the validated degrees of freedom (the prior
+    n0 when every beta_i = 1, else the asserted fixed point).
+    """
+    report = validate(spec, priors)
     states = state_pass(spec, priors, observations)
     vol = volatility_pass(
-        states.e, states.Q, spec.vol_discounts[None, :], priors.S0, n,
-        sqrt_method, check_identities,
+        states.e, states.Q, spec.vol_discounts, priors.S0, report.n, sqrt_method
     )
     return Trajectory.from_passes(states, vol, 0, spec, priors, sqrt_method)
 
 
-def run(spec, priors, observations, sqrt_method="spectral", check_identities=True):
-    """Filter a full observation sequence.
-
-    Dispatches to :func:`run_constant_volatility` when every beta_i = 1.
-    In the time-varying branch the degrees-of-freedom fixed point is
-    asserted, and with ``check_identities`` the closed-form expression for
-    the final scale matrix is verified against the recursion to relative
-    1e-8.
-    """
-    report = validate(spec, priors)
-    if report.constant_volatility:
-        return run_constant_volatility(spec, priors, observations, sqrt_method)
-    return _filter(spec, priors, observations, report.n, sqrt_method, check_identities)
-
-
 def run_constant_volatility(spec, priors, observations, sqrt_method="spectral"):
-    """Filter under time-invariant volatility (all beta_i = 1).
-
-    The scale matrix accumulates without decay and the degrees of freedom
-    grow by one per observation, starting from the prior n0.
+    """:func:`run` for time-invariant volatility (all beta_i = 1): the scale
+    matrix accumulates without decay and the degrees of freedom grow by one
+    per observation, starting from the prior n0.
     """
     if not spec.constant_volatility:
         raise MvdlmError(
             "run_constant_volatility requires every volatility discount to be 1"
         )
-    validate(spec, priors)
-    return _filter(spec, priors, observations, float(priors.n0), sqrt_method, False)
+    return run(spec, priors, observations, sqrt_method)
 
 
 def mle_constant(observations, spec, priors):

@@ -225,6 +225,21 @@ class TestCliPipeline:
         assert_allclose(diag["loglik"], fit["loglik"], rtol=1e-12)
         assert_allclose(diag["msse"], fit["msse"], rtol=1e-12)
 
+    def test_diagnose_reproduces_constant_branch_loglik(self, tmp_path):
+        # with n0 = 1 the first posterior means are undefined (NaN in the
+        # trajectory); the constant-volatility likelihood reads Sigma_N only
+        config_path = write_config(tmp_path, {"branch": "constant", "vol_discounts": None})
+        obs_path, _ = write_returns(tmp_path)
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
+                     "--out", str(out_dir)]) == 0
+        assert main(["diagnose", "--config", str(config_path),
+                     "--traj", str(out_dir / "trajectory.csv"),
+                     "--out", str(tmp_path / "diag.json")]) == 0
+        fit = json.loads((out_dir / "report.json").read_text())
+        diag = json.loads((tmp_path / "diag.json").read_text())
+        assert fit["loglik"] is not None and diag["loglik"] == fit["loglik"]
+
     def test_fit_with_price_data(self, tmp_path):
         config_path = write_config(tmp_path, {"data_kind": "prices"})
         rng = np.random.default_rng(5)
@@ -392,3 +407,23 @@ class TestMalformedTrajectory:
         code, err = self.diagnose(tmp_path, config_path, lines, capsys)
         assert code == 3
         assert "column 'u_1' not in header (line 1)" in err
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("simulate", {"horizon": float("inf")}, "horizon"),
+    ("simulate", {"horizon": 0}, "horizon"),
+    ("simulate", {"horizon": -3}, "horizon"),
+    ("simulate", {"horizon": 2.5}, "horizon"),
+    ("simulate", {"seed": 1.5}, "seed"),
+    ("simulate", {"seed": -1}, "seed"),
+    ("var", {"weights": [0.5, "half"]}, "weights"),
+    ("var", {"var": {"alphas": [95, "99"]}}, "var.alphas"),
+    ("grid", {"grid": {"deltas": [0.9, "x"], "betas": [[0.9, 0.9]]}}, "grid.deltas"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, key):
+    config_path = write_config(tmp_path, overrides)
+    args = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
+    if command != "simulate":
+        args += ["--data", str(write_returns(tmp_path)[0])]
+    assert main(args) == 2
+    assert key in capsys.readouterr().err

@@ -102,6 +102,12 @@ class TestUpdate:
         r_def = y - new_state.m.T @ f_vec
         assert_allclose(step.r, r_def, atol=1e-12)
 
+    def test_asserts_fixed_point(self, scalar_spec, scalar_priors):
+        # n = 5 is off the fixed point 1/(1 - 0.9) = 10, as run would refuse it
+        state = FilterState(t=0, m=scalar_priors.m0, P=scalar_priors.P0, S=scalar_priors.S0, n=5.0)
+        with pytest.raises(MvdlmError, match="fixed point"):
+            update(state, np.array([1.0]), scalar_spec, 1)
+
     def test_rejects_bad_observations(self, scalar_spec, scalar_priors):
         state = initial_state(scalar_spec, scalar_priors)
         with pytest.raises(DimensionMismatch):
@@ -184,7 +190,8 @@ class TestTwoPassEngine:
                 for name in ("f", "e", "Q", "R"):
                     assert np.array_equal(getattr(step, name), getattr(batched, name))
                 assert np.array_equal(step.sigma_post.scale, batched.sigma_post.scale)
-                assert_allclose(step.u, batched.u, rtol=1e-12, atol=1e-14)
+                assert np.array_equal(step.u, batched.u)
+                assert state.n == traj.n[i + 1]
             assert np.array_equal(state.m, traj.final.m)
             assert np.array_equal(state.P, traj.final.P)
 
