@@ -191,6 +191,10 @@ def _read_trajectory_csv(path):
 def cmd_diagnose(args):
     config = load_config(args.config)
     e, u, q, sigma_post = _read_trajectory_csv(args.traj)
+    if e.shape[1] != config.p:
+        raise ConfigError(
+            f"trajectory has {e.shape[1]} series but the config declares p = {config.p}"
+        )
     msse, mae, me = diagnostics.error_summary(e, u)
     prior = run(config.spec(), config.priors(), [])  # Sigma_0: the posterior of no data
     means = np.concatenate([prior.posterior_means, sigma_post])

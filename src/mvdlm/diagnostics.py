@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.stats
-from scipy.special import gammaln, multigammaln
+from scipy.special import gammaln, multigammaln, ndtri, stdtrit
 
 from .data import write_csv
 from .distributions import InvWishartParams
@@ -313,7 +312,9 @@ def var_portfolio(mu, sigma, config):
     Evaluates mu_port + F^{-1}(alpha/100) * sigma_port where F is the
     standardized quantile family: the model t scaled to unit variance, or
     the normal. ``alpha`` is a confidence percentage, so the value is
-    nondecreasing in alpha and equals the portfolio mean at alpha = 50.
+    nondecreasing in alpha and equals the portfolio mean at alpha = 50. The
+    quantiles are ``ndtri`` and ``stdtrit``, the functions behind
+    ``scipy.stats.norm.ppf`` and ``scipy.stats.t.ppf``.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = symmetrize(np.atleast_2d(sigma))
@@ -329,14 +330,14 @@ def var_portfolio(mu, sigma, config):
         raise InvalidWeights("portfolio variance is negative")
     level = config.alpha / 100.0
     if config.quantile_family == "normal":
-        quantile = scipy.stats.norm.ppf(level)
+        quantile = ndtri(level)
     else:
         k = config.dof
         if k is None or k <= 2:
             raise DofTooSmall(
                 "the t quantile family needs dof > 2 in the VaR configuration"
             )
-        quantile = scipy.stats.t.ppf(level, df=k) * math.sqrt((k - 2.0) / k)
+        quantile = stdtrit(k, level) * math.sqrt((k - 2.0) / k)
     return port_mean + quantile * math.sqrt(port_var)
 
 

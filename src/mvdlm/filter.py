@@ -210,22 +210,68 @@ def _observe(r_mat, f_vec):
     return q, gain, symmetrize(r_mat - gain[:, None] * fr)
 
 
-def _state_blocks(spec, P0):
+def _state_blocks(F, G, P0):
     """Index arrays of the observed block O, then of each unobserved block.
 
-    With F and G constant, components i and j share a block when G_ij,
-    G_ji or P0_ij is non-zero, and O joins the blocks that meet F's
-    support. A time-varying F or G leaves one block, O, of every component.
+    Components i and j share a block when G_ij or G_ji is non-zero at any
+    step of the (N, d, d) stack G, or P0_ij is non-zero; O joins the blocks
+    that meet the support of the (N, d) stack F at any step.
     """
-    if not spec.time_invariant:
-        return [np.arange(spec.d)]
-    g = spec.evolution != 0.0
-    linked = g | g.T | (P0 != 0.0) | np.eye(spec.d, dtype=bool)
-    for _ in range(spec.d.bit_length()):  # transitive closure by squaring
+    g = (G != 0.0).any(axis=0)
+    linked = g | g.T | (P0 != 0.0) | np.eye(len(P0), dtype=bool)
+    for _ in range(len(P0).bit_length()):  # transitive closure by squaring
         linked = linked @ linked
-    observed = linked[spec.design != 0.0].any(axis=0)
+    observed = linked[(F != 0.0).any(axis=0)].any(axis=0)
     rest = sorted({tuple(np.flatnonzero(row)) for row in linked[~observed]})
     return [np.flatnonzero(observed), *(np.array(block) for block in rest)]
+
+
+def _block_recursion(P, g, f, delta_outer, observed):
+    """Omega_t, R_t (N, b, b), Q_t (N,), the gains (N, b) and the final P of
+    one block from its P0 block ``P`` and stacks ``g`` of G_t and ``f`` of
+    F_t, by :func:`_evolve` and :func:`_observe`. Off the observed block
+    P_t = R_t, and Q_t and the gains are left unfilled."""
+    n_steps, b = f.shape
+    omega, r = np.empty((2, n_steps, b, b))
+    q, gain = np.empty(n_steps), np.empty((n_steps, b))
+    for i, g_t, f_t in zip(range(n_steps), g, f):
+        omega[i], r[i] = _evolve(P, g_t, delta_outer)
+        if observed:
+            q[i], gain[i], P = _observe(r[i], f_t)
+        else:
+            P = r[i]
+    return omega, r, q, gain, P
+
+
+def _scalar_recursion(P, g, f, delta_outer, observed):
+    """:func:`_block_recursion` for a block of one component in float
+    arithmetic: the operations of :func:`_evolve` and :func:`_observe` on
+    1 x 1 arrays, in their order. A 1 x 1 matrix product sums from +0.0,
+    hence ``0.0 +``; ``(x + x) / 2.0`` is :func:`symmetrize`. Off the
+    observed block, Q_t and the gains come back empty."""
+    p_t, w = float(P[0, 0]), float(delta_outer[0, 0])
+    omega, r, q, gain = [], [], [], []
+    for g_t, f_t in zip(g[:, 0, 0].tolist(), f[:, 0].tolist()):
+        inner = 0.0 + g_t * p_t * g_t
+        o_t = inner * w
+        o_t = (o_t + o_t) / 2.0
+        r_t = inner + o_t
+        r_t = (r_t + r_t) / 2.0
+        omega.append(o_t)
+        r.append(r_t)
+        if observed:
+            fr = 0.0 + f_t * r_t  # F'R, and R F since r_t f_t == f_t r_t
+            q_t = fr * f_t + 1.0
+            k_t = fr / q_t
+            p_t = r_t - k_t * fr
+            p_t = (p_t + p_t) / 2.0
+            q.append(q_t)
+            gain.append(k_t)
+        else:
+            p_t = r_t
+    shape = (len(omega), 1, 1)
+    return (np.reshape(omega, shape), np.reshape(r, shape), np.array(q, dtype=float),
+            np.array(gain, dtype=float)[:, None], np.array([[p_t]]))
 
 
 @dataclass(frozen=True)
@@ -244,12 +290,15 @@ class CovariancePass:
 def covariance_pass(spec, P0, n_steps, start=1):
     """Run the data-free recursions for steps start..start+N-1 from P0.
 
-    The kernel runs on the observed block O (see :func:`_state_blocks`).
-    Every other block has zero gain, and its R and P follow the prior-only
-    recursion P_t = R_t = G P_{t-1} G' + Omega_t. They may overflow without
-    reaching O; an entry of Omega, R or P past the float range reads inf,
-    never NaN. A non-finite R_t or Q_t on O raises :class:`StateOverflow`.
-    A time-varying F_t or G_t is resolved here, once per step.
+    The recursion runs block by block (see :func:`_state_blocks`): a block
+    of one component in float arithmetic (:func:`_scalar_recursion`), any
+    other through the matrix kernel (:func:`_block_recursion`), with the same
+    results. Every block but the observed block O has zero gain, and its R
+    and P follow the prior-only recursion P_t = R_t = G P_{t-1} G' + Omega_t.
+    They may overflow without reaching O; an entry of Omega, R or P past the
+    float range reads inf, never NaN. A non-finite R_t or Q_t on O raises
+    :class:`StateOverflow`. A time-varying F_t or G_t is resolved here, once
+    per step.
     """
     d, varying = spec.d, not spec.time_invariant
     if varying:
@@ -261,25 +310,20 @@ def covariance_pass(spec, P0, n_steps, start=1):
     root = np.sqrt((1.0 - spec.state_discounts) / spec.state_discounts)
     omega, r = np.zeros((2, n_steps, d, d))
     q, gain, P = np.ones(n_steps), np.zeros((n_steps, d)), np.zeros((d, d))
-    for k, idx in enumerate(_state_blocks(spec, P0)):
-        sub = np.ix_(idx, idx)
-        g_b, f_b = G[:, idx[:, None], idx], F[:, idx]
-        delta_outer, P_b = np.outer(root[idx], root[idx]), P0[sub]
-        omega_b, r_b = np.empty((2, n_steps, len(idx), len(idx)))
-        gain_b = np.empty((n_steps, len(idx)))
+    for k, idx in enumerate(_state_blocks(F, G, P0)):
+        sub, cols = np.ix_(idx, idx), idx[:, None]
+        kernel = _scalar_recursion if len(idx) == 1 else _block_recursion
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, g, f_vec in zip(range(n_steps), g_b, f_b):
-                omega_b[i], r_b[i] = _evolve(P_b, g, delta_outer)
-                if k:
-                    P_b = r_b[i]
-                else:
-                    q[i], gain_b[i], P_b = _observe(r_b[i], f_vec)
-        if k:  # overflowed entries read inf, not the NaN of inf - inf (P_b views r_b)
-            omega_b[np.isnan(omega_b)] = r_b[np.isnan(r_b)] = np.inf
+            omega_b, r_b, q_b, gain_b, P_b = kernel(
+                P0[sub], G[:, cols, idx], F[:, idx], np.outer(root[idx], root[idx]), not k
+            )
+        if k:  # overflowed entries read inf, not the NaN of inf - inf
+            for block in (omega_b, r_b, P_b):
+                block[np.isnan(block)] = np.inf
         else:
-            _check_finite(r_b, idx, start, q)
-            gain[:, idx] = gain_b
-        omega[:, idx[:, None], idx], r[:, idx[:, None], idx], P[sub] = omega_b, r_b, P_b
+            _check_finite(r_b, idx, start, q_b)
+            q, gain[:, idx] = q_b, gain_b
+        omega[:, cols, idx], r[:, cols, idx], P[sub] = omega_b, r_b, P_b
     return CovariancePass(omega=omega, R=r, Q=q, gain=gain, P=P, F=F, G=G)
 
 
@@ -297,14 +341,25 @@ def _check_finite(stack, idx, start, q=1.0):
         )
 
 
+@dataclass(frozen=True)
+class ForecastLaw:
+    """The one-step forecast law: called on the posterior (S, n), it gives
+    the prior scale beta^{1/2} S beta^{1/2} (symmetrized) and the degrees of
+    freedom k = tr(beta)/p n. On stacks, the leading axes of beta (..., p)
+    and of n broadcast against those of S (..., p, p)."""
+
+    outer: np.ndarray  # beta^{1/2} beta^{1/2}', (..., p, p)
+    mean: np.ndarray  # tr(beta)/p, (...)
+
+    def __call__(self, S, n):
+        return symmetrize(S * self.outer), self.mean * n
+
+
 def forecast_law(beta):
-    """The one-step forecast law under the array of discounts ``beta``: the
-    map from the posterior (S, n) to the prior scale beta^{1/2} S beta^{1/2}
-    and the degrees of freedom k = tr(beta)/p n. On stacks, the leading axes
-    of ``beta`` (..., p) and of ``n`` broadcast against those of S (..., p, p)."""
+    """The :class:`ForecastLaw` under the discounts ``beta``, the one place
+    it is made."""
     root = np.sqrt(beta)
-    outer, mean = root[..., :, None] * root[..., None, :], np.mean(beta, axis=-1)
-    return lambda S, n: (symmetrize(S * outer), mean * n)
+    return ForecastLaw(root[..., :, None] * root[..., None, :], np.mean(beta, axis=-1))
 
 
 def _whiten(e, q, scale, dof, method):
@@ -383,7 +438,7 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
     constant = np.all(betas == 1.0, axis=1)
     n0 = np.broadcast_to(np.asarray(n, dtype=float), (n_cells,))
     law = forecast_law(betas)
-    n1 = law(S0, n0)[1] + 1.0
+    n1 = law.mean * n0 + 1.0
     off = ~constant & (np.abs(n1 - n0) > FIXED_POINT_TOL * np.maximum(1.0, np.abs(n0)))
     if off.any():
         k = int(np.argmax(off))
@@ -392,13 +447,16 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
         )
     growth = np.broadcast_to(constant[:, None], (n_cells, n_steps))
     n_path = np.cumsum(np.hstack([n0[:, None], growth]), axis=1)
-    S = np.empty((n_cells, n_steps + 1, p, p))
-    prior, dof = np.empty((n_cells, n_steps, p, p)), np.empty((n_cells, n_steps))
+    dof = law.mean[:, None] * n_path[:, :-1]
+    S, prior = np.empty((n_cells, n_steps + 1, p, p)), np.empty((n_cells, n_steps + 1, p, p))
     S[:, 0], S[:, 1:] = S0, e[:, :, None] * e[:, None, :] / Q[:, None, None]  # step t adds its prior
+    prior[:, 0] = law(S0, n0)[0]  # symmetrized, as a caller's S0 may not be
+    # sums and products of exactly symmetric operands stay exactly symmetric,
+    # so each step is two in-place ufuncs without symmetrize
     for i in range(n_steps):
-        prior[:, i], dof[:, i] = law(S[:, i], n_path[:, i])
-        S[:, i + 1] = symmetrize(prior[:, i] + S[:, i + 1])
-    u = _whiten(e, Q, prior, dof, sqrt_method)
+        np.add(prior[:, i], S[:, i + 1], out=S[:, i + 1])
+        np.multiply(S[:, i + 1], law.outer, out=prior[:, i + 1])
+    u = _whiten(e, Q, prior[:, :-1], dof, sqrt_method)
     if n_steps and not constant.all():
         final = S[~constant, -1]
         closed = _closed_form_scales(e, Q, np.sqrt(betas[~constant]), S0)

@@ -400,6 +400,14 @@ class TestMalformedTrajectory:
         assert code == 3
         assert f"expected {width} cells, found {width + 2} (line 6)" in err
 
+    def test_dimension_mismatch_is_config_error(self, tmp_path, fitted, capsys):
+        _, lines = fitted  # a p = 2 trajectory
+        config_path = write_config(tmp_path, {"p": 3, "vol_discounts": [0.9] * 3,
+                                              "weights": [0.5, 0.25, 0.25]}, "p3.json")
+        code, err = self.diagnose(tmp_path, config_path, lines, capsys)
+        assert code == 2
+        assert "trajectory has 2 series but the config declares p = 3" in err
+
     def test_missing_column(self, tmp_path, fitted, capsys):
         config_path, lines = fitted
         col = lines[0].split(",").index("u_1")

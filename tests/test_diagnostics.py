@@ -299,6 +299,19 @@ class TestVarPortfolio:
         expected = scipy.stats.t.ppf(0.99, 9) * np.sqrt(7.0 / 9.0)
         assert_allclose(value, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.0, 50.0, 95.0, 99.0])
+    def test_quantiles_equal_scipy_stats(self, alpha):
+        # the special functions behind norm.ppf and t.ppf, bitwise
+        mu, sigma, weights = np.array([0.05, -0.02]), np.array([[1.3, 0.4], [0.4, 0.9]]), [0.3, 0.7]
+        mean, scale = weights @ mu, np.sqrt(weights @ sigma @ weights)
+        dofs = np.linspace(2.01, 400.0, 500)
+        level = alpha / 100.0
+        normal = var_portfolio(mu, sigma, VaRConfig(weights, alpha, "normal"))
+        assert np.array_equal(normal, mean + scipy.stats.norm.ppf(level) * scale)
+        t_values = [var_portfolio(mu, sigma, VaRConfig(weights, alpha, "t", k)) for k in dofs]
+        quantiles = [scipy.stats.t.ppf(level, df=k) * np.sqrt((k - 2.0) / k) for k in dofs]
+        assert np.array_equal(t_values, mean + np.array(quantiles) * scale)
+
     def test_invalid_weights(self):
         with pytest.raises(InvalidWeights):
             VaRConfig(weights=[0.5, 0.6], alpha=95.0)

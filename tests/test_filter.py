@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,18 @@ from mvdlm.errors import (
 from mvdlm.diagnostics import compute_diagnostics, loglik_time_varying
 from mvdlm.filter import (
     _closed_form_scale,
+    _evolve,
+    _observe,
+    _whiten,
     covariance_pass,
+    forecast_law,
     linear_transform,
     mle_constant,
     state_pass,
     trajectory_to_csv,
     volatility_pass,
 )
+from mvdlm.linalg import symmetrize
 from mvdlm.model import FilterState
 from mvdlm.simulate import paired_volatility_scenario, simulate
 
@@ -300,8 +307,8 @@ class TestObservedBlock:
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_callable_sequences_equal_constant_arrays(self, coupled):
-        # constant arrays take the reduced route (O = {1, 2} here, U = {3}
-        # unless P0 couples it); callables run every component
+        # both routes take the blocks of the support: O = {1, 2} here, and
+        # U = {3} unless P0 couples it
         design = np.array([1.0, 0.0, 0.0])
         evolution = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.7]])
         P0 = np.diag([1.0, 0.5, 2.0])
@@ -343,6 +350,142 @@ class TestObservedBlock:
         with pytest.raises(StateOverflow, match="at step 279 in state component 2"):
             simulate(spec, priors, 333, seed=5)
         assert np.isfinite(simulate(spec, priors, 100, seed=5).observations).all()
+
+    def test_reference_configuration_as_callables(self):
+        # callables with the support of constant arrays get their blocks, so
+        # the unobserved level overflows on its own instead of inside O
+        spec, priors = reference_model(2)
+        design, evolution = spec.design, spec.evolution
+        callables = replace(spec, design=lambda t: design, evolution=lambda t: evolution)
+        obs = 0.01 * np.random.default_rng(8).standard_normal((333, 4))
+        constant, provided = run(spec, priors, obs), run(callables, priors, obs)
+        for name in ("f", "e", "Q", "R", "S", "n", "u"):
+            assert_bitwise(getattr(constant, name), getattr(provided, name))
+        for name in ("m", "P", "S"):
+            assert_bitwise(getattr(constant.final, name), getattr(provided.final, name))
+
+
+def assert_bitwise(actual, expected):
+    """Equal as int64 views, so NaN payloads and the sign of zero count."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def loop_covariance(spec, P0, n_steps, blocks):
+    """The covariance pass as a per-step loop of the matrix kernel over the
+    given blocks, the observed one first."""
+    d = spec.d
+    root = np.sqrt((1.0 - spec.state_discounts) / spec.state_discounts)
+    omega, R = np.zeros((2, n_steps, d, d))
+    Q, gain, P = np.ones(n_steps), np.zeros((n_steps, d)), np.zeros((d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, idx in enumerate(map(np.array, blocks)):
+            sub = np.ix_(idx, idx)
+            P_b = P0[sub]
+            for i in range(n_steps):
+                g, f = spec.evolution_at(i + 1)[sub], spec.design_at(i + 1)[idx]
+                omega[i][sub], R[i][sub] = _evolve(P_b, g, np.outer(root[idx], root[idx]))
+                if k:
+                    P_b = R[i][sub]
+                else:
+                    Q[i], gain[i, idx], P_b = _observe(R[i][sub], f)
+            P[sub] = P_b
+    for array in (omega, R, P):  # the unobserved convention: past the range reads inf
+        array[np.isnan(array)] = np.inf
+    return omega, R, Q, gain, P
+
+
+def kernel_case(name):
+    """(spec, P0, N, blocks) of one pinned configuration."""
+    beta = (0.95, 0.9)
+    if name == "d1":
+        spec = ModelSpec(p=2, d=1, design=[1.0], evolution=[[1.0]],
+                         state_discounts=[0.9], vol_discounts=beta)
+        return spec, np.array([[2.0]]), 200, [[0]]
+    if name == "local_level":
+        spec = ModelSpec(p=2, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+                         state_discounts=[0.95, 0.9], vol_discounts=beta)
+        return spec, np.diag([1.0, 0.5]), 200, [[0], [1]]
+    if name == "scaled_evolution":
+        spec = ModelSpec(p=2, d=2, design=[1.0, 0.0], evolution=np.diag([0.9, 1.05]),
+                         state_discounts=[0.9, 0.9], vol_discounts=beta)
+        return spec, np.diag([3.0, 0.5]), 200, [[0], [1]]
+    if name == "coupled":
+        spec = ModelSpec(p=2, d=3, design=[1.0, 0.0, 0.0],
+                         evolution=[[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.7]],
+                         state_discounts=[0.9, 0.95, 0.8], vol_discounts=beta)
+        return spec, np.diag([1.0, 0.5, 2.0]), 200, [[0, 1], [2]]
+    if name == "varying_d1":
+        # F_t = -0.0 every 7th step: a 1 x 1 product sums from +0.0
+        spec = ModelSpec(p=2, d=1,
+                         design=lambda t: np.array([0.5 + np.sin(t) if t % 7 else -0.0]),
+                         evolution=lambda t: np.array([[0.9 + 0.2 * np.cos(t)]]),
+                         state_discounts=[0.85], vol_discounts=beta)
+        return spec, np.array([[2.0]]), 200, [[0]]
+    if name == "float_range_edge":
+        # unobserved entries past half the float range, where the (x + x) / 2
+        # of symmetrize reads inf: Omega_1 of component 2, R_1 of component 3
+        spec = ModelSpec(p=2, d=3, design=[1.0, 0.0, 0.0], evolution=np.eye(3),
+                         state_discounts=[0.5] * 3, vol_discounts=beta)
+        big = np.finfo(float).max
+        return spec, np.diag([1.0, 0.6 * big, 0.3 * big]), 3, [[0], [1], [2]]
+    spec, priors = reference_model(2)
+    return spec, priors.P0, 333, [[0], [1]]
+
+
+class TestKernelPins:
+    """The covariance and volatility passes against per-step loops of the
+    kernels they replace, bitwise."""
+
+    @pytest.mark.parametrize(
+        "name", ["d1", "local_level", "scaled_evolution", "coupled", "varying_d1", "reference",
+                 "float_range_edge"]
+    )
+    def test_covariance_pass_equals_kernel_loop(self, name):
+        spec, P0, n_steps, blocks = kernel_case(name)
+        cov = covariance_pass(spec, P0, n_steps)
+        expected = loop_covariance(spec, P0, n_steps, blocks)
+        for field, value in zip(("omega", "R", "Q", "gain", "P"), expected):
+            assert_bitwise(getattr(cov, field), value)
+        if name == "reference":  # the unobserved level reaches inf, never NaN
+            assert np.isinf(cov.R[-1, 1, 1]) and np.isinf(cov.P[1, 1])
+            assert not np.isnan(cov.R).any() and not np.isnan(cov.omega).any()
+        if name == "float_range_edge":
+            assert np.isinf(cov.omega[0, 1, 1]) and np.isfinite(cov.omega[0, 2, 2])
+            assert np.isinf(cov.R[0, 2, 2])
+
+    def test_observed_overflow_step_and_component(self):
+        # F_t = 0 after step 1 leaves the observed level to the prior
+        # recursion under delta = 0.08, so R_t overflows inside O
+        spec = ModelSpec(p=2, d=1, design=lambda t: np.array([1.0 if t == 1 else 0.0]),
+                         evolution=[[1.0]], state_discounts=[0.08], vol_discounts=[0.9, 0.9])
+        P0 = np.array([[1000.0]])
+        R = loop_covariance(spec, P0, 333, [[0]])[1]
+        step = int(np.argmax(~np.isfinite(R[:, 0, 0]))) + 1
+        assert 250 < step < 333
+        with pytest.raises(StateOverflow, match=f"at step {step} in state component 1:"):
+            covariance_pass(spec, P0, 333)
+
+    @pytest.mark.parametrize("sqrt_method", ["spectral", "cholesky"])
+    def test_volatility_pass_equals_law_loop(self, sqrt_method):
+        rng = np.random.default_rng(12)
+        e, Q = rng.standard_normal((120, 3)), 1.0 + rng.random(120)
+        betas = np.array([[0.8, 0.95, 0.8], [0.9] * 3, [1.0] * 3])
+        n0 = np.array([1 / (1 - np.mean(betas[0])), 1 / (1 - 0.9), 4.0])
+        S0 = np.eye(3) + 0.2 * np.triu(np.ones((3, 3)), 1)  # asymmetric as given
+        vol = volatility_pass(e, Q, betas, S0, n0, sqrt_method)
+        for k, beta in enumerate(betas):
+            law, S, n = forecast_law(beta), [S0], [n0[k]]
+            u = []
+            for i in range(len(Q)):
+                prior, dof = law(S[-1], n[-1])
+                S.append(symmetrize(prior + np.outer(e[i], e[i]) / Q[i]))
+                n.append(n[-1] + 1.0 if k == 2 else n[-1])
+                u.append(_whiten(e[i], Q[i], prior, dof, sqrt_method))
+            assert_bitwise(vol.S[k], np.array(S))
+            assert_bitwise(vol.n[k], np.array(n))
+            assert_bitwise(vol.u[k], np.array(u))
 
 
 class TestConstantVolatility:

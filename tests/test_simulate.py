@@ -153,6 +153,7 @@ class TestSimulate:
         assert np.max(np.abs(path.observations.mean(axis=0) - theta0[0])) < 0.05
         assert np.array_equal(path.volatilities[0], path.volatilities[-1])
 
+    @pytest.mark.slow
     def test_one_step_prior_predictive(self):
         # the first coordinate of a single-step path follows the forecast
         # t law implied by the priors
@@ -178,6 +179,7 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(spec, priors, 0)
 
+    @pytest.mark.slow
     def test_volatility_marginal_mean(self):
         # one evolution step away from the prior, the precision mean matches
         # the discounted Wishart marginal
