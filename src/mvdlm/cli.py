@@ -5,7 +5,6 @@ numerical error, 1 unexpected internal error.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -17,9 +16,9 @@ from .data import (
     ingest,
     ingest_returns,
     read_columns,
-    synthetic_dates,
     to_returns,
     write_csv,
+    write_json,
     write_observations_csv,
 )
 from .errors import ConfigError, DataError, MvdlmError
@@ -34,21 +33,25 @@ EXIT_DATA = 3
 EXIT_MODEL = 4
 
 
-def _load_observations(config, data_path):
+def _read_data(config, data_path):
+    """The return table of the data CSV as ``config`` reads it (its
+    ``data_kind`` and ``names``)."""
     if config.data_kind == "prices":
-        table = to_returns(ingest(data_path, columns=config.names))
-    else:
-        table = ingest_returns(data_path, columns=config.names)
+        return to_returns(ingest(data_path, columns=config.names))
+    return ingest_returns(data_path, columns=config.names)
+
+
+def _observations(config, table):
+    """The returns of ``table``, checked against the config's p."""
     if table.p != config.p:
         raise ConfigError(
             f"data has {table.p} series but the config declares p = {config.p}"
         )
-    return table
+    return table.returns
 
 
-def _fit(config, data_path, sqrt_method):
-    table = _load_observations(config, data_path)
-    return run(config.spec(), config.priors(), table.returns, sqrt_method=sqrt_method), table
+def _fit(config, table, sqrt_method):
+    return run(config.spec(), config.priors(), _observations(config, table), sqrt_method)
 
 
 def _write_volatility_series(trajectory, path):
@@ -74,13 +77,12 @@ def _print_report(report):
     print(f"MSSE: {fmt(report.msse)}")
     print(f"MAE:  {fmt(report.mae)}")
     print(f"ME:   {fmt(report.me)}")
-    if report.loglik is not None:
-        print(f"LogL: {report.loglik:.2f}")
+    print(f"LogL: {report.loglik:.2f}")  # fit and diagnose always score
 
 
 def cmd_fit(args):
     config = load_config(args.config)
-    trajectory, _ = _fit(config, args.data, args.sqrt)
+    trajectory = _fit(config, _read_data(config, args.data), args.sqrt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(trajectory, out / "trajectory.csv")
@@ -95,11 +97,11 @@ def cmd_fit(args):
 
 def cmd_grid(args):
     config = load_config(args.config)
-    table = _load_observations(config, args.data)
+    observations = _observations(config, _read_data(config, args.data))
     deltas, betas = config.grid_candidates()
     result = diagnostics.grid_search(
-        config.spec(), config.priors(), table.returns, deltas, betas,
-        weights=config.weights, var_family=args.var_family, sqrt_method=args.sqrt,
+        config.spec(), config.priors(), observations, deltas, betas,
+        weights=config.weights, var_family=config.var_family, sqrt_method=args.sqrt,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -120,17 +122,11 @@ def cmd_grid(args):
 
 def cmd_simulate(args):
     config = load_config(args.config)
-    horizon = config.horizon
-    if horizon is None:
+    if config.horizon is None:
         raise ConfigError(f"{args.config}: simulation needs a 'horizon' key")
     seed = args.seed if args.seed is not None else config.seed
-    spec = config.spec()
-    priors = config.priors()
-    path = simulate(spec, priors, int(horizon), seed=seed)
-    names = config.names or [f"series_{i + 1}" for i in range(config.p)]
-    write_observations_csv(
-        args.out, path.observations, dates=synthetic_dates(len(path)), names=names
-    )
+    path = simulate(config.spec(), config.priors(), config.horizon, seed=seed)
+    write_observations_csv(args.out, path.observations, names=config.names)
     print(f"simulated {len(path)} steps (seed={seed}) -> {args.out}")
     return EXIT_OK
 
@@ -139,19 +135,16 @@ def cmd_var(args):
     config = load_config(args.config)
     if config.weights is None:
         raise ConfigError(f"{args.config}: VaR needs a 'weights' key")
-    trajectory, _ = _fit(config, args.data, args.sqrt)
+    trajectory = _fit(config, _read_data(config, args.data), "spectral")  # VaR reads no u
     alphas = [float(a) for a in config.var_alphas]
     values = diagnostics.var_at_horizon(
-        trajectory, config.weights, family=args.var_family, alphas=alphas
+        trajectory, config.weights, family=config.var_family, alphas=alphas
     )
-    payload = {
+    write_json(args.out, {
         "weights": list(config.weights),
-        "family": args.var_family,
+        "family": config.var_family,
         "var": {f"{alpha:g}": value for alpha, value in zip(alphas, values)},
-    }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
     for alpha, value in zip(alphas, values):
         print(f"VaR({alpha:g}%) = {value:.6g}")
     print(f"wrote {args.out}")
@@ -161,8 +154,12 @@ def cmd_var(args):
 def cmd_compare(args):
     config1 = load_config(args.config)
     config2 = load_config(args.config2)
-    traj1, _ = _fit(config1, args.data, args.sqrt)
-    traj2, _ = _fit(config2, args.data, args.sqrt)
+    table = _read_data(config1, args.data)
+    traj1 = _fit(config1, table, args.sqrt)
+    # configs that read the file alike share one parse; each checks its own p
+    if (config2.data_kind, config2.names) != (config1.data_kind, config1.names):
+        table = _read_data(config2, args.data)
+    traj2 = _fit(config2, table, args.sqrt)
     labels = (Path(args.config).stem, Path(args.config2).stem)
     series = diagnostics.lbf_from_trajectories(traj1, traj2, labels=labels)
     write_csv(args.out, [["t", "lbf"]], range(1, len(series) + 1), series.values[:, None])
@@ -199,7 +196,8 @@ def cmd_diagnose(args):
     prior = run(config.spec(), config.priors(), [])  # Sigma_0: the posterior of no data
     means = np.concatenate([prior.posterior_means, sigma_post])
     loglik = diagnostics.posterior_loglik(e, q, means, prior.spec.vol_discounts)
-    report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0], args.sqrt)
+    # u carries the root of the fit that wrote it, which the trajectory does not record
+    report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0], None)
     diagnostics.export_report_json(report, args.out)
     _print_report(report)
     print(f"wrote {args.out}")
@@ -216,19 +214,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True, var_family=False):
+    def add_common(p, data=True, sqrt=True):
         p.add_argument("--config", required=True, help="JSON configuration file")
         if data:
             p.add_argument("--data", required=True, help="input CSV")
-        p.add_argument(
-            "--sqrt",
-            choices=("spectral", "cholesky"),
-            default="spectral",
-            help="square-root convention for standardized errors, recorded in the report",
-        )
-        if var_family:
-            p.add_argument("--var-family", choices=("t", "normal"), default="t",
-                           help="quantile family for the VaR values")
+        if sqrt:  # only where the output holds standardized errors
+            p.add_argument(
+                "--sqrt",
+                choices=("spectral", "cholesky"),
+                default="spectral",
+                help="square-root convention for standardized errors, recorded by fit",
+            )
 
     p_fit = sub.add_parser("fit", help="filter a series and write diagnostics")
     add_common(p_fit)
@@ -236,7 +232,7 @@ def build_parser():
     p_fit.set_defaults(func=cmd_fit)
 
     p_grid = sub.add_parser("grid", help="rank discount candidates by log-likelihood")
-    add_common(p_grid, var_family=True)
+    add_common(p_grid)
     p_grid.add_argument("--out", required=True, help="output CSV path")
     p_grid.add_argument("--top", type=int, default=5, help="rows to print")
     p_grid.set_defaults(func=cmd_grid)
@@ -248,7 +244,7 @@ def build_parser():
     p_sim.set_defaults(func=cmd_simulate)
 
     p_var = sub.add_parser("var", help="portfolio Value-at-Risk at the horizon")
-    add_common(p_var, var_family=True)
+    add_common(p_var, sqrt=False)
     p_var.add_argument("--out", required=True, help="output JSON path")
     p_var.set_defaults(func=cmd_var)
 
@@ -259,7 +255,7 @@ def build_parser():
     p_cmp.set_defaults(func=cmd_compare)
 
     p_diag = sub.add_parser("diagnose", help="re-run diagnostics on a stored trajectory")
-    add_common(p_diag, data=False)
+    add_common(p_diag, data=False, sqrt=False)
     p_diag.add_argument("--traj", required=True, help="trajectory CSV from fit")
     p_diag.add_argument("--out", required=True, help="output JSON path")
     p_diag.set_defaults(func=cmd_diagnose)

@@ -18,19 +18,30 @@ constant fill for the state mean):
       "seed": 20,
       "horizon": 333,
       "grid": {"deltas": [0.08, 0.8], "betas": [[0.66, 0.9, 0.9, 0.66]]},
-      "var": {"family": "t", "alphas": [95, 99]}
+      "var": {"family": "t", "alphas": [95, 99]}   # family "t" or "normal"
     }
 
 ``branch: "constant"`` forces the time-invariant volatility model; the
-volatility discounts must then be omitted or all 1.
+volatility discounts must then be omitted or all 1. A key outside this
+schema, at the top level or in ``priors``, ``grid`` or ``var``, is a
+configuration error.
 """
 
 import json
 
 import numpy as np
 
+from .diagnostics import QUANTILE_FAMILIES
 from .errors import ConfigError
 from .model import ModelSpec, Priors
+
+KEYS = {  # the schema above: top-level keys, then those of each section
+    None: {"p", "d", "design", "evolution", "state_discounts", "vol_discounts", "branch",
+           "priors", "data_kind", "names", "weights", "seed", "horizon", "grid", "var"},
+    "priors": {"m0", "P0", "S0", "n0"},
+    "grid": {"deltas", "betas"},
+    "var": {"family", "alphas"},
+}
 
 
 def _as_matrix(value, rows, cols, what):
@@ -73,6 +84,18 @@ def _numbers(value, what):
     return value if value is None else _finite(value, what)
 
 
+def _check_keys(raw, path):
+    """Raise ConfigError naming the first key outside :data:`KEYS` (a section
+    given as null counts as absent)."""
+    for section, allowed in KEYS.items():
+        table = raw if section is None else raw.get(section) or {}
+        if not isinstance(table, dict):
+            raise ConfigError(f"{path}: {section!r} must be an object")
+        unknown = [f"{section}.{key}" if section else key for key in sorted(set(table) - allowed)]
+        if unknown:
+            raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+
+
 def _whole(value, what, low):
     """A whole number >= ``low`` as an int (None passes through), else ConfigError."""
     whole = type(value) is int or type(value) is float and value.is_integer()
@@ -85,6 +108,7 @@ class RunConfig:
     """Parsed configuration; builds the model spec and priors on demand."""
 
     def __init__(self, raw, path="<config>"):
+        _check_keys(raw, path)
         self.raw = raw
         self.path = path
         try:
@@ -100,13 +124,17 @@ class RunConfig:
         self.data_kind = raw.get("data_kind", "prices")
         if self.data_kind not in ("prices", "returns"):
             raise ConfigError(f"{path}: unknown data_kind {self.data_kind!r}")
-        self.names = raw.get("names")
+        self.names = names = raw.get("names")
+        if names is not None and (type(names) is not list or [*map(type, names)] != [str] * self.p):
+            raise ConfigError(f"{path}: names must be a list of {self.p} strings")
         self.seed = _whole(raw.get("seed"), "seed", 0)
         self.horizon = _whole(raw.get("horizon"), "horizon", 1)
         self.weights = _numbers(raw.get("weights"), "weights")
         self.grid = raw.get("grid")
-        var = raw.get("var", {})
+        var = raw.get("var") or {}
         self.var_family = var.get("family", "t")
+        if self.var_family not in QUANTILE_FAMILIES:
+            raise ConfigError(f"{path}: var.family must be 't' or 'normal', not {self.var_family!r}")
         self.var_alphas = _numbers(var.get("alphas", [95, 99]), "var.alphas")
 
     def spec(self):

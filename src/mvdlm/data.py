@@ -9,6 +9,7 @@ line 1).
 
 import csv
 import datetime
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -192,6 +193,13 @@ def write_csv(path, head, leads=(), table=()):
         csv.writer(handle).writerows(head)
         handle.writelines(f"{lead},{','.join(map(repr, row.tolist()))}\r\n"
                           for lead, row in zip(leads, table))
+
+
+def write_json(path, payload):
+    """Write ``payload`` as JSON with indent 2, sorted keys and a final newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def read_columns(path, names):

@@ -8,14 +8,13 @@ predictive densities of their standardized errors, and one scoring rule,
 diagnose report.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln, multigammaln, ndtri, stdtrit
 
-from .data import write_csv
+from .data import write_csv, write_json
 from .distributions import InvWishartParams
 from .errors import (
     DofTooSmall,
@@ -32,6 +31,7 @@ from .filter import Trajectory, _whiten, forecast_law, state_pass, volatility_pa
 from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
 from .model import compute_n, validate
 
+QUANTILE_FAMILIES = ("t", "normal")  # of the VaR
 EIGENVALUE_THRESHOLD = 1e-10
 WEIGHT_TOL = 1e-10
 GRID_BLOCK = 64  # candidates per batched volatility pass in grid_search
@@ -44,7 +44,9 @@ class DiagnosticsReport:
     ``msse`` averages the squared standardized errors component-wise (only
     over steps where standardization is defined), ``mae`` and ``me`` average
     the absolute and raw forecast errors, and ``loglik`` holds the
-    branch-appropriate path log-likelihood when requested.
+    log-likelihood of :func:`posterior_loglik` (None from :func:`msse_mae_me`).
+    ``sqrt_convention`` names the square root behind the standardized errors,
+    None when they were read from a stored trajectory.
     """
 
     msse: np.ndarray
@@ -52,7 +54,7 @@ class DiagnosticsReport:
     me: np.ndarray
     loglik: float | None
     n_obs: int
-    sqrt_convention: str = "spectral"
+    sqrt_convention: str | None = "spectral"
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class VaRConfig:
             )
         if not 0.0 < self.alpha < 100.0:
             raise InvalidWeights("alpha must be a percentage in (0, 100)")
-        if self.quantile_family not in ("t", "normal"):
+        if self.quantile_family not in QUANTILE_FAMILIES:
             raise InvalidWeights(
                 f"unknown quantile family {self.quantile_family!r}"
             )
@@ -397,11 +399,9 @@ def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
     return lbf(traj1.u, traj2.u, traj1.forecast_dofs, traj2.forecast_dofs, labels=labels)
 
 
-def compute_diagnostics(trajectory, with_loglik=True):
+def compute_diagnostics(trajectory):
     """Full diagnostics report with the log-likelihood of :func:`posterior_loglik`."""
     report = msse_mae_me(trajectory)
-    if not with_loglik:
-        return report
     loglik = posterior_loglik(
         trajectory.e, trajectory.Q, trajectory.posterior_means, trajectory.spec.vol_discounts
     )
@@ -552,9 +552,7 @@ def export_report_json(report, path=None):
         "sqrt_convention": report.sqrt_convention,
     }
     if path is not None:
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, payload)
     return payload
 
 

@@ -50,6 +50,7 @@ class Prediction:
 
     t: int
     R: np.ndarray
+    a: np.ndarray  # prior state mean G_t m_{t-1}
     f: np.ndarray
     Q: float
     sigma_prior: InvWishartParams
@@ -126,11 +127,11 @@ class Trajectory:
     final: FilterState
     spec: ModelSpec
     priors: Priors
-    constant_volatility: bool
     sqrt_convention: str = "spectral"
 
     residuals = property(lambda self: self.e / self.Q[:, None])
     p = property(lambda self: self.spec.p)
+    constant_volatility = property(lambda self: self.spec.constant_volatility)
 
     @classmethod
     def from_passes(cls, states, vol, k, spec, priors, sqrt_convention):
@@ -139,7 +140,7 @@ class Trajectory:
         final = FilterState(t=len(states.Q), m=states.m, P=states.P, S=S[-1], n=float(n[-1]))
         return cls(
             states.f, states.e, states.Q, states.R, S, n, vol.u[k], final, spec,
-            priors, spec.constant_volatility, sqrt_convention,
+            priors, sqrt_convention,
         )
 
     def __len__(self):
@@ -496,13 +497,15 @@ def _closed_form_scale(trajectory):
 def predict(state, spec, t):
     """One-step prediction from the posterior at t-1.
 
-    Returns the prior state covariance R_t, the forecast mean and spread,
-    the inverted-Wishart prior of the step volatility, the multivariate-t
-    forecast law of y_t, (when defined) the forecast mean of the volatility
-    matrix, and the data-free gain and P_t that :func:`update` applies.
+    Returns the prior state covariance R_t and mean a_t = G_t m_{t-1}, the
+    forecast mean and spread, the inverted-Wishart prior of the step
+    volatility, the multivariate-t forecast law of y_t, (when defined) the
+    forecast mean of the volatility matrix, and the data-free gain and P_t.
+    :func:`update` applies a_t, the gain and P_t, so G_t is resolved once.
     """
     cov = covariance_pass(spec, state.P, 1, start=t)
-    f = (cov.G[0] @ state.m).T @ cov.F[0]
+    a = cov.G[0] @ state.m
+    f = a.T @ cov.F[0]
     q = float(cov.Q[0])
     scale_prior, k = forecast_law(spec.vol_discounts)(state.S, state.n)
     sigma_prior = InvWishartParams(dof=k + 2 * spec.p, scale=scale_prior)
@@ -512,7 +515,7 @@ def predict(state, spec, t):
     except MvdlmError:
         sigma_forecast_mean = None
     return Prediction(
-        t, cov.R[0], f, q, sigma_prior, forecast, sigma_forecast_mean, cov.gain[0], cov.P
+        t, cov.R[0], a, f, q, sigma_prior, forecast, sigma_forecast_mean, cov.gain[0], cov.P
     )
 
 
@@ -532,7 +535,7 @@ def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
     if prediction is None or prediction.t != t:
         prediction = predict(state, spec, t)
     q, e = prediction.Q, y_t - prediction.f
-    m_new = spec.evolution_at(t) @ state.m + np.outer(prediction.gain, e)
+    m_new = prediction.a + np.outer(prediction.gain, e)
     vol = volatility_pass(
         e[None], np.array([q]), spec.vol_discounts, state.S, state.n, sqrt_method
     )

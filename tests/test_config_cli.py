@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mvdlm import run
+from mvdlm import data, run
 from mvdlm.cli import main
 from mvdlm.config import load_config
 from mvdlm.data import ingest_returns, write_observations_csv
+from mvdlm.diagnostics import var_at_horizon
 from mvdlm.errors import ConfigError
 from mvdlm.simulate import simulate
 
@@ -427,6 +428,13 @@ class TestMalformedTrajectory:
     ("var", {"weights": [0.5, "half"]}, "weights"),
     ("var", {"var": {"alphas": [95, "99"]}}, "var.alphas"),
     ("grid", {"grid": {"deltas": [0.9, "x"], "betas": [[0.9, 0.9]]}}, "grid.deltas"),
+    ("var", {"var": {"family": "student"}}, "var.family"),
+    ("grid", {"var": {"family": "Normal"}}, "var.family"),
+    ("fit", {"state_discount": 0.08}, "unknown key 'state_discount'"),
+    ("fit", {"priors": {"P_0": 1000.0}}, "unknown key 'priors.P_0'"),
+    ("fit", {"grid": {"deltas": [0.9], "betas": [[0.9, 0.9]], "top": 3}}, "grid.top"),
+    ("var", {"var": {"alpha": [95]}}, "unknown key 'var.alpha'"),
+    ("fit", {"names": ["series_1"]}, "names"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, key):
     config_path = write_config(tmp_path, overrides)
@@ -435,3 +443,70 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, key):
         args += ["--data", str(write_returns(tmp_path)[0])]
     assert main(args) == 2
     assert key in capsys.readouterr().err
+
+
+class TestSettings:
+    """Each setting takes effect, and from one source."""
+
+    def test_var_family_read_from_config(self, tmp_path):
+        config_path = write_config(tmp_path, {"var": {"family": "normal"}})
+        obs_path, _ = write_returns(tmp_path)
+        config = load_config(config_path)
+        traj = run(config.spec(), config.priors(), ingest_returns(obs_path).returns)
+        normal = var_at_horizon(traj, config.weights, family="normal")
+        assert not np.allclose(normal, var_at_horizon(traj, config.weights, family="t"))
+        out = tmp_path / "var.json"
+        assert main(["var", "--config", str(config_path), "--data", str(obs_path),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["family"] == "normal"
+        assert [payload["var"]["95"], payload["var"]["99"]] == normal
+        grid = tmp_path / "grid.csv"
+        assert main(["grid", "--config", str(config_path), "--data", str(obs_path),
+                     "--out", str(grid)]) == 0
+        rows = np.loadtxt(grid, delimiter=",", skiprows=1)
+        # the cell delta = 0.9, beta = (0.9, 0.9) is the config's own model
+        row = rows[(rows[:, 0] == 0.9) & (rows[:, 1] == 0.9) & (rows[:, 2] == 0.9)][0]
+        assert_allclose(row[-2:], normal, rtol=1e-12)
+
+    @pytest.mark.parametrize("sqrt", ["spectral", "cholesky"])
+    def test_diagnose_records_no_convention(self, tmp_path, sqrt):
+        # the stored u carry the root of the fit that wrote them
+        config_path = write_config(tmp_path)
+        obs_path, _ = write_returns(tmp_path)
+        out_dir = tmp_path / "fit"
+        assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
+                     "--out", str(out_dir), "--sqrt", sqrt]) == 0
+        assert main(["diagnose", "--config", str(config_path),
+                     "--traj", str(out_dir / "trajectory.csv"),
+                     "--out", str(tmp_path / "diag.json")]) == 0
+        assert json.loads((out_dir / "report.json").read_text())["sqrt_convention"] == sqrt
+        assert json.loads((tmp_path / "diag.json").read_text())["sqrt_convention"] is None
+
+    @pytest.mark.parametrize("command, flag", [
+        ("var", ["--sqrt", "cholesky"]),
+        ("diagnose", ["--sqrt", "cholesky"]),
+        ("var", ["--var-family", "normal"]),
+        ("grid", ["--var-family", "normal"]),
+    ])
+    def test_retired_flags_rejected(self, tmp_path, capsys, command, flag):
+        source = ["--traj" if command == "diagnose" else "--data", "in.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "c.json", *source, "--out", "o", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names, reads", [(None, 1), (["series_2", "series_1"], 2)])
+    def test_compare_parses_data_once_when_read_alike(self, tmp_path, monkeypatch,
+                                                      names, reads):
+        calls = []
+        read_table = data._read_table
+        monkeypatch.setattr(data, "_read_table",
+                            lambda *args: calls.append(args) or read_table(*args))
+        config1 = write_config(tmp_path, name="m1.json")
+        config2 = write_config(tmp_path, {"vol_discounts": [0.99, 0.99], "names": names},
+                               name="m2.json")
+        obs_path, _ = write_returns(tmp_path)
+        assert main(["compare", "--config", str(config1), "--config2", str(config2),
+                     "--data", str(obs_path), "--out", str(tmp_path / "lbf.csv")]) == 0
+        assert len(calls) == reads

@@ -122,6 +122,23 @@ class TestUpdate:
         with pytest.raises(DimensionMismatch):
             update(state, np.array([np.nan]), scalar_spec, 1)
 
+    def test_callable_evolution_resolved_once_per_step(self):
+        # predict resolves G_t for the prior mean a_t, which update reuses
+        calls = []
+
+        def evolution(t):
+            calls.append(t)
+            return np.eye(2)
+
+        spec = ModelSpec(p=2, d=2, design=[1.0, 0.0], evolution=evolution,
+                         state_discounts=[0.9, 0.95], vol_discounts=[0.9, 0.95])
+        priors = Priors(m0=np.zeros((2, 2)), P0=np.eye(2), S0=np.eye(2))
+        obs = 0.1 * np.random.default_rng(4).standard_normal((50, 2))
+        state = initial_state(spec, priors)
+        for t in range(1, 51):
+            state, _ = update(state, obs[t - 1], spec, t)
+        assert calls == list(range(1, 51))
+
 
 class TestRun:
     def test_empty_observations(self, scalar_spec, scalar_priors):
@@ -150,6 +167,19 @@ class TestRun:
         assert_allclose(traj.final.m, [[m]], rtol=1e-13)
         assert_allclose(traj.final.P, [[P]], rtol=1e-13)
         assert_allclose(traj.final.S, [[S]], rtol=1e-13)
+
+    def test_observation_shapes(self, scalar_spec, scalar_priors):
+        spec, priors = local_level(2, 0.9, [0.9, 0.95])
+        with pytest.raises(DimensionMismatch, match=r"shape \(5, 3\), expected \(N, 2\)"):
+            run(spec, priors, np.zeros((5, 3)))
+        with pytest.raises(DimensionMismatch, match="1-d observations"):
+            run(spec, priors, np.zeros(5))
+        ys = np.array([3.0, -1.0, 0.5, 2.0])
+        flat = run(scalar_spec, scalar_priors, ys)
+        column = run(scalar_spec, scalar_priors, ys[:, None])
+        for name in ("f", "e", "Q", "R", "S", "n", "u"):
+            assert np.array_equal(getattr(flat, name), getattr(column, name)), name
+        assert np.array_equal(flat.final.m, column.final.m)
 
     def test_long_multivariate_run_invariants(self):
         scenario = paired_volatility_scenario(n_steps=333, seed=3)

@@ -1,5 +1,6 @@
 """Static hygiene of the package, with the standard library's ``ast``: no
-module imports a name it never uses, and every exported name resolves."""
+module imports a name it never uses, every exported name resolves, and every
+setting a configuration parses is read."""
 
 import ast
 import importlib
@@ -41,3 +42,30 @@ def test_exported_names_resolve(path):
     module = importlib.import_module(f"mvdlm.{path.stem}" if path.stem != "__init__" else "mvdlm")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+def test_run_config_attributes_are_read():
+    """Every attribute RunConfig.__init__ assigns is read: as ``self.<name>``
+    in another method of RunConfig, or as ``<config...>.<name>`` in any module.
+    A parsed setting that nothing reads is a setting without effect."""
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    run_config = next(node for tree in trees for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    init = next(node for node in run_config.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+
+    def attributes(root, ctx, owner, skip=()):
+        return {
+            node.attr for node in ast.walk(root)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+            and isinstance(node.value, ast.Name) and owner(node.value.id)
+            and id(node) not in skip
+        }
+
+    assigned = attributes(init, ast.Store, lambda name: name == "self")
+    in_init = {id(node) for node in ast.walk(init)}
+    loaded = attributes(run_config, ast.Load, lambda name: name == "self", in_init).union(
+        *(attributes(tree, ast.Load, lambda name: name.startswith("config")) for tree in trees)
+    )
+    unread = sorted(assigned - loaded)
+    assert assigned and not unread, unread
