@@ -22,7 +22,7 @@ from .data import (
     write_observations_csv,
 )
 from .errors import ConfigError, DataError, MvdlmError
-from .filter import run, trajectory_to_csv
+from .filter import run, run_models, trajectory_to_csv
 from .linalg import vech_indices
 from .simulate import simulate
 
@@ -50,8 +50,9 @@ def _observations(config, table):
     return table.returns
 
 
-def _fit(config, table, sqrt_method):
-    return run(config.spec(), config.priors(), _observations(config, table), sqrt_method)
+def _model(config, table):
+    """The (spec, priors, observations) that ``config`` fits to ``table``."""
+    return config.spec(), config.priors(), _observations(config, table)
 
 
 def _write_volatility_series(trajectory, path):
@@ -82,7 +83,7 @@ def _print_report(report):
 
 def cmd_fit(args):
     config = load_config(args.config)
-    trajectory = _fit(config, _read_data(config, args.data), args.sqrt)
+    trajectory = run(*_model(config, _read_data(config, args.data)), args.sqrt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(trajectory, out / "trajectory.csv")
@@ -135,7 +136,7 @@ def cmd_var(args):
     config = load_config(args.config)
     if config.weights is None:
         raise ConfigError(f"{args.config}: VaR needs a 'weights' key")
-    trajectory = _fit(config, _read_data(config, args.data), "spectral")  # VaR reads no u
+    trajectory = run(*_model(config, _read_data(config, args.data)), "spectral")  # VaR reads no u
     alphas = [float(a) for a in config.var_alphas]
     values = diagnostics.var_at_horizon(
         trajectory, config.weights, family=config.var_family, alphas=alphas
@@ -154,12 +155,11 @@ def cmd_var(args):
 def cmd_compare(args):
     config1 = load_config(args.config)
     config2 = load_config(args.config2)
-    table = _read_data(config1, args.data)
-    traj1 = _fit(config1, table, args.sqrt)
+    table1 = table2 = _read_data(config1, args.data)
     # configs that read the file alike share one parse; each checks its own p
     if (config2.data_kind, config2.names) != (config1.data_kind, config1.names):
-        table = _read_data(config2, args.data)
-    traj2 = _fit(config2, table, args.sqrt)
+        table2 = _read_data(config2, args.data)
+    traj1, traj2 = run_models([_model(config1, table1), _model(config2, table2)], args.sqrt)
     labels = (Path(args.config).stem, Path(args.config2).stem)
     series = diagnostics.lbf_from_trajectories(traj1, traj2, labels=labels)
     write_csv(args.out, [["t", "lbf"]], range(1, len(series) + 1), series.values[:, None])

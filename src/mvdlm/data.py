@@ -9,6 +9,7 @@ line 1).
 
 import csv
 import datetime
+import itertools
 import json
 import math
 import warnings
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     NonMonotoneDates,
     NonPositivePrice,
     ParseError,
@@ -72,33 +74,50 @@ def _read_table(path, columns=None):
         dates = []
         rows = []
         prev_date = None
-        for line_no, record in _data_rows(reader, len(header)):
-            try:
-                date = datetime.date.fromisoformat(record[0].strip())
-            except ValueError:
-                raise ParseError(f"bad date {record[0]!r}", row=line_no, col=1) from None
-            if prev_date is not None and date <= prev_date:
-                raise NonMonotoneDates(f"date {date.isoformat()} does not increase past "
-                                       f"{prev_date.isoformat()}", row=line_no)
-            prev_date = date
-            try:
-                values = [float(record[col]) for col in indices]
-            except ValueError:
-                values = None
-            if values is None or not all(map(math.isfinite, values)):
-                _check_cells(record, indices, line_no, finite=True)
-            dates.append(date)
-            rows.append(values)
+        try:
+            for line_no, record in _data_rows(reader, len(header)):
+                try:
+                    date = datetime.date.fromisoformat(record[0].strip())
+                except ValueError:
+                    raise ParseError(f"bad date {record[0]!r}", row=line_no, col=1) from None
+                if prev_date is not None and date <= prev_date:
+                    raise NonMonotoneDates(f"date {date.isoformat()} does not increase past "
+                                           f"{prev_date.isoformat()}", row=line_no)
+                prev_date = date
+                try:
+                    rows.append([float(record[col]) for col in indices])
+                except ValueError:
+                    _check_cells(record, indices, line_no, finite=True)
+                dates.append(date)
+        except DataError:  # a non-finite value on an earlier line comes first
+            _check_finite(path, np.reshape(rows, (len(rows), len(indices))), indices, len(header))
+            raise
     if not rows:
         raise ParseError("no data rows", row=2)
-    return tuple(dates), np.asarray(rows, dtype=float), tuple(names)
+    values = np.asarray(rows, dtype=float)
+    _check_finite(path, values, indices, len(header))
+    return tuple(dates), values, tuple(names)
+
+
+def _check_finite(path, values, indices, width):
+    """Raise a ParseError at the first non-finite value of ``values``, the
+    first data rows of ``path`` read at ``indices``; a rescan of the file
+    finds its line and cell."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            rows = _data_rows(reader, width)
+            line_no, record = next(itertools.islice(rows, int(np.argmax(bad)), None))
+        _check_cells(record, indices, line_no, finite=True)
 
 
 def _data_rows(reader, width):
     """(line number, cells) of each non-blank row of a csv reader past the
     header; a row of another width than the header raises ParseError."""
     for line_no, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
+        if not (record and record[0].strip()) and all(not cell.strip() for cell in record):
             continue
         if len(record) != width:
             raise ParseError(f"expected {width} cells, found {len(record)}", row=line_no)

@@ -27,9 +27,9 @@ from .errors import (
     MvdlmError,
     NoPositiveEigenvalues,
 )
-from .filter import Trajectory, _whiten, forecast_law, state_pass, volatility_pass
+from .filter import _whiten, forecast_law, run_models
 from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
-from .model import compute_n, validate
+from .model import compute_n
 
 QUANTILE_FAMILIES = ("t", "normal")  # of the VaR
 EIGENVALUE_THRESHOLD = 1e-10
@@ -490,16 +490,16 @@ def grid_search(
     Ranking is by log-likelihood, descending, with lexicographic
     (delta, beta) tie-breaks.
 
-    The state pass runs once per delta; the candidates sharing it run
-    through one batched volatility pass per block of ``GRID_BLOCK``, and
-    each row holds exactly what :func:`compute_diagnostics` and
+    The candidates run through :func:`run_models`: one state pass per delta
+    and one batched volatility pass per block of ``GRID_BLOCK``. Each row
+    holds exactly what :func:`compute_diagnostics` and
     :func:`var_at_horizon` give for that candidate's own trajectory.
     """
     delta_grid = list(delta_grid)
     beta_grid = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_grid]
     if not delta_grid or not beta_grid:
         raise EmptyGrid("both the delta grid and the beta grid must be non-empty")
-    groups = {}
+    models = []
     excluded = []
     for delta in delta_grid:
         for beta in beta_grid:
@@ -508,35 +508,22 @@ def grid_search(
                 state_discounts=np.full(spec_template.d, float(delta)),
                 vol_discounts=beta,
             )
-            report = validate(spec, priors)
-            if not report.constant_volatility and not report.features["forecast_moments"]:
-                reason = f"mean volatility discount {report.mean_beta:.6g} <= 2/3"
+            if spec.features["forecast_moments"]:
+                models.append((spec, priors, observations))
+            else:
+                reason = f"mean volatility discount {spec.mean_beta:.6g} <= 2/3"
                 excluded.append((float(delta), tuple(beta.tolist()), reason))
-                continue
-            groups.setdefault(float(delta), []).append((spec, report.n))
     rows = []
-    for delta, cells in groups.items():
-        states = state_pass(cells[0][0], priors, observations)
-        for lo in range(0, len(cells), GRID_BLOCK):
-            block = cells[lo:lo + GRID_BLOCK]
-            vol = volatility_pass(
-                states.e,
-                states.Q,
-                [spec.vol_discounts for spec, _ in block],
-                priors.S0,
-                [n for _, n in block],
-                sqrt_method,
-            )
-            for k, (spec, _) in enumerate(block):
-                trajectory = Trajectory.from_passes(states, vol, k, spec, priors, sqrt_method)
-                report = compute_diagnostics(trajectory)
-                var95 = var99 = None
-                if weights is not None:
-                    var95, var99 = var_at_horizon(trajectory, weights, var_family)
-                beta = tuple(spec.vol_discounts.tolist())
-                rows.append(
-                    GridRow(delta, beta, report.msse, report.me, report.loglik, var95, var99)
-                )
+    for trajectory in run_models(models, sqrt_method, block=GRID_BLOCK):
+        report = compute_diagnostics(trajectory)
+        var95 = var99 = None
+        if weights is not None:
+            var95, var99 = var_at_horizon(trajectory, weights, var_family)
+        spec = trajectory.spec
+        rows.append(GridRow(
+            float(spec.state_discounts[0]), tuple(spec.vol_discounts.tolist()), report.msse,
+            report.me, report.loglik, var95, var99,
+        ))
     rows.sort(key=lambda row: (-row.loglik, row.delta, row.beta))
     return GridSearchResult(rows=tuple(rows), excluded=tuple(excluded))
 

@@ -8,16 +8,19 @@ covariance pass, shared with the single-step API and the simulator,
     Q_t = F_t' R_t F_t + 1,  A_t = R_t F_t / Q_t,  P_t = R_t - A_t F_t' R_t
 
 then the mean pass a_t = G_t m_{t-1}, f_t = a_t' F_t, e_t = y_t - f_t,
-m_t = a_t + A_t e_t'. The volatility pass runs, for K discount vectors at once,
+m_t = a_t + A_t e_t', on the observed block. The volatility pass runs, for K
+discount vectors at once,
 
     S_t = beta^{1/2} S_{t-1} beta^{1/2} + e_t e_t' / Q_t
     n_t = tr(beta)/p * n_{t-1} + 1
 
 At beta = I, n grows by one per observation (the constant-volatility
 branch); with beta < I and n = 1/(1 - tr(beta)/p) it is a fixed point of
-the last line. :func:`forecast_law` alone gives each step's prior scale and
-forecast degrees of freedom. Also here: the maximum-likelihood estimator of a
-constant volatility and closure under full-row-rank linear maps of y_t.
+the last line. :func:`run_models` groups models by their state-pass inputs
+and runs one state pass per group. :func:`forecast_law` alone gives each
+step's prior scale and forecast degrees of freedom. Also here: the
+maximum-likelihood estimator of a constant volatility and closure under
+full-row-rank linear maps of y_t.
 """
 
 import warnings
@@ -286,6 +289,7 @@ class CovariancePass:
     P: np.ndarray  # (d, d) posterior state covariance after step N
     F: np.ndarray  # (N, d) designs F_t, a broadcast view when constant
     G: np.ndarray  # (N, d, d) evolutions G_t, likewise
+    blocks: list  # index arrays of the state blocks, the observed block first
 
 
 def covariance_pass(spec, P0, n_steps, start=1):
@@ -311,7 +315,8 @@ def covariance_pass(spec, P0, n_steps, start=1):
     root = np.sqrt((1.0 - spec.state_discounts) / spec.state_discounts)
     omega, r = np.zeros((2, n_steps, d, d))
     q, gain, P = np.ones(n_steps), np.zeros((n_steps, d)), np.zeros((d, d))
-    for k, idx in enumerate(_state_blocks(F, G, P0)):
+    blocks = _state_blocks(F, G, P0)
+    for k, idx in enumerate(blocks):
         sub, cols = np.ix_(idx, idx), idx[:, None]
         kernel = _scalar_recursion if len(idx) == 1 else _block_recursion
         with np.errstate(over="ignore", invalid="ignore"):
@@ -325,7 +330,7 @@ def covariance_pass(spec, P0, n_steps, start=1):
             _check_finite(r_b, idx, start, q_b)
             q, gain[:, idx] = q_b, gain_b
         omega[:, cols, idx], r[:, cols, idx], P[sub] = omega_b, r_b, P_b
-    return CovariancePass(omega=omega, R=r, Q=q, gain=gain, P=P, F=F, G=G)
+    return CovariancePass(omega=omega, R=r, Q=q, gain=gain, P=P, F=F, G=G, blocks=blocks)
 
 
 def _check_finite(stack, idx, start, q=1.0):
@@ -400,10 +405,62 @@ def _as_observation_matrix(observations, p):
     return obs
 
 
+def _mean_recursion(m, g, f, gain, y, observed):
+    """The forecasts f_t (N, p) and final mean of one block from its m0 rows
+    ``m``, stacks ``g`` of G_t and ``f`` of F_t and its gains (N, b):
+    a_t = G_t m_{t-1}, f_t = a_t' F_t, m_t = a_t + gain_t e_t'. Off the
+    observed block m_t = a_t, and the forecasts come back None."""
+    n_steps = len(g)
+    forecasts = np.empty((n_steps, m.shape[1])) if observed else None
+    gains = gain[:, :, None]
+    for i, g_t, f_t in zip(range(n_steps), g, f):
+        a = g_t @ m
+        if observed:
+            forecasts[i] = a.T @ f_t
+            m = a + gains[i] * (y[i] - forecasts[i])
+        else:
+            m = a
+    return forecasts, m
+
+
+def _scalar_mean_recursion(m, g, f, gain, y, observed):
+    """:func:`_mean_recursion` for a block of one component in float
+    arithmetic, series by series: the operations of its loop on 1 x 1
+    arrays, in their order, a 1 x 1 product summing from +0.0 as in
+    :func:`_scalar_recursion`."""
+    g = g[:, 0, 0].tolist()
+    final = []
+    if not observed:
+        for m_j in m[0].tolist():
+            for g_t in g:
+                m_j = 0.0 + g_t * m_j
+            final.append(m_j)
+        return None, np.array([final])
+    steps = list(zip(g, f[:, 0].tolist(), gain[:, 0].tolist()))
+    forecasts = np.empty((len(g), m.shape[1]))
+    for j, (m_j, y_j) in enumerate(zip(m[0].tolist(), y.T.tolist())):
+        column = []
+        for (g_t, f_t, k_t), y_t in zip(steps, y_j):
+            a_t = 0.0 + g_t * m_j
+            f_j = 0.0 + a_t * f_t
+            m_j = a_t + k_t * (y_t - f_j)
+            column.append(f_j)
+        forecasts[:, j] = column
+        final.append(m_j)
+    return forecasts, np.array([final])
+
+
 def state_pass(spec, priors, observations):
     """Run the beta-independent state recursions over every observation:
     the covariance pass, then the mean pass on the data, which reads the
-    F_t and G_t the covariance pass resolved. Returns a :class:`StatePass`.
+    F_t, G_t and state blocks the covariance pass resolved. Returns a
+    :class:`StatePass`.
+
+    The mean pass runs block by block, like the covariance pass: a block of
+    one component in float arithmetic (:func:`_scalar_mean_recursion`), any
+    other through :func:`_mean_recursion`. Only the observed block meets the
+    data; every other block evolves its means without it, and an entry past
+    the float range reads inf, never NaN.
     """
     y = _as_observation_matrix(observations, spec.p)
     missing = ~np.isfinite(y).all(axis=1)
@@ -414,30 +471,36 @@ def state_pass(spec, priors, observations):
         )
     n_steps = y.shape[0]
     cov = covariance_pass(spec, priors.P0, n_steps)
-    f = np.empty((n_steps, spec.p))
-    m = priors.m0
-    gains = cov.gain[:, :, None]
-    for i, g, f_vec in zip(range(n_steps), cov.G, cov.F):
-        a = g @ m
-        f[i] = a.T @ f_vec
-        m = a + gains[i] * (y[i] - f[i])
+    m = np.empty(priors.m0.shape)
+    for k, idx in enumerate(cov.blocks):
+        kernel = _scalar_mean_recursion if len(idx) == 1 else _mean_recursion
+        args = priors.m0[idx], cov.G[:, idx[:, None], idx], cov.F[:, idx], cov.gain[:, idx], y
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m_b = kernel(*args, False)[1]
+            m_b[np.isnan(m_b)] = np.inf
+        else:
+            f, m_b = kernel(*args, True)
+        m[idx] = m_b
     return StatePass(f=f, e=y - f, Q=cov.Q, R=cov.R, m=m, P=cov.P)
 
 
 def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
     """Run the volatility recursions for K discount vectors at once.
 
-    ``betas`` is (K, p) and ``n`` the starting degrees of freedom (scalar or
-    (K,)). Rows with every beta_i = 1 grow n by one per step. For the others
-    n must be the fixed point 1/(1 - tr(beta)/p), which is asserted, and the
-    closed-form expression for S_N is checked against the recursion to
-    relative 1e-8. Returns a :class:`VolatilityPass`.
+    ``betas`` is (K, p), ``S0`` the starting scale ((p, p) or (K, p, p)) and
+    ``n`` the starting degrees of freedom (scalar or (K,)). Rows with every
+    beta_i = 1 grow n by one per step. For the others n must be the fixed
+    point 1/(1 - tr(beta)/p), which is asserted, and the closed-form
+    expression for S_N is checked against the recursion to relative 1e-8.
+    Returns a :class:`VolatilityPass`.
     """
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n_cells, p = betas.shape
     n_steps = len(Q)
     constant = np.all(betas == 1.0, axis=1)
     n0 = np.broadcast_to(np.asarray(n, dtype=float), (n_cells,))
+    S0 = np.broadcast_to(S0, (n_cells, p, p))
     law = forecast_law(betas)
     n1 = law.mean * n0 + 1.0
     off = ~constant & (np.abs(n1 - n0) > FIXED_POINT_TOL * np.maximum(1.0, np.abs(n0)))
@@ -460,7 +523,7 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
     u = _whiten(e, Q, prior[:, :-1], dof, sqrt_method)
     if n_steps and not constant.all():
         final = S[~constant, -1]
-        closed = _closed_form_scales(e, Q, np.sqrt(betas[~constant]), S0)
+        closed = _closed_form_scales(e, Q, np.sqrt(betas[~constant]), S0[~constant])
         rel = np.max(np.abs(closed - final), axis=(1, 2)) / np.maximum(
             np.max(np.abs(final), axis=(1, 2)), 1e-300
         )
@@ -548,17 +611,52 @@ def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
     return FilterState(t=t, m=m_new, P=prediction.P, S=s_new, n=n_new), step
 
 
-def run(spec, priors, observations, sqrt_method="spectral"):
-    """Filter a full observation sequence: one state pass, then a one-row
-    :func:`volatility_pass` from the validated degrees of freedom (the prior
-    n0 when every beta_i = 1, else the asserted fixed point).
-    """
-    report = validate(spec, priors)
-    states = state_pass(spec, priors, observations)
-    vol = volatility_pass(
-        states.e, states.Q, spec.vol_discounts, priors.S0, report.n, sqrt_method
+def _state_inputs(spec, priors, y):
+    """What the state pass of a model reads: its data, F, G, delta, m0 and
+    P0, by value where they are arrays and by identity where a provider is
+    a dict or a callable."""
+    return tuple(
+        (x.shape, x.tobytes()) if isinstance(x, np.ndarray) else id(x)
+        for x in (y, spec.design, spec.evolution, spec.state_discounts, priors.m0, priors.P0)
     )
-    return Trajectory.from_passes(states, vol, 0, spec, priors, sqrt_method)
+
+
+def run_models(models, sqrt_method="spectral", block=64):
+    """Filter each (spec, priors, observations) of ``models``; returns their
+    trajectories in order.
+
+    Each model is validated once. Models whose state-pass inputs are equal
+    (see :func:`_state_inputs`) share one :func:`state_pass`, and their
+    volatility recursions run in batched :func:`volatility_pass` calls of up
+    to ``block`` rows, each row from its own beta, S0 and validated degrees
+    of freedom (the prior n0 when every beta_i = 1, else the asserted fixed
+    point). Each trajectory equals the one its model gives alone.
+    """
+    groups = {}
+    for i, (spec, priors, observations) in enumerate(models):
+        n = validate(spec, priors).n
+        y = _as_observation_matrix(observations, spec.p)
+        groups.setdefault(_state_inputs(spec, priors, y), []).append((i, spec, priors, y, n))
+    trajectories = [None] * len(models)
+    for members in groups.values():
+        _, spec, priors, y, _ = members[0]
+        states = state_pass(spec, priors, y)
+        for lo in range(0, len(members), block):
+            index, specs, priors, _, dofs = zip(*members[lo:lo + block])
+            vol = volatility_pass(
+                states.e, states.Q, [spec.vol_discounts for spec in specs],
+                np.array([prior.S0 for prior in priors]), dofs, sqrt_method,
+            )
+            for k, i in enumerate(index):
+                trajectories[i] = Trajectory.from_passes(
+                    states, vol, k, specs[k], priors[k], sqrt_method
+                )
+    return trajectories
+
+
+def run(spec, priors, observations, sqrt_method="spectral"):
+    """Filter a full observation sequence: :func:`run_models` of one model."""
+    return run_models([(spec, priors, observations)], sqrt_method)[0]
 
 
 def run_constant_volatility(spec, priors, observations, sqrt_method="spectral"):

@@ -148,6 +148,20 @@ class ModelSpec:
         """The fixed degrees of freedom of the time-varying branch."""
         return compute_n(self.vol_discounts)
 
+    @property
+    def features(self):
+        """The moment formulas the volatility discounts admit: the posterior
+        mean of the volatility needs tr(beta)/p > 1/2, its one-step forecast
+        mean and the standardized errors tr(beta)/p > 2/3. The
+        constant-volatility branch admits both."""
+        if self.constant_volatility:
+            return {"posterior_mean": True, "forecast_moments": True}
+        mean_beta = self.mean_beta
+        return {
+            "posterior_mean": mean_beta > POSTERIOR_MEAN_THRESHOLD,
+            "forecast_moments": mean_beta > FORECAST_MOMENT_THRESHOLD,
+        }
+
 
 @dataclass(frozen=True)
 class Priors:
@@ -201,10 +215,9 @@ class ValidationReport:
 def validate(spec, priors):
     """Check spec and priors, returning the resolved branch and feature set.
 
-    Features gate the moment formulas: the one-step forecast mean of the
-    volatility needs tr(beta)/p > 2/3 and the posterior mean needs
-    tr(beta)/p > 1/2. In the constant-volatility branch both are available
-    once enough observations have accumulated, so they are reported enabled.
+    The features are :attr:`ModelSpec.features`. In the constant-volatility
+    branch both moments are available once enough observations have
+    accumulated, so they are reported enabled.
     """
     matrices = {"m0": (spec.d, spec.p), "P0": (spec.d, spec.d), "S0": (spec.p, spec.p)}
     for name, shape in matrices.items():
@@ -222,19 +235,15 @@ def validate(spec, priors):
     spec.evolution_at(1)
 
     mean_beta = spec.mean_beta
+    features = spec.features
     notes = []
     if spec.constant_volatility:
         n = float(priors.n0)
-        features = {"posterior_mean": True, "forecast_moments": True}
         notes.append(
             "constant-volatility branch: degrees of freedom grow by 1 per step"
         )
     else:
         n = compute_n(spec.vol_discounts)
-        features = {
-            "posterior_mean": mean_beta > POSTERIOR_MEAN_THRESHOLD,
-            "forecast_moments": mean_beta > FORECAST_MOMENT_THRESHOLD,
-        }
         if not features["posterior_mean"]:
             notes.append(
                 f"mean_beta = {mean_beta:.6g} <= 1/2: posterior mean of the "

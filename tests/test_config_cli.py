@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mvdlm import data, run
+from mvdlm import filter as filter_module
 from mvdlm.cli import main
 from mvdlm.config import load_config
 from mvdlm.data import ingest_returns, write_observations_csv
-from mvdlm.diagnostics import var_at_horizon
+from mvdlm.diagnostics import lbf_from_trajectories, var_at_horizon
 from mvdlm.errors import ConfigError
 from mvdlm.simulate import simulate
 
@@ -346,6 +347,24 @@ class TestReferenceConfiguration:
                 "trajectory.csv", "report.json", "volatility_series.csv")])
         assert outputs[0] == outputs[1]
 
+    def test_unobserved_mean_overflow_equals_level_model(self, tmp_path):
+        # G_UU = 2 doubles the unobserved mean past the float range near
+        # step 1024; it never meets the data, so no forecast reads it
+        obs_path, _ = write_returns(tmp_path, n=1100)
+        priors = {**BASE_CONFIG["priors"], "m0": 1.0, "P0": 1.0}
+        outputs = []
+        for name, overrides in (
+            ("full", {"d": 2, "design": [1.0, 0.0], "evolution": [1.0, 0.0, 0.0, 2.0],
+                      "priors": {**priors, "m0": [1.0] * 4, "P0": [1.0, 0.0, 0.0, 1.0]}}),
+            ("level", {"priors": priors}),
+        ):
+            config_path = write_config(tmp_path, overrides, name=f"{name}.json")
+            assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
+                         "--out", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / name / file).read_bytes() for file in (
+                "trajectory.csv", "report.json", "report.csv", "volatility_series.csv")])
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("horizon,code", [(333, 4), (100, 0)])
     def test_simulate(self, tmp_path, capsys, horizon, code):
         config_path = write_config(tmp_path, {**REFERENCE, "horizon": horizon})
@@ -510,3 +529,53 @@ class TestSettings:
         assert main(["compare", "--config", str(config1), "--config2", str(config2),
                      "--data", str(obs_path), "--out", str(tmp_path / "lbf.csv")]) == 0
         assert len(calls) == reads
+
+    def test_compare_runs_one_state_pass(self, tmp_path, monkeypatch):
+        # the benchmark's metals pair: p = 4, d = 2, configs that differ in beta alone
+        metals = {"p": 4, "d": 2, "design": [1.0, 0.0], "state_discounts": 0.95,
+                  "data_kind": "prices", "weights": [0.25] * 4,
+                  "grid": {"deltas": [0.95], "betas": [[0.9] * 4]}}
+        configs = [write_config(tmp_path, {**metals, "vol_discounts": beta}, name=f"{name}.json")
+                   for name, beta in (("paired", [0.66, 0.9, 0.9, 0.66]), ("uniform", [0.9] * 4))]
+        steps = 0.01 * np.random.default_rng(3).standard_normal((334, 4))
+        data_path = tmp_path / "prices.csv"
+        write_observations_csv(data_path, 100.0 * np.exp(np.cumsum(steps, axis=0)))
+        passes = count_state_passes(monkeypatch)
+        out = tmp_path / "lbf.csv"
+        assert main(["compare", "--config", str(configs[0]), "--config2", str(configs[1]),
+                     "--data", str(data_path), "--out", str(out)]) == 0
+        assert len(passes) == 1
+        returns = data.to_returns(data.ingest(data_path)).returns
+        series = lbf_from_trajectories(*(
+            run(config.spec(), config.priors(), returns) for config in map(load_config, configs)
+        ))
+        expected = tmp_path / "two_runs.csv"
+        data.write_csv(expected, [["t", "lbf"]], range(1, len(series) + 1), series.values[:, None])
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("overrides, passes", [
+        ({"priors": {**BASE_CONFIG["priors"], "S0": 2.0}}, 1),
+        ({"priors": {**BASE_CONFIG["priors"], "n0": 4.0}}, 1),
+        ({"state_discounts": 0.8}, 2),
+        ({"priors": {**BASE_CONFIG["priors"], "m0": 0.5}}, 2),
+        ({"names": ["series_2", "series_1"]}, 2),
+    ])
+    def test_compare_shares_the_state_pass_of_equal_inputs(self, tmp_path, monkeypatch,
+                                                           overrides, passes):
+        config1 = write_config(tmp_path, name="m1.json")
+        config2 = write_config(tmp_path, {"vol_discounts": [0.99, 0.99], **overrides},
+                               name="m2.json")
+        obs_path, _ = write_returns(tmp_path)
+        calls = count_state_passes(monkeypatch)
+        assert main(["compare", "--config", str(config1), "--config2", str(config2),
+                     "--data", str(obs_path), "--out", str(tmp_path / "lbf.csv")]) == 0
+        assert len(calls) == passes
+
+
+def count_state_passes(monkeypatch):
+    """The argument tuples of every state pass the filter engine runs."""
+    calls = []
+    state_pass = filter_module.state_pass
+    monkeypatch.setattr(filter_module, "state_pass",
+                        lambda *args: calls.append(args) or state_pass(*args))
+    return calls

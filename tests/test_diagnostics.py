@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -32,6 +34,7 @@ from mvdlm.errors import (
     NoPositiveEigenvalues,
 )
 from mvdlm import diagnostics
+from mvdlm import filter as filter_module
 from mvdlm.filter import mle_constant
 from mvdlm.simulate import simulate
 
@@ -487,6 +490,29 @@ class TestGridSearch:
         assert [(r.delta, r.beta, r.loglik) for r in again.rows] == [
             (r.delta, r.beta, r.loglik) for r in result.rows
         ]
+
+    def test_rows_bitwise_equal_direct_runs(self, monkeypatch):
+        # one state pass per delta; each scored cell validated once, each
+        # excluded one ruled out by its discounts alone
+        calls = {"validate": [], "state_pass": []}
+        for name, found in calls.items():
+            original = getattr(filter_module, name)
+            monkeypatch.setattr(filter_module, name,
+                                lambda *args, f=original, c=found: c.append(args) or f(*args))
+        spec, priors = local_level(3, 0.9, [0.9] * 3, p0=1.0)
+        obs = np.random.default_rng(13).standard_normal((80, 3))
+        deltas = [0.8, 0.95]
+        betas = [[1.0] * 3, [0.6, 0.65, 0.7], [0.7, 0.95, 0.85], [0.9] * 3]
+        result = grid_search(spec, priors, obs, deltas, betas, weights=[0.2, 0.3, 0.5])
+        assert len(calls["state_pass"]) == len(deltas)
+        assert len(calls["validate"]) == len(result.rows) == 6 and len(result.excluded) == 2
+        for row in result.rows:
+            cell = replace(spec, state_discounts=[row.delta], vol_discounts=row.beta)
+            traj = run(cell, priors, obs)
+            report = compute_diagnostics(traj)
+            assert np.array_equal(row.msse, report.msse) and np.array_equal(row.me, report.me)
+            assert row.loglik == report.loglik
+            assert [row.var95, row.var99] == var_at_horizon(traj, [0.2, 0.3, 0.5])
 
     def test_empty_grid(self):
         spec, priors = local_level(1, 0.9, [0.9])

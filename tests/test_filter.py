@@ -25,10 +25,12 @@ from mvdlm.filter import (
     forecast_law,
     linear_transform,
     mle_constant,
+    run_models,
     state_pass,
     trajectory_to_csv,
     volatility_pass,
 )
+from mvdlm import filter as filter_module
 from mvdlm.linalg import symmetrize
 from mvdlm.model import FilterState
 from mvdlm.simulate import paired_volatility_scenario, simulate
@@ -296,6 +298,25 @@ class TestObservedBlock:
         assert not np.isnan(full.R).any() and not np.isnan(full.final.P).any()
         assert np.all(full.R[:, 0, 1] == 0.0)
 
+    @pytest.mark.parametrize("g_unobserved", [[[2.0]], [[2.0, 1.0], [0.0, -2.0]]])
+    def test_unobserved_mean_overflow_reads_inf(self, g_unobserved):
+        # G_UU doubles the unobserved means past the float range near step
+        # 1024 (and meets inf - inf in the two-component block); they never
+        # meet the data, so the fit equals d = 1
+        obs = np.random.default_rng(5).standard_normal((1100, 2))
+        level, priors = local_level(2, 0.9, [0.9, 0.9], p0=1.0)
+        d = 1 + len(g_unobserved)
+        evolution = np.eye(d)
+        evolution[1:, 1:] = g_unobserved
+        full = replace(level, d=d, design=np.eye(d)[0], evolution=evolution,
+                       state_discounts=np.full(d, 0.9))
+        wide = run(full, Priors(m0=np.ones((d, 2)), P0=np.eye(d), S0=np.eye(2)), obs)
+        narrow = run(level, replace(priors, m0=np.ones((1, 2))), obs)
+        for name in ("f", "e", "Q", "S", "n", "u"):
+            assert_bitwise(getattr(wide, name), getattr(narrow, name))
+        assert_bitwise(wide.final.m[:1], narrow.final.m)
+        assert np.all(wide.final.m[1:] == np.inf)
+
     def test_unobserved_block_follows_prior_recursion(self):
         spec, priors = reference_model(2)
         cov = covariance_pass(spec, priors.P0, 300)
@@ -464,9 +485,59 @@ def kernel_case(name):
     return spec, priors.P0, 333, [[0], [1]]
 
 
+def loop_mean(spec, priors, y):
+    """The mean pass as a per-step numpy loop over the whole state."""
+    cov = covariance_pass(spec, priors.P0, len(y))
+    f, m = np.empty((len(y), spec.p)), priors.m0
+    gains = cov.gain[:, :, None]
+    for i, g, f_vec in zip(range(len(y)), cov.G, cov.F):
+        a = g @ m
+        f[i] = a.T @ f_vec
+        m = a + gains[i] * (y[i] - f[i])
+    return f, m
+
+
+def mean_case(name):
+    """(spec, priors, y) of one pinned configuration, with a non-zero m0."""
+    rng = np.random.default_rng(21)
+    beta = (0.95, 0.9)
+    if name == "reference":
+        spec, _ = reference_model(2)
+        P0, n_steps = 1000.0 * np.eye(2), 333
+    elif name == "callable_design":  # F_t = -0.0 every 7th step
+        spec, P0, n_steps, _ = kernel_case("varying_d1")
+    elif name == "varying_evolution":
+        spec = ModelSpec(p=2, d=2, design=[1.0, 0.0],
+                         evolution=lambda t: np.diag([0.9 + 0.2 * np.cos(t), 1.05]),
+                         state_discounts=[0.9, 0.95], vol_discounts=beta)
+        P0, n_steps = np.diag([1.0, 0.5]), 200
+    elif name == "two_component_block":
+        spec, P0, n_steps, _ = kernel_case("coupled")
+    elif name == "p1":
+        spec = ModelSpec(p=1, d=2, design=[1.0, 0.0], evolution=np.diag([1.0, 0.9]),
+                         state_discounts=[0.9, 0.9], vol_discounts=[0.9])
+        P0, n_steps = np.eye(2), 200
+    else:  # no observations
+        spec, P0, n_steps = reference_model(2)[0], np.eye(2), 0
+    priors = Priors(m0=rng.standard_normal((spec.d, spec.p)), P0=P0, S0=np.eye(spec.p))
+    return spec, priors, rng.standard_normal((n_steps, spec.p))
+
+
 class TestKernelPins:
-    """The covariance and volatility passes against per-step loops of the
-    kernels they replace, bitwise."""
+    """The covariance, mean and volatility passes against per-step loops of
+    the kernels they replace, bitwise."""
+
+    @pytest.mark.parametrize(
+        "name", ["reference", "callable_design", "varying_evolution", "two_component_block",
+                 "p1", "no_observations"]
+    )
+    def test_mean_pass_equals_kernel_loop(self, name):
+        spec, priors, y = mean_case(name)
+        states = state_pass(spec, priors, y)
+        f, m = loop_mean(spec, priors, y)
+        assert_bitwise(states.f, f)
+        assert_bitwise(states.e, y - f)
+        assert_bitwise(states.m, m)
 
     @pytest.mark.parametrize(
         "name", ["d1", "local_level", "scaled_evolution", "coupled", "varying_d1", "reference",
@@ -516,6 +587,69 @@ class TestKernelPins:
             assert_bitwise(vol.S[k], np.array(S))
             assert_bitwise(vol.n[k], np.array(n))
             assert_bitwise(vol.u[k], np.array(u))
+
+
+class TestRunModels:
+    """One engine for a list of models: one state pass per group of equal
+    state-pass inputs, each trajectory as its model gives it alone."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        original = getattr(filter_module, name)
+        monkeypatch.setattr(filter_module, name,
+                            lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    @staticmethod
+    def models():
+        spec, priors = reference_model(2)
+        obs = 0.01 * np.random.default_rng(6).standard_normal((120, 4))
+        return spec, priors, obs
+
+    def assert_alone(self, trajectories, models):
+        for trajectory, model in zip(trajectories, models):
+            alone = run(*model)
+            for name in ("f", "e", "Q", "R", "S", "n", "u"):
+                assert_bitwise(getattr(trajectory, name), getattr(alone, name))
+            assert_bitwise(trajectory.final.m, alone.final.m)
+            assert trajectory.spec is model[0] and trajectory.priors is model[1]
+
+    def test_scale_and_dof_priors_share_the_state_pass(self, monkeypatch):
+        spec, priors, obs = self.models()
+        constant = replace(spec, vol_discounts=np.ones(4))
+        models = [
+            (spec, priors, obs),
+            (spec, replace(priors, S0=2.0 * np.eye(4)), obs.copy()),
+            (constant, replace(priors, n0=3.0), obs),
+            (constant, replace(priors, n0=7.0), obs),
+        ]
+        passes, checks = (self.counted(monkeypatch, name) for name in ("state_pass", "validate"))
+        trajectories = run_models(models)
+        assert len(passes) == 1 and len(checks) == len(models)
+        self.assert_alone(trajectories, models)
+
+    @pytest.mark.parametrize("field", ["state_discounts", "m0", "P0", "data"])
+    def test_other_state_inputs_do_not(self, monkeypatch, field):
+        spec, priors, obs = self.models()
+        other = {
+            "state_discounts": (replace(spec, state_discounts=np.full(2, 0.5)), priors, obs),
+            "m0": (spec, replace(priors, m0=np.ones((2, 4))), obs),
+            "P0": (spec, replace(priors, P0=np.eye(2)), obs),
+            "data": (spec, priors, obs[:, ::-1]),
+        }[field]
+        models = [(spec, priors, obs), other]
+        passes = self.counted(monkeypatch, "state_pass")
+        trajectories = run_models(models)
+        assert len(passes) == 2
+        self.assert_alone(trajectories, models)
+
+    def test_blocks_of_rows(self):
+        spec, priors, obs = self.models()
+        models = [(replace(spec, vol_discounts=np.full(4, b)), priors, obs)
+                  for b in (0.9, 0.95, 0.97, 1.0, 0.92)]
+        self.assert_alone(run_models(models, "cholesky", block=2),
+                          [(*model, "cholesky") for model in models])
 
 
 class TestConstantVolatility:

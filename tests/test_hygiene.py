@@ -1,9 +1,12 @@
 """Static hygiene of the package, with the standard library's ``ast``: no
 module imports a name it never uses, every exported name resolves, and every
-setting a configuration parses is read."""
+setting a configuration parses is read. Also the import weight of the CLI."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,17 @@ def test_run_config_attributes_are_read():
     )
     unread = sorted(assigned - loaded)
     assert assigned and not unread, unread
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    """``import mvdlm.cli`` loads none of these scipy subpackages: every
+    command would pay their import time and memory (scipy.signal alone took
+    the import from 0.30 to 0.65 s and peak RSS from 61 to 103 MB on a
+    2-vCPU host)."""
+    heavy = ("scipy.stats", "scipy.signal", "scipy.optimize", "scipy.interpolate")
+    code = f"import sys, mvdlm.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    paths = [str(Path(mvdlm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]", result.stdout
