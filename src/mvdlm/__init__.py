@@ -40,7 +40,6 @@ from .filter import (
     mle_constant,
     predict,
     run,
-    run_constant_volatility,
     update,
 )
 from .model import (
@@ -89,7 +88,6 @@ __all__ = [
     "paired_volatility_scenario",
     "predict",
     "run",
-    "run_constant_volatility",
     "simulate",
     "singular_beta_sample",
     "standardize",

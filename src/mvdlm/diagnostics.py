@@ -23,16 +23,14 @@ from .errors import (
     FeatureUnavailable,
     InvalidWeights,
     LengthMismatch,
-    LikelihoodUndefined,
     MvdlmError,
     NoPositiveEigenvalues,
 )
-from .filter import _whiten, forecast_law, run_models
+from .filter import _whiten, forecast_law, forecast_mean, run_models
 from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
 from .model import compute_n
 
 QUANTILE_FAMILIES = ("t", "normal")  # of the VaR
-EIGENVALUE_THRESHOLD = 1e-10
 WEIGHT_TOL = 1e-10
 GRID_BLOCK = 64  # candidates per batched volatility pass in grid_search
 
@@ -162,21 +160,17 @@ def msse_mae_me(trajectory):
     )
 
 
-def loglik_arrays(errors, q_values, sigma_path, vol_discounts, posterior=False):
-    """Array-level core of the evolving-volatility path log-likelihood.
+def loglik_arrays(errors, q_values, means, vol_discounts):
+    """Array-level core of the evolving-volatility path log-likelihood at
+    the (N+1, p, p) posterior means Sigma_t = S_t / (n - 2) of the filter,
+    Sigma_0 (the prior's) to Sigma_N.
 
-    ``sigma_path`` holds N+1 SPD matrices (the plug-in value at step 0
-    followed by one per observation). For each step the positive
-    eigenvalues of I - B_t, with
+    For each step the positive eigenvalues of I - B_t, with
     B_t = (C_{t-1}')^{-1} beta^{1/2} Sigma_t^{-1} beta^{1/2} C_{t-1}^{-1}
     and C_{t-1} the upper Cholesky factor of Sigma_{t-1}^{-1}, enter
-    through their log-determinant; eigenvalues below
-    1e-10 * max(1, largest magnitude) are treated as zero.
-
-    With ``posterior`` the path must be the posterior means
-    Sigma_t = S_t / (n - 2) of the filter. There I - B_t has rank one and
-    its only non-zero eigenvalue is e_t' S_t^{-1} e_t / Q_t, which is used
-    directly instead of an eigendecomposition.
+    through their log-determinant. On the posterior-mean path I - B_t has
+    rank one, and its only non-zero eigenvalue e_t' S_t^{-1} e_t / Q_t is
+    used directly (the closed form), without an eigendecomposition.
     """
     errors = np.atleast_2d(np.asarray(errors, dtype=float))
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
@@ -191,16 +185,7 @@ def loglik_arrays(errors, q_values, sigma_path, vol_discounts, posterior=False):
             "discount is 1; use loglik_constant"
         )
     m_param = b / (1.0 - b) + p - 1
-    if m_param <= p - 1:
-        raise LikelihoodUndefined(
-            "the normalizing constant requires tr(beta)/p in (0, 1)"
-        )
-    if len(sigma_path) != n_steps + 1:
-        raise LengthMismatch(
-            f"sigma path must list {n_steps + 1} matrices (initial plus one "
-            f"per step), got {len(sigma_path)}"
-        )
-    path = symmetrize(np.asarray(sigma_path, dtype=float).reshape(n_steps + 1, p, p))
+    path = symmetrize(np.asarray(means, dtype=float))
     constant = n_steps * (
         0.5 * (m_param - p) * float(np.sum(np.log(beta)))
         + multigammaln((m_param + 1) / 2.0, p)
@@ -210,29 +195,20 @@ def loglik_arrays(errors, q_values, sigma_path, vol_discounts, posterior=False):
     )
     upper = cholesky_upper_stack(path)  # Sigma_t = C_t' C_t
     logdet = 2.0 * np.sum(np.log(np.diagonal(upper, axis1=1, axis2=2)), axis=1)
-    lower = np.swapaxes(upper, 1, 2)
-    solved = np.linalg.solve(lower[1:], errors[:, :, None])[:, :, 0]
+    solved = np.linalg.solve(np.swapaxes(upper[1:], 1, 2), errors[:, :, None])[:, :, 0]
     quad = np.sum(solved * solved, axis=1) / q_values  # e' Sigma_t^{-1} e / Q
-    if posterior:
-        eigvals = (quad / (1.0 / (1.0 - b) - 2.0))[:, None]  # exact: no cutoff
-        positive = eigvals > 0.0
-    else:
-        # I - B_t is similar to I - K_t'K_t with K_t = C_t'^{-1} beta^{1/2} C_{t-1}'
-        k_mat = np.linalg.solve(lower[1:], np.sqrt(beta)[:, None] * lower[:-1])
-        eigvals = np.linalg.eigvalsh(np.eye(p) - np.swapaxes(k_mat, 1, 2) @ k_mat)
-        cutoff = EIGENVALUE_THRESHOLD * np.maximum(np.max(np.abs(eigvals), axis=1), 1.0)
-        positive = eigvals > cutoff[:, None]
-    if not positive.any(axis=1).all():
-        step = int(np.argmin(positive.any(axis=1))) + 1
+    eigvals = quad / (1.0 / (1.0 - b) - 2.0)
+    positive = eigvals > 0.0
+    if not positive.all():
         raise NoPositiveEigenvalues(
-            f"step {step}: the volatility transition factor is degenerate"
+            f"step {int(np.argmin(positive)) + 1}: the volatility transition "
+            "factor is degenerate"
         )
-    log_eig = np.sum(np.log(eigvals, where=positive, out=np.zeros_like(eigvals)), axis=1)
     total = np.sum(
         p * np.log(q_values)
         + (p - m_param) * logdet[:-1]
         + quad
-        + p * log_eig
+        + p * np.log(eigvals)
         + (m_param - p - 2) * logdet[1:]
     )
     return float(constant - 0.5 * total)
@@ -242,39 +218,27 @@ def posterior_loglik(errors, q_values, means, vol_discounts):
     """The log-likelihood that fit, grid search and diagnose report, from the
     (N+1, p, p) posterior means Sigma_0 (the prior's)..Sigma_N: at beta = I
     the constant-volatility likelihood of Sigma_N, else the path likelihood
-    through the rank-one closed form. A NaN mean read raises DofTooSmall."""
+    of :func:`loglik_arrays`. A NaN mean read raises DofTooSmall."""
     constant = np.all(np.asarray(vol_discounts) == 1.0)
     used = means[-1] if constant else means
     if np.isnan(used).any():
         raise DofTooSmall("posterior mean of the volatility requires n > 2")
     if constant:
         return loglik_constant_arrays(errors, q_values, used)
-    return loglik_arrays(errors, q_values, used, vol_discounts, posterior=True)
+    return loglik_arrays(errors, q_values, used, vol_discounts)
 
 
-def loglik_time_varying(trajectory, sigma_path=None):
-    """Path log-likelihood of a volatility sequence under the evolving model.
-
-    ``sigma_path`` may be "posterior" (default: per-step posterior means,
-    including the prior mean at step 0, scored through the rank-one closed
-    form), "forecast" (one-step forecast means) or an explicit sequence of
-    N+1 SPD matrices.
-    """
+def loglik_time_varying(trajectory):
+    """Path log-likelihood of the evolving model at the per-step posterior
+    means, the prior mean at step 0 included: :func:`posterior_loglik`."""
     if trajectory.constant_volatility:
         raise MvdlmError(
             "the evolving-volatility likelihood is undefined at beta = I; "
             "use loglik_constant"
         )
-    beta = trajectory.spec.vol_discounts
-    if sigma_path is None or isinstance(sigma_path, str) and sigma_path == "posterior":
-        return posterior_loglik(trajectory.e, trajectory.Q, trajectory.posterior_means, beta)
-    if isinstance(sigma_path, str) and sigma_path == "forecast":
-        sigma_path = np.concatenate(
-            [trajectory.posterior_means[:1], trajectory.forecast_means]
-        )
-        if np.isnan(sigma_path).any():
-            raise DofTooSmall("the one-step forecast mean of the volatility is undefined")
-    return loglik_arrays(trajectory.e, trajectory.Q, sigma_path, beta)
+    return posterior_loglik(
+        trajectory.e, trajectory.Q, trajectory.posterior_means, trajectory.spec.vol_discounts
+    )
 
 
 def loglik_constant_arrays(errors, q_values, sigma):
@@ -447,17 +411,16 @@ class GridSearchResult:
 def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
     """Portfolio VaR from the end-of-sample posterior.
 
-    Uses the filtered level m_N'F as the portfolio mean components, the
-    posterior-mean volatility matrix, and (for the t family) the
-    end-of-sample forecast degrees of freedom. Returns one value per
-    requested confidence percentage.
+    Uses the filtered level m_N'F (by :func:`~mvdlm.filter.forecast_mean`)
+    as the portfolio mean components, the posterior-mean volatility matrix,
+    and (for the t family) the end-of-sample forecast degrees of freedom.
+    Returns one value per requested confidence percentage.
     """
     if len(trajectory) == 0:
         raise EmptyData("VaR needs at least one filtered step")
     final = trajectory.final
     spec = trajectory.spec
-    f_vec = spec.design_at(final.t)
-    mu = final.m.T @ f_vec
+    mu = forecast_mean(final.m, spec.design_at(final.t))
     sigma = InvWishartParams(final.n + 2 * spec.p, final.S).mean
     dof = forecast_law(spec.vol_discounts)(final.S, final.n)[1]  # of step N + 1
     values = []

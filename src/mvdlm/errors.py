@@ -60,10 +60,6 @@ class NoPositiveEigenvalues(MvdlmError):
     """The volatility-transition factor has no positive eigenvalues."""
 
 
-class LikelihoodUndefined(MvdlmError):
-    """The log-likelihood normalizing constant is undefined for this model."""
-
-
 class DataError(MvdlmError):
     """Base class for ingestion problems; carries the offending location."""
 

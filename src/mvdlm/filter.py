@@ -32,7 +32,6 @@ from .data import write_csv
 from .distributions import InvWishartParams, MultiTParams
 from .errors import (
     DimensionMismatch,
-    DofTooSmall,
     EmptyData,
     FeatureUnavailable,
     MvdlmError,
@@ -115,9 +114,10 @@ def _iw_means(scales, dof, p):
 class Trajectory:
     """Filter output over N steps, stored as arrays.
 
-    ``steps`` rebuilds per-step :class:`StepResult` records from the arrays
-    on each access, for callers of the single-step API; the package itself
-    works on the arrays.
+    The :class:`StepResult` that :func:`update` records at step t is row
+    t - 1 of ``f``, ``e``, ``Q``, ``R``, ``residuals`` and ``u`` (a NaN row
+    where it is None), row t of ``S`` and ``n`` (the posterior) and row
+    t - 1 of :meth:`forecast_laws` (the prior).
     """
 
     f: np.ndarray  # (N, p) forecast means
@@ -154,7 +154,6 @@ class Trajectory:
         freedom (N,), by :func:`forecast_law`."""
         return forecast_law(self.spec.vol_discounts)(self.S[:-1], self.n[:-1])
 
-    prior_scales = property(lambda self: self.forecast_laws()[0])
     forecast_dofs = property(lambda self: self.forecast_laws()[1])
 
     @property
@@ -167,34 +166,6 @@ class Trajectory:
         """One-step forecast means of the volatility, NaN where undefined."""
         scales, dofs = self.forecast_laws()
         return _iw_means(scales, dofs + 2 * self.p, self.p)
-
-    @property
-    def steps(self):
-        """Per-step records rebuilt from the arrays (a read-only view)."""
-        p = self.p
-        prior_scales, dofs = self.forecast_laws()
-        prior_dofs = dofs + 2 * p
-        return tuple(
-            StepResult(
-                i + 1, self.f[i], float(self.Q[i]), self.R[i], self.e[i],
-                self.e[i] / self.Q[i], None if np.isnan(self.u[i, 0]) else self.u[i],
-                InvWishartParams(prior_dofs[i], prior_scales[i]),
-                InvWishartParams(self.n[i + 1] + 2 * p, self.S[i + 1]),
-            )
-            for i in range(len(self))
-        )
-
-    def posterior_mean_path(self):
-        """Plug-in volatility path from the per-step posterior means: the
-        (N+1, p, p) array Sigma_0 (from the priors), Sigma_1, ..., Sigma_N.
-        Raises when a mean is undefined.
-        """
-        means = self.posterior_means
-        if np.isnan(means).any():
-            raise DofTooSmall(
-                f"posterior mean of the volatility requires n > 2, got {self.n.min()}"
-            )
-        return means
 
 
 def _evolve(P, g, delta_outer):
@@ -551,24 +522,37 @@ def _closed_form_scales(e, q, roots, S0):
     return symmetrize(total)
 
 
-def _closed_form_scale(trajectory):
-    """The accumulated-scale identity evaluated for one trajectory."""
-    roots = trajectory.spec.beta_sqrt[None, :]
-    return _closed_form_scales(trajectory.e, trajectory.Q, roots, trajectory.priors.S0)[0]
+def forecast_mean(m, f_vec):
+    """m' F over the support of F only: a state component that F does not
+    load never enters, even where its mean reads inf."""
+    idx = np.flatnonzero(f_vec)
+    return m[idx].T @ f_vec[idx]
 
 
 def predict(state, spec, t):
     """One-step prediction from the posterior at t-1.
 
     Returns the prior state covariance R_t and mean a_t = G_t m_{t-1}, the
-    forecast mean and spread, the inverted-Wishart prior of the step
-    volatility, the multivariate-t forecast law of y_t, (when defined) the
-    forecast mean of the volatility matrix, and the data-free gain and P_t.
-    :func:`update` applies a_t, the gain and P_t, so G_t is resolved once.
+    forecast mean (by :func:`forecast_mean`) and spread, the
+    inverted-Wishart prior of the step volatility, the multivariate-t
+    forecast law of y_t, (when defined) the forecast mean of the volatility
+    matrix, and the data-free gain and P_t. :func:`update` applies a_t, the
+    gain and P_t, so G_t is resolved once. Like the mean pass of
+    :func:`state_pass`, a_t is formed block by block: an unobserved entry
+    past the float range reads inf, never NaN.
     """
     cov = covariance_pass(spec, state.P, 1, start=t)
-    a = cov.G[0] @ state.m
-    f = a.T @ cov.F[0]
+    a = np.empty(state.m.shape)
+    for k, idx in enumerate(cov.blocks):  # block by block, as in state_pass
+        g_b, m_b = cov.G[0][idx[:, None], idx], state.m[idx]
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                a_b = g_b @ m_b
+            a_b[np.isnan(a_b)] = np.inf
+        else:
+            a_b = g_b @ m_b
+        a[idx] = a_b
+    f = forecast_mean(a, cov.F[0])
     q = float(cov.Q[0])
     scale_prior, k = forecast_law(spec.vol_discounts)(state.S, state.n)
     sigma_prior = InvWishartParams(dof=k + 2 * spec.p, scale=scale_prior)
@@ -659,30 +643,20 @@ def run(spec, priors, observations, sqrt_method="spectral"):
     return run_models([(spec, priors, observations)], sqrt_method)[0]
 
 
-def run_constant_volatility(spec, priors, observations, sqrt_method="spectral"):
-    """:func:`run` for time-invariant volatility (all beta_i = 1): the scale
-    matrix accumulates without decay and the degrees of freedom grow by one
-    per observation, starting from the prior n0.
-    """
-    if not spec.constant_volatility:
-        raise MvdlmError(
-            "run_constant_volatility requires every volatility discount to be 1"
-        )
-    return run(spec, priors, observations, sqrt_method)
-
-
 def mle_constant(observations, spec, priors):
     """Closed-form maximum-likelihood estimate of a constant volatility.
 
     Averages the per-step cross products r_t e_t' of the residual and
     forecast errors produced by the constant-volatility recursions. The
     result is symmetrized; each term already is symmetric because
-    r_t is proportional to e_t.
+    r_t is proportional to e_t. Requires every volatility discount to be 1.
     """
+    if not spec.constant_volatility:
+        raise MvdlmError("mle_constant requires every volatility discount to be 1")
     obs = _as_observation_matrix(observations, spec.p)
     if obs.shape[0] == 0:
         raise EmptyData("maximum-likelihood estimation needs observations")
-    trajectory = run_constant_volatility(spec, priors, obs)
+    trajectory = run(spec, priors, obs)
     return symmetrize(trajectory.residuals.T @ trajectory.e / obs.shape[0])
 
 

@@ -140,15 +140,6 @@ class ModelSpec:
         return bool(np.all(self.vol_discounts == 1.0))
 
     @property
-    def beta_sqrt(self):
-        """Element-wise square roots of the volatility discounts."""
-        return np.sqrt(self.vol_discounts)
-
-    def working_dof(self):
-        """The fixed degrees of freedom of the time-varying branch."""
-        return compute_n(self.vol_discounts)
-
-    @property
     def features(self):
         """The moment formulas the volatility discounts admit: the posterior
         mean of the volatility needs tr(beta)/p > 1/2, its one-step forecast

@@ -25,6 +25,7 @@ from mvdlm import (
     ModelSpec,
     MultiTParams,
     Priors,
+    compute_n,
     invwishart_logpdf,
     mvt_logpdf,
     run,
@@ -38,7 +39,7 @@ from mvdlm.diagnostics import (
     msse_mae_me,
 )
 from mvdlm.distributions import evolve_precision, wishart_sample
-from mvdlm.filter import _closed_form_scale, mle_constant
+from mvdlm.filter import _closed_form_scales, mle_constant
 from mvdlm.simulate import paired_volatility_scenario, simulate
 
 from conftest import local_level
@@ -66,15 +67,15 @@ class TestAlgebraicIdentities:
         f_vec = scenario.spec.design_at(1)
         worst_r = 0.0
         state_m = scenario.priors.m0
-        for i, step in enumerate(traj.steps):
+        for i in range(len(traj)):
             # reconstruct m_t to evaluate r_t = y_t - m_t'F from definition
-            gain = step.R @ f_vec / step.Q
-            state_m = state_m + np.outer(gain, step.e)
+            gain = traj.R[i] @ f_vec / traj.Q[i]
+            state_m = state_m + np.outer(gain, traj.e[i])
             r_def = scenario.path.observations[i] - state_m.T @ f_vec
-            worst_r = max(worst_r, float(np.max(np.abs(step.r - r_def))))
+            worst_r = max(worst_r, float(np.max(np.abs(traj.e[i] / traj.Q[i] - r_def))))
         checks.append((f"r_t = e_t/Q_t from definition (max dev {worst_r:.2e})",
                        worst_r <= 1e-10))
-        n = scenario.spec.working_dof()
+        n = compute_n(scenario.spec.vol_discounts)
         fixed_point_dev = abs(scenario.spec.mean_beta * n + 1.0 - n)
         checks.append(
             (f"degrees-of-freedom fixed point (dev {fixed_point_dev:.2e})",
@@ -82,7 +83,8 @@ class TestAlgebraicIdentities:
         )
 
         # closed-form scale accumulation vs the recursion over 333 steps
-        closed = _closed_form_scale(traj)
+        roots = np.sqrt(scenario.spec.vol_discounts)[None]
+        closed = _closed_form_scales(traj.e, traj.Q, roots, scenario.priors.S0)[0]
         rel = float(np.max(np.abs(closed - traj.final.S))) / float(
             np.max(np.abs(traj.final.S))
         )
@@ -110,17 +112,12 @@ class TestAlgebraicIdentities:
                 state_discounts=[0.7, d2], vol_discounts=[0.9, 0.8],
             )
             multi = run(spec, priors, obs)
-            for s_one, s_two in zip(single.steps, multi.steps):
-                dev = max(
-                    float(np.max(np.abs(s_one.f - s_two.f))),
-                    abs(s_one.Q - s_two.Q) / s_one.Q,
-                    float(
-                        np.max(
-                            np.abs(s_one.sigma_post.scale - s_two.sigma_post.scale)
-                        )
-                    ),
-                )
-                worst = max(worst, dev)
+            dev = max(
+                float(np.max(np.abs(single.f - multi.f))),
+                float(np.max(np.abs(single.Q - multi.Q) / single.Q)),
+                float(np.max(np.abs(single.S[1:] - multi.S[1:]))),
+            )
+            worst = max(worst, dev)
             worst = max(worst, float(np.max(np.abs(single.final.m - multi.final.m))))
             mask = np.array([[1.0, 1.0], [1.0, 0.0]])
             worst = max(
@@ -235,11 +232,10 @@ class TestCalibration:
         for seed in range(200):
             sim = simulate(spec_c, priors_c, 40, seed=seed)
             fit = run(spec_c, priors_c, sim.observations)
-            for i, step in enumerate(fit.steps):
-                scale = step.sigma_prior.scale
+            for i, scale in enumerate(fit.forecast_laws()[0]):
                 for j in range(2):
-                    half = q90 * np.sqrt(step.Q * scale[j, j] / k)
-                    hits += abs(sim.observations[i, j] - step.f[j]) <= half
+                    half = q90 * np.sqrt(fit.Q[i] * scale[j, j] / k)
+                    hits += abs(sim.observations[i, j] - fit.f[i, j]) <= half
                     total += 1
         coverage = hits / total
         checks.append(
@@ -262,7 +258,7 @@ class TestLikelihoodCrossChecks:
         beta, n = 0.9, 10.0
         m = beta / (1 - beta)
         sigmas = [priors.S0[0, 0] / (n - 2)]
-        sigmas += [s.sigma_post.scale[0, 0] / (n - 2) for s in traj.steps]
+        sigmas += list(traj.S[1:, 0, 0] / (n - 2))
         const = 10 * (
             (m - 1) / 2 * np.log(beta)
             + gammaln((m + 1) / 2)
@@ -272,8 +268,8 @@ class TestLikelihoodCrossChecks:
         )
         total = 0.0
         for t in range(1, 11):
-            e = float(traj.steps[t - 1].e[0])
-            q = float(traj.steps[t - 1].Q)
+            e = float(traj.e[t - 1, 0])
+            q = float(traj.Q[t - 1])
             s_prev, s_cur = sigmas[t - 1], sigmas[t]
             total += (
                 np.log(q)

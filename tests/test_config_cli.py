@@ -130,10 +130,10 @@ class TestCliPipeline:
         last = np.array([float(x) for x in lines[-1].split(",")])
         assert last[0] == 60
         assert_allclose(
-            last[header.index("u_1")], traj.steps[-1].u[0], rtol=1e-12
+            last[header.index("u_1")], traj.u[-1, 0], rtol=1e-12
         )
         assert_allclose(
-            last[header.index("Q")], traj.steps[-1].Q, rtol=1e-12
+            last[header.index("Q")], traj.Q[-1], rtol=1e-12
         )
 
         # diagnose on the stored trajectory matches the fit report
@@ -349,7 +349,8 @@ class TestReferenceConfiguration:
 
     def test_unobserved_mean_overflow_equals_level_model(self, tmp_path):
         # G_UU = 2 doubles the unobserved mean past the float range near
-        # step 1024; it never meets the data, so no forecast reads it
+        # step 1024; it never meets the data, so no forecast reads it, and
+        # the VaR's m'F reads F's support alone
         obs_path, _ = write_returns(tmp_path, n=1100)
         priors = {**BASE_CONFIG["priors"], "m0": 1.0, "P0": 1.0}
         outputs = []
@@ -359,10 +360,12 @@ class TestReferenceConfiguration:
             ("level", {"priors": priors}),
         ):
             config_path = write_config(tmp_path, overrides, name=f"{name}.json")
-            assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
-                         "--out", str(tmp_path / name)]) == 0
+            common = ["--config", str(config_path), "--data", str(obs_path), "--out"]
+            assert main(["fit", *common, str(tmp_path / name)]) == 0
+            assert main(["var", *common, str(tmp_path / name / "var.json")]) == 0
             outputs.append([(tmp_path / name / file).read_bytes() for file in (
-                "trajectory.csv", "report.json", "report.csv", "volatility_series.csv")])
+                "trajectory.csv", "report.json", "report.csv", "volatility_series.csv",
+                "var.json")])
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("horizon,code", [(333, 4), (100, 0)])

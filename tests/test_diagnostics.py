@@ -114,7 +114,7 @@ class TestLoglikTimeVarying:
         n = 1.0 / (1.0 - beta)
         m = beta / (1.0 - beta)  # m = k + p - 1 with p = 1
         sigmas = [priors.S0[0, 0] / (n - 2)]
-        sigmas += [s.sigma_post.scale[0, 0] / (n - 2) for s in traj.steps]
+        sigmas += list(traj.S[1:, 0, 0] / (n - 2))
         big_n = len(traj)
         const = big_n * (
             (m - 1) / 2.0 * np.log(beta)
@@ -125,8 +125,8 @@ class TestLoglikTimeVarying:
         )
         total = 0.0
         for t in range(1, big_n + 1):
-            e = float(traj.steps[t - 1].e[0])
-            q = float(traj.steps[t - 1].Q)
+            e = float(traj.e[t - 1, 0])
+            q = float(traj.Q[t - 1])
             s_prev, s_cur = sigmas[t - 1], sigmas[t]
             l_t = 1.0 - beta * (1.0 / s_cur) / (1.0 / s_prev)
             total += (
@@ -138,42 +138,11 @@ class TestLoglikTimeVarying:
             )
         assert abs(value - (const - 0.5 * total)) < 1e-8
 
-    def test_quadratic_term_scaling(self):
-        # doubling every error quadruples the error-dependent part of the
-        # evaluation at a fixed volatility path
-        spec, priors = local_level(1, 0.8, [0.9], p0=1.0)
-        rng = np.random.default_rng(2)
-        obs = rng.standard_normal((8, 1))
-        traj = run(spec, priors, obs)
-        path = traj.posterior_mean_path()
-        base = loglik_time_varying(traj, sigma_path=path)
-        from mvdlm.diagnostics import loglik_arrays
-
-        doubled = loglik_arrays(
-            2.0 * traj.e, traj.Q, path, spec.vol_discounts
-        )
-        quad = sum(
-            float(s.e[0]) ** 2 / (s.Q * path[i + 1][0, 0])
-            for i, s in enumerate(traj.steps)
-        )
-        assert_allclose(doubled - base, -0.5 * 3.0 * quad, rtol=1e-10)
-
     def test_requires_evolving_volatility(self):
         spec, priors = local_level(1, 0.8, [1.0], n0=3.0)
         traj = run(spec, priors, np.ones((4, 1)))
         with pytest.raises(MvdlmError):
             loglik_time_varying(traj)
-
-    def test_explicit_path_length_checked(self):
-        spec, priors = local_level(1, 0.8, [0.9])
-        traj = run(spec, priors, np.ones((4, 1)))
-        with pytest.raises(LengthMismatch):
-            loglik_time_varying(traj, sigma_path=[np.eye(1)] * 3)
-
-    def test_forecast_plugin_available(self):
-        spec, priors = local_level(1, 0.8, [0.9])
-        traj = run(spec, priors, np.ones((4, 1)))
-        assert np.isfinite(loglik_time_varying(traj, sigma_path="forecast"))
 
     def test_invariant_under_orthogonal_recoordinatization(self):
         # with a scalar discount matrix, rotating the observation space
@@ -194,25 +163,31 @@ class TestLoglikTimeVarying:
 
 
 class TestLoglikRankOne:
-    """Returns of scale 1e-4 against S0 = I: the only eigenvalue of I - B_t
-    on the posterior-mean path is lambda_t = e_t' S_t^{-1} e_t / Q_t, far
-    below 1e-10 of nothing else; round-off eigenvalues must not enter."""
+    """The only eigenvalue of I - B_t on the posterior-mean path is
+    lambda_t = e_t' S_t^{-1} e_t / Q_t. Two inputs: returns of scale 1e-4
+    against S0 = I, where lambda_t is far below 1e-10, and p = 16."""
 
-    def setup_method(self):
+    def inputs(self):
         rng = np.random.default_rng(8020214)
-        self.obs = 1e-4 * rng.standard_normal((120, 4))
-        self.spec = ModelSpec(
+        spec = ModelSpec(
             p=4, d=2, design=[1.0, 0.0], evolution=np.eye(2),
             state_discounts=[0.95, 0.95], vol_discounts=[0.66, 0.9, 0.9, 0.66],
         )
-        self.priors = Priors(m0=np.zeros((2, 4)), P0=np.eye(2), S0=np.eye(4))
+        priors = Priors(m0=np.zeros((2, 4)), P0=np.eye(2), S0=np.eye(4))
+        yield spec, priors, 1e-4 * rng.standard_normal((120, 4))
+        beta = np.linspace(0.9, 0.98, 16)
+        yield (*local_level(16, 0.95, beta, p0=1.0), rng.standard_normal((200, 16)))
 
     def test_matches_per_step_closed_form(self):
-        traj = run(self.spec, self.priors, self.obs)
+        for spec, priors, obs in self.inputs():
+            self.check_per_step_closed_form(spec, priors, obs)
+
+    def check_per_step_closed_form(self, spec, priors, obs):
+        traj = run(spec, priors, obs)
         value = loglik_time_varying(traj)
         # plain per-step evaluation from the recursion's scales
-        p = 4
-        beta = self.spec.vol_discounts
+        p = spec.p
+        beta = spec.vol_discounts
         b = beta.mean()
         n = 1.0 / (1.0 - b)
         m = b / (1.0 - b) + p - 1
@@ -224,13 +199,12 @@ class TestLoglikRankOne:
             - p * np.log(np.pi)
             - multigammaln(m / 2.0, p)
         )
-        scales = [self.priors.S0] + [s.sigma_post.scale for s in traj.steps]
         total = 0.0
         for t in range(1, big_n + 1):
-            e, q = traj.steps[t - 1].e, traj.steps[t - 1].Q
-            lam = float(e @ np.linalg.solve(scales[t], e)) / q
-            logdet_prev = np.linalg.slogdet(scales[t - 1] / (n - 2))[1]
-            logdet_cur = np.linalg.slogdet(scales[t] / (n - 2))[1]
+            e, q = traj.e[t - 1], traj.Q[t - 1]
+            lam = float(e @ np.linalg.solve(traj.S[t], e)) / q
+            logdet_prev = np.linalg.slogdet(traj.S[t - 1] / (n - 2))[1]
+            logdet_cur = np.linalg.slogdet(traj.S[t] / (n - 2))[1]
             total += (
                 p * np.log(q)
                 + (p - m) * logdet_prev
@@ -239,13 +213,6 @@ class TestLoglikRankOne:
                 + (m - p - 2) * logdet_cur
             )
         assert_allclose(value, const - 0.5 * total, rtol=1e-10)
-
-    def test_general_route_cutoff_keeps_small_eigenvalue(self):
-        # the eigendecomposition route on the same explicit path measures its
-        # cutoff against max(1, |eig|) and so keeps lambda_t as well
-        traj = run(self.spec, self.priors, self.obs)
-        explicit = loglik_time_varying(traj, sigma_path=traj.posterior_mean_path())
-        assert_allclose(explicit, loglik_time_varying(traj), rtol=1e-8)
 
     def test_zero_error_step_is_degenerate(self):
         spec, priors = local_level(1, 1.0, [0.9])
@@ -258,7 +225,7 @@ class TestLoglikConstant:
     def test_single_step_hand_value(self):
         spec, priors = local_level(1, 0.5, [1.0], p0=1.0, n0=1.0)
         traj = run(spec, priors, np.zeros((1, 1)))
-        q1 = traj.steps[0].Q
+        q1 = traj.Q[0]
         sigma = 2.0
         expected = -0.5 * np.log(2 * np.pi) - 0.5 * np.log(q1) - 0.5 * np.log(sigma)
         assert_allclose(loglik_constant(traj, [[sigma]]), expected, rtol=1e-12)

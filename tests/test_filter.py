@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mvdlm import ModelSpec, Priors, predict, run, run_constant_volatility, update
+from mvdlm import ModelSpec, Priors, compute_n, predict, run, update
 from mvdlm.errors import (
     DimensionMismatch,
     EmptyData,
@@ -15,9 +15,9 @@ from mvdlm.errors import (
     RankDeficient,
     StateOverflow,
 )
-from mvdlm.diagnostics import compute_diagnostics, loglik_time_varying
+from mvdlm.diagnostics import compute_diagnostics, var_at_horizon
 from mvdlm.filter import (
-    _closed_form_scale,
+    _closed_form_scales,
     _evolve,
     _observe,
     _whiten,
@@ -39,8 +39,17 @@ from conftest import local_level
 
 
 def initial_state(spec, priors):
-    n = priors.n0 if spec.constant_volatility else spec.working_dof()
+    n = priors.n0 if spec.constant_volatility else compute_n(spec.vol_discounts)
     return FilterState(t=0, m=priors.m0, P=priors.P0, S=priors.S0, n=n)
+
+
+def assert_step_equals_row(step, traj, i):
+    """The StepResult of update at step i + 1 equals the trajectory's rows
+    bitwise; a NaN row of u stands for None."""
+    for name in ("f", "e", "Q", "R"):
+        assert np.array_equal(getattr(step, name), getattr(traj, name)[i]), name
+    u = np.full(traj.p, np.nan) if step.u is None else step.u
+    assert np.array_equal(u, traj.u[i], equal_nan=True)
 
 
 class TestPredict:
@@ -157,15 +166,15 @@ class TestRun:
         # independent scalar recursion with plain floats
         m, P, S = 0.0, 1.0, 1.0
         delta, beta = 0.5, 0.9
-        for y, step in zip(ys, traj.steps):
+        for i, y in enumerate(ys):
             R = P + (1 - delta) / delta * P
             Q = R + 1.0
             e = y - m
             m = m + R / Q * e
             P = R - R * R / Q
             S = beta * S + e * e / Q
-            assert_allclose(step.e, [e], rtol=1e-14)
-            assert_allclose(step.Q, Q, rtol=1e-14)
+            assert_allclose(traj.e[i], [e], rtol=1e-14)
+            assert_allclose(traj.Q[i], Q, rtol=1e-14)
         assert_allclose(traj.final.m, [[m]], rtol=1e-13)
         assert_allclose(traj.final.P, [[P]], rtol=1e-13)
         assert_allclose(traj.final.S, [[S]], rtol=1e-13)
@@ -187,17 +196,17 @@ class TestRun:
         scenario = paired_volatility_scenario(n_steps=333, seed=3)
         traj = run(scenario.spec, scenario.priors, scenario.path.observations)
         assert len(traj) == 333
-        for step in traj.steps:
-            assert step.Q >= 1.0
-            assert_allclose(step.r, step.e / step.Q, atol=1e-13)
-            np.linalg.cholesky(step.sigma_post.scale)
+        assert np.all(traj.Q >= 1.0)
+        assert_allclose(traj.residuals, traj.e / traj.Q[:, None], atol=1e-13)
+        np.linalg.cholesky(traj.S[1:])
         # degrees of freedom pinned at the fixed point
-        assert_allclose(traj.final.n, scenario.spec.working_dof(), rtol=1e-12)
+        assert_allclose(traj.final.n, compute_n(scenario.spec.vol_discounts), rtol=1e-12)
 
     def test_closed_form_scale_matches_recursion(self):
         scenario = paired_volatility_scenario(n_steps=333, seed=5)
         traj = run(scenario.spec, scenario.priors, scenario.path.observations)
-        closed = _closed_form_scale(traj)
+        roots = np.sqrt(scenario.spec.vol_discounts)[None]
+        closed = _closed_form_scales(traj.e, traj.Q, roots, scenario.priors.S0)[0]
         rel = np.max(np.abs(closed - traj.final.S)) / np.max(np.abs(traj.final.S))
         assert rel < 1e-8
 
@@ -210,9 +219,8 @@ class TestRun:
     def test_scalar_run_properties(self, delta, beta, ys):
         spec, priors = local_level(1, delta, [beta], p0=1.0)
         traj = run(spec, priors, np.array(ys).reshape(-1, 1))
-        for step in traj.steps:
-            assert step.Q >= 1.0
-            assert_allclose(step.r, step.e / step.Q, atol=1e-12)
+        assert np.all(traj.Q >= 1.0)
+        assert_allclose(traj.residuals, traj.e / traj.Q[:, None], atol=1e-12)
 
 
 class TestTwoPassEngine:
@@ -224,12 +232,10 @@ class TestTwoPassEngine:
         for sqrt_method in ("spectral", "cholesky"):
             traj = run(spec, priors, obs, sqrt_method=sqrt_method)
             state = initial_state(spec, priors)
-            for i, batched in enumerate(traj.steps):
+            for i in range(len(traj)):
                 state, step = update(state, obs[i], spec, i + 1, sqrt_method=sqrt_method)
-                for name in ("f", "e", "Q", "R"):
-                    assert np.array_equal(getattr(step, name), getattr(batched, name))
-                assert np.array_equal(step.sigma_post.scale, batched.sigma_post.scale)
-                assert np.array_equal(step.u, batched.u)
+                assert_step_equals_row(step, traj, i)
+                assert np.array_equal(step.sigma_post.scale, traj.S[i + 1])
                 assert state.n == traj.n[i + 1]
             assert np.array_equal(state.m, traj.final.m)
             assert np.array_equal(state.P, traj.final.P)
@@ -288,8 +294,6 @@ class TestObservedBlock:
         reports = [compute_diagnostics(traj) for traj in (full, level)]
         assert np.array_equal(reports[0].msse, reports[1].msse)
         assert reports[0].loglik == reports[1].loglik
-        forecast = [loglik_time_varying(traj, "forecast") for traj in (full, level)]
-        assert forecast[0] == forecast[1]
         assert np.array_equal(full.R[:, 0, 0], level.R[:, 0, 0])
         assert np.array_equal(full.final.m[:1], level.final.m)
         assert np.all(full.final.m[1] == 0.0)  # zero gain: m evolves by G_UU alone
@@ -316,6 +320,12 @@ class TestObservedBlock:
             assert_bitwise(getattr(wide, name), getattr(narrow, name))
         assert_bitwise(wide.final.m[:1], narrow.final.m)
         assert np.all(wide.final.m[1:] == np.inf)
+        # the next forecast and the VaR read F's support alone (a RuntimeWarning
+        # of inf * 0 is a test error)
+        horizon = len(obs) + 1
+        assert_bitwise(predict(wide.final, full, horizon).f,
+                       predict(narrow.final, level, horizon).f)
+        assert_bitwise(var_at_horizon(wide, [0.5, 0.5]), var_at_horizon(narrow, [0.5, 0.5]))
 
     def test_unobserved_block_follows_prior_recursion(self):
         spec, priors = reference_model(2)
@@ -349,10 +359,9 @@ class TestObservedBlock:
         obs = 0.01 * np.random.default_rng(9).standard_normal((300, 4))
         traj = run(spec, priors, obs)
         state = initial_state(spec, priors)
-        for i, batched in enumerate(traj.steps):
+        for i in range(len(traj)):
             state, step = update(state, obs[i], spec, i + 1)
-            for name in ("f", "e", "Q", "R"):
-                assert np.array_equal(getattr(step, name), getattr(batched, name))
+            assert_step_equals_row(step, traj, i)
         assert np.array_equal(state.m, traj.final.m)
         assert np.array_equal(state.P, traj.final.P)
 
@@ -654,14 +663,14 @@ class TestRunModels:
 
 class TestConstantVolatility:
     def test_requires_unit_discounts(self, scalar_spec, scalar_priors):
-        with pytest.raises(MvdlmError):
-            run_constant_volatility(scalar_spec, scalar_priors, np.zeros((3, 1)))
+        with pytest.raises(MvdlmError, match="every volatility discount to be 1"):
+            mle_constant(np.zeros((3, 1)), scalar_spec, scalar_priors)
 
     def test_zero_errors_keep_scale(self):
         spec, priors = local_level(2, 1.0, [1.0, 1.0], p0=1.0, n0=4.0)
         # with delta = 1 and m0 = 0 the forecast stays 0, so zero data
         # produces zero errors
-        traj = run_constant_volatility(spec, priors, np.zeros((6, 2)))
+        traj = run(spec, priors, np.zeros((6, 2)))
         assert_allclose(traj.final.S, priors.S0)
         assert traj.final.n == 10.0  # n0 + 6
 
@@ -670,7 +679,7 @@ class TestConstantVolatility:
         sigma_true = np.array([[1.5, 0.4], [0.4, 0.8]])
         spec, priors = local_level(2, 0.95, [1.0, 1.0], p0=1.0, n0=2.0)
         path = simulate(spec, priors, 50, seed=10, sigma0=sigma_true)
-        traj = run_constant_volatility(spec, priors, path.observations)
+        traj = run(spec, priors, path.observations)
         estimate = traj.final.S / (priors.n0 + 50 - 2)
         assert np.all(np.abs(estimate - sigma_true) / np.abs(sigma_true) < 0.3)
 
@@ -685,15 +694,15 @@ class TestMleConstant:
         rng = np.random.default_rng(3)
         obs = rng.standard_normal((80, 2)) @ np.array([[1.2, 0.5], [0.0, 0.7]])
         spec, priors = local_level(2, 0.9, [1.0, 1.0], p0=1.0, s0_scale=1e-12, n0=0.0)
-        traj = run_constant_volatility(spec, priors, obs)
+        traj = run(spec, priors, obs)
         estimate = mle_constant(obs, spec, priors)
         assert np.max(np.abs(traj.final.S / 80 - estimate)) < 1e-6
 
     def test_single_observation(self):
         spec, priors = local_level(1, 0.5, [1.0], p0=1.0, n0=1.0)
-        traj = run_constant_volatility(spec, priors, np.array([[3.0]]))
+        traj = run(spec, priors, np.array([[3.0]]))
         estimate = mle_constant(np.array([[3.0]]), spec, priors)
-        q1 = traj.steps[0].Q
+        q1 = traj.Q[0]
         assert_allclose(estimate, [[9.0 / q1]], rtol=1e-12)
 
     def test_symmetry(self):
@@ -727,13 +736,10 @@ class TestLinearTransform:
         a = np.array([[1.0, 0.0]])
         res = linear_transform(self.spec, self.priors, self.obs, a)
         base = res.base_trajectory
-        for full, marg in zip(base.steps, res.trajectory.steps):
-            assert (
-                abs(marg.sigma_post.scale[0, 0] - full.sigma_post.scale[0, 0])
-                < 1e-10
-            )
+        marg = res.trajectory
+        assert np.all(np.abs(marg.S[1:, 0, 0] - base.S[1:, 0, 0]) < 1e-10)
         # q = 1 marginal dof: n + 2(p - 1) + 2
-        n = self.spec.working_dof()
+        n = compute_n(self.spec.vol_discounts)
         assert_allclose(res.marginal_dof, n + 2.0 * (2 - 1) + 2.0)
 
     def test_general_mixing_transform(self):
@@ -782,12 +788,9 @@ class TestSingleDiscountEquivalence:
                 state_discounts=[d1, d2], vol_discounts=[0.9, 0.8],
             )
             multi = run(spec, priors, obs)
-            for s_single, s_multi in zip(single.steps, multi.steps):
-                assert_allclose(s_multi.f, s_single.f, atol=1e-10)
-                assert abs(s_multi.Q - s_single.Q) < 1e-10
-                assert_allclose(
-                    s_multi.sigma_post.scale, s_single.sigma_post.scale, atol=1e-10
-                )
+            assert_allclose(multi.f, single.f, atol=1e-10)
+            assert np.all(np.abs(multi.Q - single.Q) < 1e-10)
+            assert_allclose(multi.S[1:], single.S[1:], atol=1e-10)
             assert_allclose(multi.final.m, single.final.m, atol=1e-10)
             mask = np.array([[1.0, 1.0], [1.0, 0.0]])
             assert_allclose(

@@ -1,6 +1,7 @@
 """Static hygiene of the package, with the standard library's ``ast``: no
-module imports a name it never uses, every exported name resolves, and every
-setting a configuration parses is read. Also the import weight of the CLI."""
+module imports a name it never uses, every exported name resolves, every
+module-level function or class has a reader, and every setting a
+configuration parses is read. Also the import weight of the CLI."""
 
 import ast
 import importlib
@@ -45,6 +46,38 @@ def test_exported_names_resolve(path):
     module = importlib.import_module(f"mvdlm.{path.stem}" if path.stem != "__init__" else "mvdlm")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+def _referenced(node):
+    """Names that ``node`` reads: as a name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in sub.names)
+    return names
+
+
+def test_module_level_definitions_are_read():
+    """Every module-level function or class is listed in an ``__all__`` or
+    referenced somewhere in the package outside its own definition. A
+    helper that only tests call is not part of the program."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    exported = set().union(*(_exported(tree) for tree in trees.values()))
+    referenced, defined = set(), []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            names = _referenced(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{stem}.{node.name}")
+                names.discard(node.name)
+            referenced |= names
+    known = referenced | exported
+    unread = [name for name in defined if name.split(".")[1] not in known]
+    assert not unread, unread
 
 
 def test_run_config_attributes_are_read():

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.stats
 from numpy.random import SeedSequence, default_rng
 
-from mvdlm import ModelSpec, Priors, run, validate
+from mvdlm import ModelSpec, Priors, compute_n, run, validate
 from mvdlm.diagnostics import compute_diagnostics, msse_mae_me
 from mvdlm.distributions import (
     SingularBetaParams,
@@ -184,7 +184,7 @@ class TestSimulate:
         # one evolution step away from the prior, the precision mean matches
         # the discounted Wishart marginal
         spec, priors = local_level(2, 1.0, [0.9, 0.9], p0=1e-12)
-        n = spec.working_dof()
+        n = compute_n(spec.vol_discounts)
         total = np.zeros((2, 2))
         n_draws = 4000
         children = SeedSequence(55).spawn(n_draws)
@@ -256,10 +256,9 @@ class TestForecastCoverage:
         for seed in range(60):
             path = simulate(spec, priors, 40, seed=seed)
             traj = run(spec, priors, path.observations)
-            for i, step in enumerate(traj.steps):
-                scale = step.sigma_prior.scale
+            for i, scale in enumerate(traj.forecast_laws()[0]):
                 for j in range(2):
-                    half = q90 * np.sqrt(step.Q * scale[j, j] / k)
-                    hits += abs(path.observations[i, j] - step.f[j]) <= half
+                    half = q90 * np.sqrt(traj.Q[i] * scale[j, j] / k)
+                    hits += abs(path.observations[i, j] - traj.f[i, j]) <= half
                     total += 1
         assert abs(hits / total - 0.90) < 0.03
