@@ -16,14 +16,16 @@ from .data import (
     ingest,
     ingest_returns,
     read_columns,
+    read_end_rows,
     to_returns,
     write_csv,
     write_json,
     write_observations_csv,
 )
 from .errors import ConfigError, DataError, MvdlmError
-from .filter import run, run_models, trajectory_to_csv
+from .filter import CLOSED_FORM_RTOL, _iw_means, run, run_models, trajectory_to_csv, volatility_pass
 from .linalg import vech_indices
+from .model import validate
 from .simulate import simulate
 
 EXIT_OK = 0
@@ -84,10 +86,10 @@ def _print_report(report):
 def cmd_fit(args):
     config = load_config(args.config)
     trajectory = run(*_model(config, _read_data(config, args.data)), args.sqrt)
+    report = diagnostics.compute_diagnostics(trajectory)  # whitens: a failure writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(trajectory, out / "trajectory.csv")
-    report = diagnostics.compute_diagnostics(trajectory)
     diagnostics.export_report_json(report, out / "report.json")
     diagnostics.export_report_csv(report, out / "report.csv")
     _write_volatility_series(trajectory, out / "volatility_series.csv")
@@ -136,7 +138,7 @@ def cmd_var(args):
     config = load_config(args.config)
     if config.weights is None:
         raise ConfigError(f"{args.config}: VaR needs a 'weights' key")
-    trajectory = run(*_model(config, _read_data(config, args.data)), "spectral")  # VaR reads no u
+    trajectory = run(*_model(config, _read_data(config, args.data)))
     alphas = [float(a) for a in config.var_alphas]
     values = diagnostics.var_at_horizon(
         trajectory, config.weights, family=config.var_family, alphas=alphas
@@ -171,31 +173,29 @@ def cmd_compare(args):
 
 
 def _read_trajectory_csv(path):
-    """e, u, Q and the posterior-mean volatilities of a trajectory CSV."""
+    """e, u and Q of a trajectory CSV, and the sigma_post cells of its end lines."""
     with open(path) as handle:  # without e_ columns, e_1 is reported missing
         p = sum(name.startswith("e_") for name in handle.readline().split(",")) or 1
-    pairs = vech_indices(p)
-    data = read_columns(path, [
-        *(f"{name}_{i + 1}" for name in "eu" for i in range(p)), "Q",
-        *(f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs),
-    ])
-    rows, columns = np.array(pairs).T
-    sigma_post = np.empty((data.shape[0], p, p))
-    sigma_post[:, rows, columns] = sigma_post[:, columns, rows] = data[:, 2 * p + 1:]
-    return data[:, :p], data[:, p:2 * p], data[:, 2 * p], sigma_post
+    data = read_columns(path, [*(f"{name}_{i + 1}" for name in "eu" for i in range(p)), "Q"])
+    ends = read_end_rows(path, [f"sigma_post_{i + 1}_{j + 1}" for i, j in vech_indices(p)])
+    return data[:, :p], data[:, p:2 * p], data[:, 2 * p], ends
 
 
 def cmd_diagnose(args):
     config = load_config(args.config)
-    e, u, q, sigma_post = _read_trajectory_csv(args.traj)
+    e, u, q, ends = _read_trajectory_csv(args.traj)
     if e.shape[1] != config.p:
         raise ConfigError(
             f"trajectory has {e.shape[1]} series but the config declares p = {config.p}"
         )
     msse, mae, me = diagnostics.error_summary(e, u)
-    prior = run(config.spec(), config.priors(), [])  # Sigma_0: the posterior of no data
-    means = np.concatenate([prior.posterior_means, sigma_post])
-    loglik = diagnostics.posterior_loglik(e, q, means, prior.spec.vol_discounts)
+    spec, priors = config.spec(), config.priors()  # the path is re-derived from e and Q
+    vol = volatility_pass(e, q, spec.vol_discounts, priors.S0, validate(spec, priors).n)
+    means = _iw_means(vol.S[0], vol.n[0] + 2 * spec.p, spec.p)  # Sigma_0..Sigma_N
+    rows, cols = np.array(vech_indices(spec.p)).T  # Sigma_1 shows S0 and n0, Sigma_N beta
+    if not np.allclose(means[[1, -1]][:, rows, cols], ends, CLOSED_FORM_RTOL, 0.0, equal_nan=True):
+        raise ConfigError(f"{args.traj} was not fitted with this config's discounts and priors")
+    loglik = diagnostics.posterior_loglik(e, q, means, spec.vol_discounts)
     # u carries the root of the fit that wrote it, which the trajectory does not record
     report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0], None)
     diagnostics.export_report_json(report, args.out)

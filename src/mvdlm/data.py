@@ -7,6 +7,7 @@ applied. Row numbers in errors are 1-based file lines (the header is
 line 1).
 """
 
+import contextlib
 import csv
 import datetime
 import itertools
@@ -250,3 +251,22 @@ def read_columns(path, names):
     if not data.shape[0]:
         raise ParseError("no data rows", row=2)
     return np.asfortranarray(data[:, :-1])
+
+
+def read_end_rows(path, names):
+    """:func:`read_columns` of the first and the last line only, as a (2,
+    len(names)) array; the last line is read back from the end of the file.
+    A line that does not parse falls back to :func:`read_columns` itself."""
+    with open(path, "rb") as handle:
+        header = handle.readline().decode().rstrip("\r\n").split(",")
+        indices, first = _column_indices(header, names), handle.readline()
+        size, chunk = handle.seek(0, 2), 1 << 14
+        while handle.seek(max(size - chunk, 0)) and b"\n" not in handle.read().rstrip():
+            chunk *= 2
+        handle.seek(max(size - chunk, 0))
+        last = handle.read().rstrip().rsplit(b"\n", 1)[-1]
+    rows = [line.decode().rstrip("\r\n").split(",") for line in (first, last)]
+    with contextlib.suppress(ValueError):
+        if all(len(cells) == len(header) for cells in rows):
+            return np.array([[float(cells[i]) for i in indices] for cells in rows])
+    return read_columns(path, names)[[0, -1]]

@@ -25,6 +25,7 @@ full-row-rank linear maps of y_t.
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,11 +96,20 @@ class StatePass:
 
 @dataclass(frozen=True)
 class VolatilityPass:
-    """Output of the volatility recursions for K discount vectors."""
+    """Output of the volatility recursions for K discount vectors ``betas``
+    over ``e`` and ``Q``. Its ``u`` is computed on first read, for all K rows."""
 
     S: np.ndarray  # (K, N+1, p, p) scales S_0..S_N
     n: np.ndarray  # (K, N+1) degrees of freedom n_0..n_N
-    u: np.ndarray  # (K, N, p) standardized errors, NaN where dof <= 2
+    e: np.ndarray  # (N, p) forecast errors
+    Q: np.ndarray  # (N,) forecast spreads
+    betas: np.ndarray  # (K, p) volatility discounts
+    sqrt_method: str = "spectral"
+
+    @cached_property
+    def u(self):  # (K, N, p) standardized errors, NaN where dof <= 2
+        law = forecast_law(self.betas[:, None])  # broadcast over the N steps
+        return _whiten(self.e, self.Q, *law(self.S[:, :-1], self.n[:, :-1]), self.sqrt_method)
 
 
 def _iw_means(scales, dof, p):
@@ -112,7 +122,9 @@ def _iw_means(scales, dof, p):
 
 @dataclass
 class Trajectory:
-    """Filter output over N steps, stored as arrays.
+    """Filter output over N steps: the arrays of the state pass ``states``
+    and row ``row`` of the volatility pass ``volatility``: ``S``, ``n`` and
+    ``u``, which is computed on its first read, once for every row of the pass.
 
     The :class:`StepResult` that :func:`update` records at step t is row
     t - 1 of ``f``, ``e``, ``Q``, ``R``, ``residuals`` and ``u`` (a NaN row
@@ -120,31 +132,25 @@ class Trajectory:
     t - 1 of :meth:`forecast_laws` (the prior).
     """
 
-    f: np.ndarray  # (N, p) forecast means
-    e: np.ndarray  # (N, p) forecast errors
-    Q: np.ndarray  # (N,) forecast spreads
-    R: np.ndarray  # (N, d, d) prior state covariances
-    S: np.ndarray  # (N+1, p, p) volatility scales S_0 (the prior)..S_N
-    n: np.ndarray  # (N+1,) degrees of freedom n_0..n_N
-    u: np.ndarray  # (N, p) standardized errors, NaN where forecast dof <= 2
-    final: FilterState
+    states: StatePass
+    volatility: VolatilityPass
+    row: int
     spec: ModelSpec
     priors: Priors
-    sqrt_convention: str = "spectral"
 
+    f = property(lambda self: self.states.f)  # (N, p) forecast means
+    e = property(lambda self: self.states.e)  # (N, p) forecast errors
+    Q = property(lambda self: self.states.Q)  # (N,) forecast spreads
+    R = property(lambda self: self.states.R)  # (N, d, d) prior state covariances
+    S = property(lambda self: self.volatility.S[self.row])  # (N+1, p, p) S_0..S_N
+    n = property(lambda self: self.volatility.n[self.row])  # (N+1,) n_0..n_N
+    u = property(lambda self: self.volatility.u[self.row])  # (N, p), NaN where dof <= 2
+    sqrt_convention = property(lambda self: self.volatility.sqrt_method)
     residuals = property(lambda self: self.e / self.Q[:, None])
     p = property(lambda self: self.spec.p)
     constant_volatility = property(lambda self: self.spec.constant_volatility)
-
-    @classmethod
-    def from_passes(cls, states, vol, k, spec, priors, sqrt_convention):
-        """Trajectory of row ``k`` of a volatility pass (views, no copies)."""
-        S, n = vol.S[k], vol.n[k]
-        final = FilterState(t=len(states.Q), m=states.m, P=states.P, S=S[-1], n=float(n[-1]))
-        return cls(
-            states.f, states.e, states.Q, states.R, S, n, vol.u[k], final, spec,
-            priors, sqrt_convention,
-        )
+    final = property(lambda self: FilterState(  # the posterior after step N
+        t=len(self.Q), m=self.states.m, P=self.states.P, S=self.S[-1], n=float(self.n[-1])))
 
     def __len__(self):
         return len(self.Q)
@@ -464,7 +470,8 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
     beta_i = 1 grow n by one per step. For the others n must be the fixed
     point 1/(1 - tr(beta)/p), which is asserted, and the closed-form
     expression for S_N is checked against the recursion to relative 1e-8.
-    Returns a :class:`VolatilityPass`.
+    Returns a :class:`VolatilityPass`, which whitens by ``sqrt_method``
+    only when its ``u`` is first read.
     """
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n_cells, p = betas.shape
@@ -482,16 +489,14 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
         )
     growth = np.broadcast_to(constant[:, None], (n_cells, n_steps))
     n_path = np.cumsum(np.hstack([n0[:, None], growth]), axis=1)
-    dof = law.mean[:, None] * n_path[:, :-1]
-    S, prior = np.empty((n_cells, n_steps + 1, p, p)), np.empty((n_cells, n_steps + 1, p, p))
+    S = np.empty((n_cells, n_steps + 1, p, p))
     S[:, 0], S[:, 1:] = S0, e[:, :, None] * e[:, None, :] / Q[:, None, None]  # step t adds its prior
-    prior[:, 0] = law(S0, n0)[0]  # symmetrized, as a caller's S0 may not be
+    prior = law(S0, n0)[0]  # symmetrized, as a caller's S0 may not be
     # sums and products of exactly symmetric operands stay exactly symmetric,
     # so each step is two in-place ufuncs without symmetrize
     for i in range(n_steps):
-        np.add(prior[:, i], S[:, i + 1], out=S[:, i + 1])
-        np.multiply(S[:, i + 1], law.outer, out=prior[:, i + 1])
-    u = _whiten(e, Q, prior[:, :-1], dof, sqrt_method)
+        np.add(prior, S[:, i + 1], out=S[:, i + 1])
+        np.multiply(S[:, i + 1], law.outer, out=prior)
     if n_steps and not constant.all():
         final = S[~constant, -1]
         closed = _closed_form_scales(e, Q, np.sqrt(betas[~constant]), S0[~constant])
@@ -503,7 +508,7 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
                 f"closed-form scale accumulation deviates from the recursion "
                 f"(relative error {float(np.max(rel)):.3e})"
             )
-    return VolatilityPass(S=S, n=n_path, u=u)
+    return VolatilityPass(S=S, n=n_path, e=e, Q=Q, betas=betas, sqrt_method=sqrt_method)
 
 
 def _closed_form_scales(e, q, roots, S0):
@@ -614,7 +619,8 @@ def run_models(models, sqrt_method="spectral", block=64):
     volatility recursions run in batched :func:`volatility_pass` calls of up
     to ``block`` rows, each row from its own beta, S0 and validated degrees
     of freedom (the prior n0 when every beta_i = 1, else the asserted fixed
-    point). Each trajectory equals the one its model gives alone.
+    point). Each trajectory equals the one its model gives alone, and the
+    ``u`` of a batch is whitened once, on the first read of any row.
     """
     groups = {}
     for i, (spec, priors, observations) in enumerate(models):
@@ -632,9 +638,7 @@ def run_models(models, sqrt_method="spectral", block=64):
                 np.array([prior.S0 for prior in priors]), dofs, sqrt_method,
             )
             for k, i in enumerate(index):
-                trajectories[i] = Trajectory.from_passes(
-                    states, vol, k, specs[k], priors[k], sqrt_method
-                )
+                trajectories[i] = Trajectory(states, vol, k, specs[k], priors[k])
     return trajectories
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from mvdlm import data, run
 from mvdlm import filter as filter_module
+from mvdlm.filter import linear_transform, mle_constant
 from mvdlm.cli import main
 from mvdlm.config import load_config
 from mvdlm.data import ingest_returns, write_observations_csv
@@ -439,6 +441,25 @@ class TestMalformedTrajectory:
         assert code == 3
         assert "column 'u_1' not in header (line 1)" in err
 
+    def test_bad_sigma_post_cell_on_last_line(self, tmp_path, fitted, capsys):
+        # diagnose reads the sigma_post cells of the last line only
+        config_path, lines = fitted
+        col = lines[0].split(",").index("sigma_post_2_1")
+        cells = lines[-1].split(",")
+        cells[col] = "x"
+        lines[-1] = ",".join(cells)
+        code, err = self.diagnose(tmp_path, config_path, lines, capsys)
+        assert code == 3
+        assert f"bad number 'x' (line {len(lines)}, column {col + 1})" in err
+
+    def test_missing_sigma_post_column(self, tmp_path, fitted, capsys):
+        config_path, lines = fitted
+        col = lines[0].split(",").index("sigma_post_2_2")
+        lines = [",".join(c for i, c in enumerate(line.split(",")) if i != col) for line in lines]
+        code, err = self.diagnose(tmp_path, config_path, lines, capsys)
+        assert code == 3
+        assert "column 'sigma_post_2_2' not in header (line 1)" in err
+
 
 @pytest.mark.parametrize("command, overrides, key", [
     ("simulate", {"horizon": float("inf")}, "horizon"),
@@ -582,3 +603,95 @@ def count_state_passes(monkeypatch):
     monkeypatch.setattr(filter_module, "state_pass",
                         lambda *args: calls.append(args) or state_pass(*args))
     return calls
+
+
+def count_whitenings(monkeypatch):
+    """The argument tuples of every whitening of standardized errors."""
+    calls = []
+    whiten = filter_module._whiten
+    monkeypatch.setattr(filter_module, "_whiten",
+                        lambda *args: calls.append(args) or whiten(*args))
+    return calls
+
+
+PAIRED = [0.66, 0.9, 0.9, 0.66]
+LEVELS = (0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
+
+
+def metals_inputs(tmp_path, **configs):
+    """Prices at the benchmark's metals shape (p = 4, N = 333 returns) and a
+    config of that shape per keyword (its overrides); each carries the
+    benchmark's grid lattice, 37 paired betas x 2 deltas."""
+    metals = {"p": 4, "d": 2, "design": [1.0, 0.0], "state_discounts": 0.95,
+              "data_kind": "prices", "weights": [0.25] * 4,
+              "grid": {"deltas": [0.8, 0.95],
+                       "betas": [[o, i, i, o] for o in LEVELS for i in LEVELS] + [[2 / 3] * 4]}}
+    steps = 0.01 * np.random.default_rng(3).standard_normal((334, 4))
+    data_path = tmp_path / "prices.csv"
+    write_observations_csv(data_path, 100.0 * np.exp(np.cumsum(steps, axis=0)))
+    paths = {name: str(write_config(tmp_path, {**metals, **overrides}, f"{name}.json"))
+             for name, overrides in configs.items()}
+    return paths, str(data_path)
+
+
+class TestDiagnoseRederivesThePath:
+    """diagnose re-derives Sigma_0..Sigma_N from the stored e and Q under its
+    config, and refuses a trajectory whose stored Sigma_N that config does
+    not reproduce."""
+
+    @pytest.mark.parametrize("fitted, other", [
+        ({"vol_discounts": PAIRED}, {"vol_discounts": [0.95] * 4}),
+        ({"vol_discounts": PAIRED},
+         {"vol_discounts": PAIRED, "priors": {**BASE_CONFIG["priors"], "S0": 2.0}}),
+        ({"vol_discounts": [1.0] * 4},
+         {"vol_discounts": [1.0] * 4, "priors": {**BASE_CONFIG["priors"], "n0": 4.0}}),
+    ], ids=["beta", "S0", "n0"])
+    def test_another_models_trajectory_exits_2(self, tmp_path, capsys, fitted, other):
+        configs, data_path = metals_inputs(tmp_path, fitted=fitted, other=other)
+        traj = str(tmp_path / "fit" / "trajectory.csv")
+        assert main(["fit", "--config", configs["fitted"], "--data", data_path,
+                     "--out", str(tmp_path / "fit")]) == 0
+        diagnose = ["diagnose", "--traj", traj, "--out", str(tmp_path / "diag.json")]
+        assert main([*diagnose, "--config", configs["fitted"]]) == 0
+        capsys.readouterr()
+        assert main([*diagnose, "--config", configs["other"]]) == 2
+        assert "was not fitted with this config's discounts and priors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action, whitenings", [
+    ("fit", 1), ("compare", 1), ("compare-deltas", 2), ("grid", 2),
+    ("var", 0), ("diagnose", 0), ("mle_constant", 0), ("linear_transform", 0),
+])
+def test_whitening_once_per_block_where_u_is_read(tmp_path, monkeypatch, action, whitenings):
+    """fit, compare and grid whiten each block of rows of their run_models
+    call once (the grid lattice runs in two blocks, one per delta); var,
+    diagnose, mle_constant and linear_transform read no u and never whiten."""
+    configs, data_path = metals_inputs(
+        tmp_path, paired={"vol_discounts": PAIRED}, uniform={"vol_discounts": [0.9] * 4},
+        delta={"vol_discounts": PAIRED, "state_discounts": 0.8},
+    )
+    out = str(tmp_path / "out")
+    fit = ["fit", "--config", configs["paired"], "--data", data_path, "--out", out]
+    if action == "diagnose":
+        assert main(fit) == 0
+    calls = count_whitenings(monkeypatch)
+    uniform = load_config(configs["uniform"])
+    returns = data.to_returns(data.ingest(data_path)).returns
+    if action == "mle_constant":
+        mle_constant(returns, replace(uniform.spec(), vol_discounts=np.ones(4)), uniform.priors())
+    elif action == "linear_transform":
+        linear_transform(uniform.spec(), uniform.priors(), returns, [[1.0, 1.0, 0.0, 0.0]])
+    else:
+        second = {"compare": "uniform", "compare-deltas": "delta"}.get(action)
+        argv = {
+            "fit": fit,
+            "diagnose": ["diagnose", "--config", configs["paired"],
+                         "--traj", f"{out}/trajectory.csv", "--out", f"{out}/diag.json"],
+            "grid": ["grid", "--config", configs["paired"], "--data", data_path,
+                     "--out", f"{out}.csv"],
+            "var": ["var", "--config", configs["paired"], "--data", data_path,
+                    "--out", f"{out}.json"],
+        }.get(action) or ["compare", "--config", configs["paired"], "--config2",
+                          configs[second], "--data", data_path, "--out", f"{out}.csv"]
+        assert main(argv) == 0
+    assert len(calls) == whitenings

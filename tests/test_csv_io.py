@@ -145,8 +145,10 @@ def test_observations_bytes_with_quoted_name(tmp_path):
 def test_trajectory_round_trip_is_bitwise(tmp_path, trajectory):
     out = tmp_path / "trajectory.csv"
     trajectory_to_csv(trajectory, out)
-    e, u, q, sigma_post = _read_trajectory_csv(out)
+    e, u, q, sigma_ends = _read_trajectory_csv(out)
     assert np.array_equal(e, trajectory.e)
     assert np.array_equal(u, trajectory.u, equal_nan=True)
     assert np.array_equal(q, trajectory.Q)
-    assert np.array_equal(sigma_post, trajectory.posterior_means[1:], equal_nan=True)
+    rows, cols = np.array(vech_indices(trajectory.p)).T  # diagnose reads Sigma_1 and Sigma_N
+    ends = trajectory.posterior_means[[1, -1]][:, rows, cols]
+    assert np.array_equal(sigma_ends, ends, equal_nan=True)

@@ -653,6 +653,22 @@ class TestRunModels:
         assert len(passes) == 2
         self.assert_alone(trajectories, models)
 
+    @pytest.mark.parametrize("sqrt_method", ["spectral", "cholesky"])
+    def test_batched_u_equals_whitening_each_trajectory(self, sqrt_method):
+        # the identity the lazy u rests on, over the benchmark's grid lattice
+        # (37 paired betas x 2 deltas): whitening a block of rows at once
+        # gives each row the bits of whitening its own forecast laws
+        spec, priors = reference_model(2)
+        obs = 0.01 * np.random.default_rng(9).standard_normal((333, 4))
+        levels = (0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
+        betas = [[o, i, i, o] for o in levels for i in levels] + [[2 / 3] * 4]
+        models = [(replace(spec, state_discounts=np.full(2, delta), vol_discounts=np.array(beta)),
+                   priors, obs) for delta in (0.8, 0.95) for beta in betas]
+        trajectories = run_models(models, sqrt_method)
+        assert len(trajectories) == 74
+        for t in trajectories:
+            assert_bitwise(t.u, _whiten(t.e, t.Q, *t.forecast_laws(), sqrt_method))
+
     def test_blocks_of_rows(self):
         spec, priors, obs = self.models()
         models = [(replace(spec, vol_discounts=np.full(4, b)), priors, obs)
