@@ -23,9 +23,8 @@ from .data import (
     write_observations_csv,
 )
 from .errors import ConfigError, DataError, MvdlmError
-from .filter import CLOSED_FORM_RTOL, _iw_means, run, run_models, trajectory_to_csv, volatility_pass
+from .filter import CLOSED_FORM_RTOL, posterior_path, run, run_models, trajectory_to_csv
 from .linalg import vech_indices
-from .model import validate
 from .simulate import simulate
 
 EXIT_OK = 0
@@ -189,9 +188,8 @@ def cmd_diagnose(args):
             f"trajectory has {e.shape[1]} series but the config declares p = {config.p}"
         )
     msse, mae, me = diagnostics.error_summary(e, u)
-    spec, priors = config.spec(), config.priors()  # the path is re-derived from e and Q
-    vol = volatility_pass(e, q, spec.vol_discounts, priors.S0, validate(spec, priors).n)
-    means = _iw_means(vol.S[0], vol.n[0] + 2 * spec.p, spec.p)  # Sigma_0..Sigma_N
+    spec = config.spec()
+    means = posterior_path(e, q, spec, config.priors())  # Sigma_0..Sigma_N
     rows, cols = np.array(vech_indices(spec.p)).T  # Sigma_1 shows S0 and n0, Sigma_N beta
     if not np.allclose(means[[1, -1]][:, rows, cols], ends, CLOSED_FORM_RTOL, 0.0, equal_nan=True):
         raise ConfigError(f"{args.traj} was not fitted with this config's discounts and priors")

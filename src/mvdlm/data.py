@@ -255,18 +255,17 @@ def read_columns(path, names):
 
 def read_end_rows(path, names):
     """:func:`read_columns` of the first and the last line only, as a (2,
-    len(names)) array; the last line is read back from the end of the file.
-    A line that does not parse falls back to :func:`read_columns` itself."""
+    len(names)) array. The last line is read from a window of eight header
+    lengths at the end of the file; a window without a whole line, or a line
+    that does not parse, falls back to :func:`read_columns` itself."""
     with open(path, "rb") as handle:
-        header = handle.readline().decode().rstrip("\r\n").split(",")
-        indices, first = _column_indices(header, names), handle.readline()
-        size, chunk = handle.seek(0, 2), 1 << 14
-        while handle.seek(max(size - chunk, 0)) and b"\n" not in handle.read().rstrip():
-            chunk *= 2
-        handle.seek(max(size - chunk, 0))
-        last = handle.read().rstrip().rsplit(b"\n", 1)[-1]
-    rows = [line.decode().rstrip("\r\n").split(",") for line in (first, last)]
+        head, first = handle.readline(), handle.readline()
+        handle.seek(max(handle.seek(0, 2) - 8 * len(head), 0))
+        window = handle.read().rstrip().rsplit(b"\n", 1)
     with contextlib.suppress(ValueError):
-        if all(len(cells) == len(header) for cells in rows):
+        lines = (head, first, window[-1])
+        header, *rows = (line.decode().rstrip("\r\n").split(",") for line in lines)
+        indices = _column_indices(header, names)
+        if len(window) == 2 and all(len(cells) == len(header) for cells in rows):
             return np.array([[float(cells[i]) for i in indices] for cells in rows])
     return read_columns(path, names)[[0, -1]]

@@ -24,6 +24,7 @@ from .errors import (
     InvalidWeights,
     LengthMismatch,
     MvdlmError,
+    NonPositiveDefinite,
     NoPositiveEigenvalues,
 )
 from .filter import _whiten, forecast_law, forecast_mean, run_models
@@ -414,12 +415,17 @@ def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
     Uses the filtered level m_N'F (by :func:`~mvdlm.filter.forecast_mean`)
     as the portfolio mean components, the posterior-mean volatility matrix,
     and (for the t family) the end-of-sample forecast degrees of freedom.
-    Returns one value per requested confidence percentage.
+    Returns one value per requested confidence percentage. A final scale
+    that is not positive definite to working precision raises
+    :class:`NonPositiveDefinite`.
     """
     if len(trajectory) == 0:
         raise EmptyData("VaR needs at least one filtered step")
     final = trajectory.final
     spec = trajectory.spec
+    lam = np.linalg.eigvalsh(final.S)  # below p eps of the largest, round-off sets the sign
+    if not lam[0] > lam[-1] * spec.p * np.finfo(float).eps:  # a NaN S reads 0, an inf S NaN
+        raise NonPositiveDefinite("final volatility scale is not positive definite")
     mu = forecast_mean(final.m, spec.design_at(final.t))
     sigma = InvWishartParams(final.n + 2 * spec.p, final.S).mean
     dof = forecast_law(spec.vol_discounts)(final.S, final.n)[1]  # of step N + 1

@@ -109,7 +109,13 @@ class VolatilityPass:
     @cached_property
     def u(self):  # (K, N, p) standardized errors, NaN where dof <= 2
         law = forecast_law(self.betas[:, None])  # broadcast over the N steps
-        return _whiten(self.e, self.Q, *law(self.S[:, :-1], self.n[:, :-1]), self.sqrt_method)
+        scale = self.S[:, :-1] * law.outer  # the priors, exactly symmetric past a caller's
+        scale[:, :1] = symmetrize(scale[:, :1])  # S0: symmetrize runs on that row only
+        return _whiten(self.e, self.Q, scale, law.mean * self.n[:, :-1], self.sqrt_method)
+
+    def posterior_means(self, k):
+        """Posterior-mean volatilities Sigma_0..Sigma_N of row k, NaN where undefined."""
+        return _iw_means(self.S[k], self.n[k] + 2 * self.betas.shape[1], self.betas.shape[1])
 
 
 def _iw_means(scales, dof, p):
@@ -161,11 +167,7 @@ class Trajectory:
         return forecast_law(self.spec.vol_discounts)(self.S[:-1], self.n[:-1])
 
     forecast_dofs = property(lambda self: self.forecast_laws()[1])
-
-    @property
-    def posterior_means(self):
-        """Posterior-mean volatilities Sigma_0..Sigma_N, NaN where undefined."""
-        return _iw_means(self.S, self.n + 2 * self.p, self.p)
+    posterior_means = property(lambda self: self.volatility.posterior_means(self.row))
 
     @property
     def forecast_means(self):
@@ -645,6 +647,13 @@ def run_models(models, sqrt_method="spectral", block=64):
 def run(spec, priors, observations, sqrt_method="spectral"):
     """Filter a full observation sequence: :func:`run_models` of one model."""
     return run_models([(spec, priors, observations)], sqrt_method)[0]
+
+
+def posterior_path(e, Q, spec, priors):
+    """Sigma_0..Sigma_N of the model (spec, priors) re-derived from its forecast
+    errors e and spreads Q: the ``posterior_means`` of its :func:`run` trajectory."""
+    dof = validate(spec, priors).n  # as run_models starts each volatility pass
+    return volatility_pass(e, Q, spec.vol_discounts, priors.S0, dof).posterior_means(0)
 
 
 def mle_constant(observations, spec, priors):

@@ -326,6 +326,22 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_var_of_a_singular_final_scale_exits_model_error(self, tmp_path, capsys):
+        # a simulated path whose volatility drifts over 30 orders of magnitude:
+        # the final scale has eigenvalues (-6.3e-13, 4.9, 9.7e3, 2.5e15) and
+        # VaR must not be read off it (var reads no u, so no whitening trips)
+        config_path = write_config(tmp_path, {
+            "p": 4, "vol_discounts": [0.66, 0.9, 0.9, 0.66], "state_discounts": 0.95,
+            "priors": {**BASE_CONFIG["priors"], "S0": 0.01}, "weights": [0.25] * 4,
+            "seed": 20, "horizon": 333,
+        })
+        sim, out = tmp_path / "sim.csv", tmp_path / "var.json"
+        assert main(["simulate", "--config", str(config_path), "--out", str(sim)]) == 0
+        assert main(["var", "--config", str(config_path), "--data", str(sim),
+                     "--out", str(out)]) == 4
+        assert "final volatility scale is not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 REFERENCE = {"d": 2, "design": [1.0, 0.0], "state_discounts": 0.08,
              "priors": {"m0": 0.0, "P0": 1000.0, "S0": 1.0, "n0": 1.0}}
