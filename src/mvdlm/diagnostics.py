@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, multigammaln, ndtri, stdtrit
 
 from .data import write_csv, write_json
-from .distributions import InvWishartParams
+from .distributions import InvWishartParams, log_multigamma
 from .errors import (
     DofTooSmall,
     EmptyData,
@@ -189,10 +188,9 @@ def loglik_arrays(errors, q_values, means, vol_discounts):
     path = symmetrize(np.asarray(means, dtype=float))
     constant = n_steps * (
         0.5 * (m_param - p) * float(np.sum(np.log(beta)))
-        + multigammaln((m_param + 1) / 2.0, p)
+        + log_multigamma(m_param / 2.0, p, ratio=True)
         - 0.5 * p * np.log(2.0)
         - p * np.log(np.pi)
-        - multigammaln(m_param / 2.0, p)
     )
     upper = cholesky_upper_stack(path)  # Sigma_t = C_t' C_t
     logdet = 2.0 * np.sum(np.log(np.diagonal(upper, axis1=1, axis2=2)), axis=1)
@@ -295,6 +293,8 @@ def var_portfolio(mu, sigma, config):
     port_var = float(w @ sigma @ w)
     if port_var < 0:
         raise InvalidWeights("portfolio variance is negative")
+    from scipy.special import ndtri, stdtrit  # loaded only where a quantile is taken
+
     level = config.alpha / 100.0
     if config.quantile_family == "normal":
         quantile = ndtri(level)
@@ -336,19 +336,18 @@ def lbf(u_model1, u_model2, dof_model1, dof_model2, labels=("M1", "M2")):
 def _standardized_t_logpdf(u, k):
     """Row-wise log-density of standardized errors u (N, p) under the t law
     with dof k (N,), location 0, row scale 1 and column scale (k - 2) I.
-    Each term is summed as :func:`mvt_logpdf` sums it (from the root
-    sqrt(k - 2), with a BLAS dot, gammaln summed along a row), so the values
-    match its per-step results bitwise (seen for p = 1..33 with OpenBLAS)."""
+    Each term is formed as :func:`mvt_logpdf` forms it (the gamma ratio of
+    :func:`~mvdlm.distributions.log_multigamma`, the root sqrt(k - 2), a BLAS
+    dot), so the values match its per-step results bitwise (seen for p = 1..33
+    with OpenBLAS)."""
     p = u.shape[1]
     root = np.sqrt(k - 2.0)[:, None]
     w = u / root
     logdet = 2.0 * np.sum(np.log(np.repeat(root, p, axis=1)), axis=1)
-    mvgammaln = [  # multigammaln(a, p) for a = (k + p)/2 and (k + p - 1)/2
-        p * (p - 1) * 0.25 * np.log(np.pi) + np.sum(gammaln(a - np.arange(p) / 2.0), axis=1)
-        for a in ((k[:, None] + p) / 2.0, (k[:, None] + p - 1) / 2.0)
-    ]
+    dofs, step = np.unique(k, return_inverse=True)
+    ratio = np.array([log_multigamma((dof + p - 1) / 2.0, p, ratio=True) for dof in dofs])
     return (
-        mvgammaln[0] - mvgammaln[1] - 0.5 * p * np.log(np.pi) - 0.5 * logdet
+        ratio[step] - 0.5 * p * np.log(np.pi) - 0.5 * logdet
         - 0.5 * (k + p) * np.log1p((w[:, None, :] @ w[:, :, None])[:, 0, 0])
     )
 

@@ -8,10 +8,10 @@ matrix from one step to the next. Samplers take an explicit numpy
 Generator; densities are pure functions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import multigammaln
 
 from .errors import DofTooSmall, DimensionMismatch, NonPositiveDefinite
 from .linalg import cholesky_upper, factor_symmetric, inv_spd, logdet_spd, symmetrize
@@ -25,6 +25,7 @@ __all__ = [
     "evolve_precision",
     "invwishart_logpdf",
     "invwishart_sample",
+    "log_multigamma",
     "matrix_normal_sample",
     "mvt_logpdf",
     "singular_beta_sample",
@@ -107,6 +108,20 @@ class SingularBetaParams:
             )
 
 
+def log_multigamma(a, p, ratio=False):
+    """log Gamma_p(a) = p(p - 1)/4 log(pi) + sum_j lgamma(a - j/2), j < p; with
+    ``ratio``, log Gamma_p(a + 1/2) - log Gamma_p(a), which telescopes to
+    lgamma(a + 1/2) - lgamma(a - (p - 1)/2). Both need a > (p - 1)/2."""
+    low = a - (p - 1) / 2.0
+    if not low > 0.0:
+        raise DofTooSmall(f"log Gamma_{p}(a) needs a > {(p - 1) / 2.0}, got a = {a}")
+    if ratio:
+        return math.lgamma(a + 0.5) - math.lgamma(low)
+    return p * (p - 1) / 4.0 * math.log(math.pi) + math.fsum(
+        math.lgamma(a - j / 2.0) for j in range(p)
+    )
+
+
 def invwishart_logpdf(x, params):
     """Log-density of the inverted Wishart in the (k, S) parameterization.
 
@@ -126,7 +141,7 @@ def invwishart_logpdf(x, params):
     return (
         -a * p * np.log(2.0)
         + a * logdet_spd(s)
-        - multigammaln(a, p)
+        - log_multigamma(a, p)
         - 0.5 * k * logdet_spd(x)
         - 0.5 * float(np.sum(s * x_inv))
     )
@@ -136,8 +151,8 @@ def mvt_logpdf(x, params):
     """Log-density of the one-row multivariate Student t forecast law.
 
     The normalizing constant is the ratio of multivariate gamma functions
-    at (dof + p)/2 and (dof + p - 1)/2; the kernel collapses through the
-    rank-one determinant identity |S + vv'/u| = |S| (1 + v'S^{-1}v / u).
+    at (dof + p)/2 and (dof + p - 1)/2, defined for dof > 0; the kernel
+    collapses through |S + vv'/u| = |S| (1 + v'S^{-1}v / u).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = params.p
@@ -155,8 +170,7 @@ def mvt_logpdf(x, params):
     quad = float(w @ w)
     logdet_s = 2.0 * np.sum(np.log(np.diag(c)))
     return (
-        multigammaln((nu + p) / 2.0, p)
-        - multigammaln((nu + p - 1) / 2.0, p)
+        log_multigamma((nu + p - 1) / 2.0, p, ratio=True)
         - 0.5 * p * np.log(np.pi)
         - 0.5 * p * np.log(u)
         - 0.5 * logdet_s

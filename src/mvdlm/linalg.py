@@ -5,12 +5,24 @@ so everything here is plain dense numpy with explicit symmetrization.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import NonPositiveDefinite
 
 # Relative jitter added once before declaring a matrix non-PD.
 JITTER_SCALE = 1e-10
+
+
+def _bind_lapack(name):
+    """LAPACK ``name``, bound on its first call: that call imports scipy's wrappers
+    and rebinds all three globals to them, so later calls pay no lookup."""
+    def first_call(*args, **kwargs):
+        from scipy.linalg import lapack
+        globals().update(dpotrf=lapack.dpotrf, dpotrs=lapack.dpotrs, dtrtrs=lapack.dtrtrs)
+        return getattr(lapack, name)(*args, **kwargs)
+    return first_call
+
+
+dpotrf, dpotrs, dtrtrs = map(_bind_lapack, ("dpotrf", "dpotrs", "dtrtrs"))
 
 
 def symmetrize(m):
@@ -56,15 +68,19 @@ def inv_factor(c):
 def cholesky_upper_stack(m):
     """Upper factors of a (..., p, p) stack of SPD matrices.
 
-    One batched factorization; when it fails, each matrix is factored by
-    :func:`cholesky_upper`, with its jitter retry and error.
+    One batched numpy factorization; when it fails, or gives a factor that
+    is not finite (numpy's potrf passes NaN through), each matrix is
+    factored by :func:`cholesky_upper`, with its jitter retry and error.
     """
     m = np.asarray(m, dtype=float)
     try:
-        return np.swapaxes(np.linalg.cholesky(m), -1, -2)
+        upper = np.swapaxes(np.linalg.cholesky(m), -1, -2)
+        if np.isfinite(upper).all():
+            return upper
     except np.linalg.LinAlgError:
-        flat = m.reshape((-1,) + m.shape[-2:])
-        return np.stack([cholesky_upper(x) for x in flat]).reshape(m.shape)
+        pass
+    flat = m.reshape((-1,) + m.shape[-2:])
+    return np.stack([cholesky_upper(x) for x in flat]).reshape(m.shape)
 
 
 def inv_spd(m):

@@ -18,7 +18,7 @@ from .errors import (
     DiscountOutOfRange,
     NonPositiveDefinite,
 )
-from .linalg import cholesky_upper, symmetrize
+from .linalg import cholesky_upper_stack, symmetrize
 
 # Thresholds on the mean volatility discount tr(beta)/p.
 POSTERIOR_MEAN_THRESHOLD = 0.5
@@ -217,7 +217,7 @@ def validate(spec, priors):
             raise DimensionMismatch(f"{name} has shape {value.shape}, expected {shape}")
     for name in ("P0", "S0"):
         try:
-            cholesky_upper(getattr(priors, name))
+            cholesky_upper_stack(getattr(priors, name))
         except NonPositiveDefinite as exc:
             raise NonPositiveDefinite(f"{name} is not positive definite") from exc
     # F_1 and G_1 must resolve; a matrix-valued design would make the

@@ -13,6 +13,7 @@ from mvdlm.distributions import (
     evolve_precision,
     invwishart_logpdf,
     invwishart_sample,
+    log_multigamma,
     matrix_normal_sample,
     mvt_logpdf,
     singular_beta_sample,
@@ -122,6 +123,58 @@ class TestMvtLogpdf:
     def test_covariance_property(self):
         params = MultiTParams(dof=9.0, location=[0.0], scale_row=2.0, scale_col=[[3.0]])
         assert_allclose(params.covariance, [[6.0 / 7.0]])
+
+    @pytest.mark.parametrize("dof", [0.0, -0.5])
+    def test_non_positive_dof_is_typed(self, dof):
+        params = MultiTParams(dof=dof, location=[0.0, 0.0], scale_row=1.0, scale_col=np.eye(2))
+        with pytest.raises(DofTooSmall):
+            mvt_logpdf([0.3, -0.1], params)
+
+
+class TestLogMultigamma:
+    """log_multigamma on math.lgamma against scipy.special, from just above
+    the pole at (p - 1)/2 up to 500."""
+
+    @staticmethod
+    def arguments(p):
+        low = (p - 1) / 2.0
+        return np.concatenate([low + np.geomspace(1e-9, 1.0, 25), np.linspace(low + 1.0, 500.0, 60)])
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 16, 33])
+    def test_matches_scipy(self, p):
+        a = self.arguments(p)
+        values = [log_multigamma(x, p) for x in a]
+        assert_allclose(values, scipy.special.multigammaln(a, p), rtol=1e-13)
+        if p == 1:
+            assert_allclose(values, scipy.special.gammaln(a), rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 16, 33])
+    def test_ratio_telescopes(self, p):
+        """log Gamma_p(a + 1/2) - log Gamma_p(a) to 1e-12, plus the rounding of
+        scipy's two terms: at |log Gamma_p| ~ 3e4 (p = 33, a = 500) their
+        difference alone is off by up to 3e-11 from a 50-digit value, while
+        the telescoped form stays within 1e-12 of it (see the mpmath test)."""
+        a = self.arguments(p)
+        upper = scipy.special.multigammaln(a + 0.5, p)
+        difference = upper - scipy.special.multigammaln(a, p)
+        ratio = np.array([log_multigamma(x, p, ratio=True) for x in a])
+        assert np.all(np.abs(ratio - difference) <= 1e-12 + 64 * np.spacing(np.abs(upper)))
+
+    @pytest.mark.parametrize("p", [1, 4, 33])
+    def test_ratio_against_high_precision(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for x in self.arguments(p):
+                exact = mpmath.loggamma(mpmath.mpf(x) + 0.5) - mpmath.loggamma(
+                    mpmath.mpf(x) - mpmath.mpf(p - 1) / 2)
+                assert abs(log_multigamma(x, p, ratio=True) - float(exact)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1, 2, 16])
+    def test_argument_at_or_below_the_pole(self, p):
+        for a in ((p - 1) / 2.0, (p - 1) / 2.0 - 0.25, float("nan")):
+            for ratio in (False, True):
+                with pytest.raises(DofTooSmall):
+                    log_multigamma(a, p, ratio=ratio)
 
 
 class TestSingularBeta:

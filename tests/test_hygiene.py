@@ -1,18 +1,22 @@
 """Static hygiene of the package, with the standard library's ``ast``: no
 module imports a name it never uses, every exported name resolves, every
 module-level function or class has a reader, and every setting a
-configuration parses is read. Also the import weight of the CLI."""
+configuration parses is read. Also the import weight of the CLI and of
+the commands that need no scipy."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mvdlm
+from mvdlm.data import write_observations_csv
 
 MODULES = sorted(Path(mvdlm.__file__).parent.glob("*.py"))
 
@@ -107,15 +111,90 @@ def test_run_config_attributes_are_read():
     assert assigned and not unread, unread
 
 
-def test_cli_import_loads_no_heavy_scipy_module():
-    """``import mvdlm.cli`` loads none of these scipy subpackages: every
-    command would pay their import time and memory (scipy.signal alone took
-    the import from 0.30 to 0.65 s and peak RSS from 61 to 103 MB on a
-    2-vCPU host)."""
-    heavy = ("scipy.stats", "scipy.signal", "scipy.optimize", "scipy.interpolate")
-    code = f"import sys, mvdlm.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def _run_python(code):
+    """Standard output of ``python -c code`` in a fresh interpreter that
+    imports this package."""
     paths = [str(Path(mvdlm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]", result.stdout
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    """``import mvdlm.cli`` loads none of these scipy subpackages: every
+    command would pay their import time and memory (scipy.signal alone took
+    the import from 0.30 to 0.65 s and peak RSS from 61 to 103 MB, and
+    scipy.special with scipy.linalg about 0.4 s and 30 MB, on a 2-vCPU
+    host)."""
+    heavy = ("scipy.stats", "scipy.signal", "scipy.optimize", "scipy.interpolate",
+             "scipy.linalg", "scipy.special")
+    code = f"import sys, mvdlm.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    assert _run_python(code) == "[]"
+
+
+def _module_level_imports(tree):
+    """Import statements that run when the module loads: all but those in
+    function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_level_scipy_import(path):
+    """scipy is imported where it is used, so that importing the package
+    loads none of it."""
+    scipy_imports = [
+        node.lineno for node in _module_level_imports(ast.parse(path.read_text()))
+        if any(name.split(".")[0] == "scipy" for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""]))
+    ]
+    assert not scipy_imports, [f"{path.name}:{line}" for line in scipy_imports]
+
+
+def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
+    """``fit``, ``compare`` and ``diagnose`` of an evolving model run on numpy
+    and math alone; ``var`` (its quantiles), ``simulate`` (the samplers)
+    and a constant-volatility ``fit`` (LAPACK inverse) load scipy as they
+    need it, and still succeed."""
+    rng = np.random.default_rng(3)
+    write_observations_csv(tmp_path / "y.csv", 0.01 * rng.standard_normal((80, 4)))
+    base = {"p": 4, "d": 1, "design": [1.0], "evolution": "identity",
+            "state_discounts": 0.95, "vol_discounts": [0.95] * 4,
+            "priors": {"m0": 0.0, "P0": 0.01, "S0": 1e-4, "n0": 1.0},
+            "data_kind": "returns", "weights": [0.25] * 4, "horizon": 30, "seed": 1}
+    configs = {"a": base, "b": {**base, "vol_discounts": [0.9, 0.97, 0.97, 0.9]},
+               "constant": {**base, "vol_discounts": [1.0] * 4}}
+    for name, raw in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+    path = lambda name: str(tmp_path / name)  # noqa: E731
+    common = ["--config", path("a.json")]
+    evolving = [
+        ["fit", *common, "--data", path("y.csv"), "--out", path("fit")],
+        ["compare", *common, "--config2", path("b.json"), "--data", path("y.csv"),
+         "--out", path("lbf.csv")],
+        ["diagnose", *common, "--traj", path("fit/trajectory.csv"), "--out", path("d.json")],
+    ]
+    others = [
+        ["var", *common, "--data", path("y.csv"), "--out", path("var.json")],
+        ["simulate", *common, "--out", path("sim.csv")],
+        ["fit", "--config", path("constant.json"), "--data", path("y.csv"),
+         "--out", path("constant")],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mvdlm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {evolving!r}]\n"
+        "    loaded = [m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]\n"
+        f"    codes += [main(argv) for argv in {others!r}]\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    codes, loaded = json.loads(_run_python(code))
+    assert codes == [0] * 6 and loaded == []

@@ -128,6 +128,24 @@ class TestValidate:
                 spec, Priors(m0=np.zeros((1, 2)), P0=[[-1.0]], S0=np.eye(2))
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_priors(self, bad):
+        spec = ModelSpec(
+            p=2, d=1, design=[1.0], evolution=[[1.0]],
+            state_discounts=[0.9], vol_discounts=[0.9, 0.9],
+        )
+        with pytest.raises(NonPositiveDefinite, match="S0"):
+            validate(spec, Priors(m0=np.zeros((1, 2)), P0=[[1.0]], S0=[[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(NonPositiveDefinite, match="P0"):
+            validate(spec, Priors(m0=np.zeros((1, 2)), P0=[[bad]], S0=np.eye(2)))
+
+    def test_semi_definite_prior_passes_on_the_jitter_retry(self):
+        spec = ModelSpec(
+            p=2, d=1, design=[1.0], evolution=[[1.0]],
+            state_discounts=[0.9], vol_discounts=[0.9, 0.9],
+        )
+        validate(spec, Priors(m0=np.zeros((1, 2)), P0=[[1.0]], S0=np.ones((2, 2))))
+
     def test_rejects_bad_dimensions(self):
         spec = ModelSpec(
             p=2, d=1, design=[1.0], evolution=[[1.0]],
