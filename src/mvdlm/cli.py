@@ -5,6 +5,7 @@ numerical error, 1 unexpected internal error.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -26,6 +27,9 @@ from .errors import ConfigError, DataError, MvdlmError
 from .filter import CLOSED_FORM_RTOL, posterior_path, run, run_models, trajectory_to_csv
 from .linalg import vech_indices
 from .simulate import simulate
+
+# main dispatches to cmd_<command> by name
+__all__ = ["main", "cmd_fit", "cmd_grid", "cmd_simulate", "cmd_var", "cmd_compare", "cmd_diagnose"]
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -202,6 +206,7 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mvdlm",
@@ -227,44 +232,37 @@ def build_parser():
     p_fit = sub.add_parser("fit", help="filter a series and write diagnostics")
     add_common(p_fit)
     p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_grid = sub.add_parser("grid", help="rank discount candidates by log-likelihood")
     add_common(p_grid)
     p_grid.add_argument("--out", required=True, help="output CSV path")
     p_grid.add_argument("--top", type=int, default=5, help="rows to print")
-    p_grid.set_defaults(func=cmd_grid)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic path")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_var = sub.add_parser("var", help="portfolio Value-at-Risk at the horizon")
     add_common(p_var, sqrt=False)
     p_var.add_argument("--out", required=True, help="output JSON path")
-    p_var.set_defaults(func=cmd_var)
 
     p_cmp = sub.add_parser("compare", help="sequential log Bayes factors")
     add_common(p_cmp)
     p_cmp.add_argument("--config2", required=True, help="second configuration")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_diag = sub.add_parser("diagnose", help="re-run diagnostics on a stored trajectory")
     add_common(p_diag, data=False, sqrt=False)
     p_diag.add_argument("--traj", required=True, help="trajectory CSV from fit")
     p_diag.add_argument("--out", required=True, help="output JSON path")
-    p_diag.set_defaults(func=cmd_diagnose)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # looked up at call time, so a command replaced on the module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -748,21 +748,18 @@ def _selection_rows(a_matrix):
 def trajectory_to_csv(trajectory, path):
     """Write the per-step record to CSV with a fixed, documented column order.
 
-    Columns: t, f_1..f_p, e_1..e_p, u_1..u_p, Q, the lower triangle of the
-    posterior-mean volatility (column-stacked, named sigma_post_i_j) and
-    the lower triangle of the forecast-mean volatility (sigma_fore_i_j).
+    Columns: t, f_1..f_p, e_1..e_p, u_1..u_p, Q and the lower triangle of
+    the posterior-mean volatility (column-stacked, named sigma_post_i_j).
     Moments that are undefined under the model's discounts are written as
-    NaN rather than being invented.
+    NaN rather than being invented. The forecast means are not written:
+    E[Sigma_t | D_{t-1}] is (beta^{1/2} 1 1' beta^{1/2}) o Sigma_post,t-1
+    times (n_{t-1} - 2) / (k_t - 2), with k_t = mean(beta) n_{t-1}.
     """
     p = trajectory.p
     pairs = vech_indices(p)
-    header = [
-        "t", *(f"{name}_{i + 1}" for name in "feu" for i in range(p)), "Q",
-        *(f"sigma_{kind}_{i + 1}_{j + 1}" for kind in ("post", "fore") for i, j in pairs),
-    ]
+    header = ["t", *(f"{name}_{i + 1}" for name in "feu" for i in range(p)), "Q",
+              *(f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs)]
     rows, cols = (np.array(idx) for idx in zip(*pairs))
-    table = np.column_stack([
-        trajectory.f, trajectory.e, trajectory.u, trajectory.Q,
-        trajectory.posterior_means[1:, rows, cols], trajectory.forecast_means[:, rows, cols],
-    ])
+    table = np.column_stack([trajectory.f, trajectory.e, trajectory.u, trajectory.Q,
+                             trajectory.posterior_means[1:, rows, cols]])
     write_csv(path, [header], range(1, len(table) + 1), table)

@@ -12,9 +12,12 @@ import json
 import numpy as np
 import pytest
 
-from mvdlm import run
+from mvdlm import data, run
 from mvdlm.cli import _read_trajectory_csv, _write_volatility_series, main
-from mvdlm.data import ingest_returns, synthetic_dates, write_observations_csv
+from mvdlm.data import (
+    ingest_returns, read_columns, read_end_rows, synthetic_dates, write_csv,
+    write_observations_csv,
+)
 from mvdlm.diagnostics import GridRow, GridSearchResult, lbf_from_trajectories
 from mvdlm.filter import trajectory_to_csv
 from mvdlm.linalg import vech_indices
@@ -51,14 +54,13 @@ def test_trajectory_csv_bytes(tmp_path, trajectory):
     pairs = vech_indices(p)
     header = (
         ["t"] + [f"{c}_{i + 1}" for c in "feu" for i in range(p)] + ["Q"]
-        + [f"sigma_{w}_{i + 1}_{j + 1}" for w in ("post", "fore") for i, j in pairs]
+        + [f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs]
     )
     rows, cols = np.array(pairs).T
     post = trajectory.posterior_means[1:, rows, cols]
-    fore = trajectory.forecast_means[:, rows, cols]
     expected = csv_writer_bytes(tmp_path, header, [
         [t + 1, *trajectory.f[t], *trajectory.e[t], *trajectory.u[t],
-         trajectory.Q[t], *post[t], *fore[t]]
+         trajectory.Q[t], *post[t]]
         for t in range(len(trajectory))
     ])
     out = tmp_path / "trajectory.csv"
@@ -152,3 +154,81 @@ def test_trajectory_round_trip_is_bitwise(tmp_path, trajectory):
     rows, cols = np.array(vech_indices(trajectory.p)).T  # diagnose reads Sigma_1 and Sigma_N
     ends = trajectory.posterior_means[[1, -1]][:, rows, cols]
     assert np.array_equal(sigma_ends, ends, equal_nan=True)
+
+
+def sigma_post_names(p):
+    return [f"sigma_post_{i + 1}_{j + 1}" for i, j in vech_indices(p)]
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("beta, n0, undefined", [(0.9, 1.0, 0), (1.0, 1.0, 2), (1.0, 12.0, 0)],
+                         ids=["evolving", "constant-n0=1", "constant-n0=12"])
+def test_forecast_means_rebuilt_from_written_cells(tmp_path, p, beta, n0, undefined):
+    """E[Sigma_t | D_{t-1}] = (beta^{1/2} 1 1' beta^{1/2}) o Sigma_post,t-1
+    (n_{t-1} - 2) / (k_t - 2) with k_t = mean(beta) n_{t-1}: the forecast
+    means the trajectory CSV does not hold follow from the cells it holds,
+    the prior mean Sigma_0 and n. At beta = 1 with n0 = 1 the first two
+    steps have k_t <= 2, where both sides are NaN."""
+    betas = np.linspace(beta, 1.0, p) if beta < 1.0 else np.ones(p)
+    spec, priors = local_level(p, 0.9, betas, s0_scale=0.5, n0=n0)
+    traj = run(spec, priors, np.random.default_rng(8).normal(0.0, 0.1, (30, p)))
+    out = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, out)
+    rows, cols = np.array(vech_indices(p)).T
+    n = traj.n[:-1]
+    prior_mean = priors.S0[rows, cols] / (n[0] - 2.0) if n[0] > 2.0 else np.nan
+    post = np.vstack([np.broadcast_to(prior_mean, (1, len(rows))),
+                      read_columns(out, sigma_post_names(p))[:-1]])  # Sigma_0..Sigma_{N-1}
+    k = np.mean(betas) * n
+    ratio = np.divide(n - 2.0, k - 2.0, out=np.full(len(n), np.nan), where=k > 2.0)
+    rebuilt = np.sqrt(betas[rows] * betas[cols]) * post * ratio[:, None]
+    expected = traj.forecast_means[:, rows, cols]
+    assert np.array_equal(np.isnan(rebuilt), np.isnan(expected))
+    assert np.isnan(expected).all(axis=1).sum() == np.sum(k <= 2.0) == undefined
+    np.testing.assert_allclose(rebuilt, expected, rtol=1e-12, atol=0.0)
+
+
+def test_diagnose_reads_old_and_new_trajectories_alike(tmp_path, capsys):
+    """A trajectory written with the former trailing sigma_fore_i_j block
+    diagnoses to the same report, byte for byte, as the current file."""
+    spec, priors = local_level(2, 0.9, [0.9, 0.95], n0=1.0)
+    traj = run(spec, priors, np.random.default_rng(9).normal(0.0, 0.01, (40, 2)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "p": 2, "d": 1, "design": [1.0], "state_discounts": 0.9,
+        "vol_discounts": [0.9, 0.95], "data_kind": "returns",
+        "priors": {"m0": 0.0, "P0": 0.01, "S0": 1.0, "n0": 1.0},
+    }))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    trajectory_to_csv(traj, new)
+    with open(new) as handle:
+        header = handle.readline().rstrip("\r\n").split(",")
+    rows, cols = np.array(vech_indices(2)).T
+    write_csv(old, [header + [name.replace("post", "fore") for name in sigma_post_names(2)]],
+              range(1, len(traj) + 1),
+              np.column_stack([read_columns(new, header[1:]), traj.forecast_means[:, rows, cols]]))
+    reports = []
+    for path in (new, old):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["diagnose", "--config", str(config), "--traj", str(path),
+                     "--out", str(out)]) == 0
+        reports.append((out.read_bytes(), capsys.readouterr().out.rsplit("wrote", 1)[0]))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("p", [1, 2, 16])
+def test_end_rows_of_a_trajectory_take_the_fast_path(tmp_path, monkeypatch, p):
+    """The window of eight header lengths at the end of a trajectory holds
+    its whole last line at small and large p, so diagnose never rescans."""
+    spec, priors = local_level(p, 0.9, np.full(p, 0.95), n0=1.0)
+    traj = run(spec, priors, np.random.default_rng(10).normal(0.0, 0.01, (30, p)))
+    out = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, out)
+
+    def refuse(*args):
+        raise AssertionError("read_end_rows fell back to read_columns")
+
+    monkeypatch.setattr(data, "read_columns", refuse)
+    rows, cols = np.array(vech_indices(p)).T
+    ends = read_end_rows(out, sigma_post_names(p))
+    assert np.array_equal(ends, traj.posterior_means[[1, -1]][:, rows, cols], equal_nan=True)

@@ -820,7 +820,7 @@ class TestTrajectoryCsv:
         out = tmp_path / "trajectory.csv"
         trajectory_to_csv(traj, out)
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,f_1,e_1,u_1,Q,sigma_post_1_1,sigma_fore_1_1"
+        assert lines[0] == "t,f_1,e_1,u_1,Q,sigma_post_1_1"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "1"

@@ -4,6 +4,7 @@ module-level function or class has a reader, and every setting a
 configuration parses is read. Also the import weight of the CLI and of
 the commands that need no scipy."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import mvdlm
+from mvdlm import cli
 from mvdlm.data import write_observations_csv
 
 MODULES = sorted(Path(mvdlm.__file__).parent.glob("*.py"))
@@ -198,3 +200,26 @@ def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
     )
     codes, loaded = json.loads(_run_python(code))
     assert codes == [0] * 6 and loaded == []
+
+
+
+def test_every_subcommand_resolves_to_a_module_level_command():
+    """``main`` runs ``cmd_<name>`` of ``cli`` for subcommand ``name``, and
+    every ``cmd_*`` function of ``cli`` is a subcommand."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    commands = {name[4:] for name, value in vars(cli).items()
+                if name.startswith("cmd_") and callable(value)}
+    assert set(subparsers.choices) == commands
+
+
+def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    """The parser is built once per process and holds no function objects,
+    so a command replaced on the module (as a tracer or a test does) runs."""
+    argv = ["var", "--config", str(tmp_path / "absent.json"), "--data", "y.csv",
+            "--out", str(tmp_path / "var.json")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_var", lambda args: seen.append(args.out) or 17)
+    assert cli.main(argv) == 17 and seen == [argv[-1]]
