@@ -17,14 +17,12 @@ from .diagnostics import (
     loglik_constant,
     loglik_time_varying,
     msse_mae_me,
-    standardize,
     var_portfolio,
 )
 from .distributions import (
     InvWishartParams,
     MultiTParams,
     SingularBetaParams,
-    cholesky_upper,
     evolve_precision,
     invwishart_logpdf,
     invwishart_sample,
@@ -46,11 +44,10 @@ from .model import (
     FilterState,
     ModelSpec,
     Priors,
-    ValidationReport,
     compute_n,
     validate,
 )
-from .simulate import PairedScenario, SimPath, paired_volatility_scenario, simulate
+from .simulate import SimPath, simulate
 
 __version__ = "0.1.0"
 
@@ -61,15 +58,12 @@ __all__ = [
     "LbfSeries",
     "ModelSpec",
     "MultiTParams",
-    "PairedScenario",
     "Priors",
     "SimPath",
     "SingularBetaParams",
     "StepResult",
     "Trajectory",
     "VaRConfig",
-    "ValidationReport",
-    "cholesky_upper",
     "compute_diagnostics",
     "compute_n",
     "errors",
@@ -85,12 +79,10 @@ __all__ = [
     "mle_constant",
     "msse_mae_me",
     "mvt_logpdf",
-    "paired_volatility_scenario",
     "predict",
     "run",
     "simulate",
     "singular_beta_sample",
-    "standardize",
     "update",
     "validate",
     "var_portfolio",

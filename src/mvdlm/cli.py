@@ -164,7 +164,7 @@ def cmd_compare(args):
     # configs that read the file alike share one parse; each checks its own p
     if (config2.data_kind, config2.names) != (config1.data_kind, config1.names):
         table2 = _read_data(config2, args.data)
-    traj1, traj2 = run_models([_model(config1, table1), _model(config2, table2)], args.sqrt)
+    traj1, traj2 = run_models([_model(config1, table1), _model(config2, table2)])
     labels = (Path(args.config).stem, Path(args.config2).stem)
     series = diagnostics.lbf_from_trajectories(traj1, traj2, labels=labels)
     write_csv(args.out, [["t", "lbf"]], range(1, len(series) + 1), series.values[:, None])
@@ -221,7 +221,7 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON configuration file")
         if data:
             p.add_argument("--data", required=True, help="input CSV")
-        if sqrt:  # only where the output holds standardized errors
+        if sqrt:  # only where the output depends on the root (fit's u, grid's MSSE)
             p.add_argument(
                 "--sqrt",
                 choices=("spectral", "cholesky"),
@@ -248,7 +248,7 @@ def build_parser():
     p_var.add_argument("--out", required=True, help="output JSON path")
 
     p_cmp = sub.add_parser("compare", help="sequential log Bayes factors")
-    add_common(p_cmp)
+    add_common(p_cmp, sqrt=False)
     p_cmp.add_argument("--config2", required=True, help="second configuration")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
 

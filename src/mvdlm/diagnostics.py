@@ -26,13 +26,11 @@ from .errors import (
     NonPositiveDefinite,
     NoPositiveEigenvalues,
 )
-from .filter import _whiten, forecast_law, forecast_mean, run_models
+from .filter import forecast_law, forecast_mean, run_models
 from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
-from .model import compute_n
 
 QUANTILE_FAMILIES = ("t", "normal")  # of the VaR
 WEIGHT_TOL = 1e-10
-GRID_BLOCK = 64  # candidates per batched volatility pass in grid_search
 
 
 @dataclass(frozen=True)
@@ -100,33 +98,6 @@ class LbfSeries:
     @property
     def cumulative(self):
         return float(np.sum(self.values))
-
-
-def standardize(e, q, s_prev, vol_discounts=None, n=None, dof=None, method="spectral"):
-    """Standardize a one-step forecast error.
-
-    The scale and the degrees of freedom are the forecast law's
-    (:func:`~mvdlm.filter.forecast_law`) at (S_prev, n): beta^{1/2} S_prev
-    beta^{1/2} and k = tr(beta)/p * n. With discounts below 1, n defaults to
-    the working value 1/(1 - tr(beta)/p). Without discounts (or with all
-    discounts equal to 1) S_prev is used unscaled and k is n, or else the
-    explicit ``dof``. Requires more than 2 degrees of freedom.
-    """
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    beta = np.atleast_1d(np.asarray(1.0 if vol_discounts is None else vol_discounts, dtype=float))
-    if n is None:
-        n = compute_n(beta) if np.mean(beta) < 1.0 else dof
-    if n is None:
-        raise DofTooSmall(
-            "explicit degrees of freedom are required when no discounting "
-            "below 1 is in effect"
-        )
-    s_prev, dof = forecast_law(beta)(symmetrize(np.atleast_2d(s_prev)), n)
-    if dof <= 2.0:
-        raise DofTooSmall(
-            f"standardization requires more than 2 degrees of freedom, got {dof}"
-        )
-    return _whiten(e, float(q), s_prev, float(dof), method)
 
 
 def error_summary(e, u):
@@ -459,7 +430,7 @@ def grid_search(
     (delta, beta) tie-breaks.
 
     The candidates run through :func:`run_models`: one state pass per delta
-    and one batched volatility pass per block of ``GRID_BLOCK``. Each row
+    and one batched volatility pass per block of candidates. Each row
     holds exactly what :func:`compute_diagnostics` and
     :func:`var_at_horizon` give for that candidate's own trajectory.
     """
@@ -482,7 +453,7 @@ def grid_search(
                 reason = f"mean volatility discount {spec.mean_beta:.6g} <= 2/3"
                 excluded.append((float(delta), tuple(beta.tolist()), reason))
     rows = []
-    for trajectory in run_models(models, sqrt_method, block=GRID_BLOCK):
+    for trajectory in run_models(models, sqrt_method):
         report = compute_diagnostics(trajectory)
         var95 = var99 = None
         if weights is not None:

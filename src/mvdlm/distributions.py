@@ -21,7 +21,6 @@ __all__ = [
     "InvWishartParams",
     "MultiTParams",
     "SingularBetaParams",
-    "cholesky_upper",
     "evolve_precision",
     "invwishart_logpdf",
     "invwishart_sample",
@@ -89,19 +88,15 @@ class MultiTParams:
 
 @dataclass(frozen=True)
 class SingularBetaParams:
-    """Singular multivariate beta with second shape fixed at 1/2.
-
-    ``shape_a`` is (tr(beta)/p * n + p - 1)/2 in the volatility evolution;
-    only the single-degree case shape_b = 1/2 is supported here.
+    """Singular multivariate beta with second shape fixed at 1/2 (the
+    single-degree case). ``shape_a`` is (tr(beta)/p * n + p - 1)/2 in the
+    volatility evolution.
     """
 
     shape_a: float
     p: int
-    shape_b: float = 0.5
 
     def __post_init__(self):
-        if self.shape_b != 0.5:
-            raise ValueError("only shape_b = 1/2 is supported")
         if self.shape_a <= (self.p - 1) / 2.0:
             raise DofTooSmall(
                 f"shape_a must exceed (p - 1)/2 = {(self.p - 1) / 2.0}"

@@ -21,9 +21,6 @@ class DofTooSmall(MvdlmError):
     """Degrees of freedom too small for a density, moment or standardization."""
 
 
-DegreesTooSmall = DofTooSmall
-
-
 class StateOverflow(MvdlmError):
     """The state covariance overflowed to a non-finite value."""
 

@@ -45,6 +45,7 @@ from .model import FilterState, ModelSpec, Priors, validate
 
 FIXED_POINT_TOL = 1e-9
 CLOSED_FORM_RTOL = 1e-8
+BLOCK_ROWS = 64  # rows of one batched volatility_pass in run_models
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,6 @@ class Prediction:
     Q: float
     sigma_prior: InvWishartParams
     forecast: MultiTParams
-    sigma_forecast_mean: np.ndarray | None
     gain: np.ndarray  # R_t F_t / Q_t
     P: np.ndarray  # posterior state covariance P_t (data-free)
 
@@ -541,12 +541,12 @@ def predict(state, spec, t):
 
     Returns the prior state covariance R_t and mean a_t = G_t m_{t-1}, the
     forecast mean (by :func:`forecast_mean`) and spread, the
-    inverted-Wishart prior of the step volatility, the multivariate-t
-    forecast law of y_t, (when defined) the forecast mean of the volatility
-    matrix, and the data-free gain and P_t. :func:`update` applies a_t, the
-    gain and P_t, so G_t is resolved once. Like the mean pass of
-    :func:`state_pass`, a_t is formed block by block: an unobserved entry
-    past the float range reads inf, never NaN.
+    inverted-Wishart prior of the step volatility (its ``mean``, where
+    defined, is the forecast mean of the volatility), the multivariate-t
+    forecast law of y_t, and the data-free gain and P_t. :func:`update`
+    applies a_t, the gain and P_t, so G_t is resolved once. Like the mean
+    pass of :func:`state_pass`, a_t is formed block by block: an unobserved
+    entry past the float range reads inf, never NaN.
     """
     cov = covariance_pass(spec, state.P, 1, start=t)
     a = np.empty(state.m.shape)
@@ -564,13 +564,7 @@ def predict(state, spec, t):
     scale_prior, k = forecast_law(spec.vol_discounts)(state.S, state.n)
     sigma_prior = InvWishartParams(dof=k + 2 * spec.p, scale=scale_prior)
     forecast = MultiTParams(dof=k, location=f, scale_row=q, scale_col=scale_prior)
-    try:
-        sigma_forecast_mean = sigma_prior.mean
-    except MvdlmError:
-        sigma_forecast_mean = None
-    return Prediction(
-        t, cov.R[0], a, f, q, sigma_prior, forecast, sigma_forecast_mean, cov.gain[0], cov.P
-    )
+    return Prediction(t, cov.R[0], a, f, q, sigma_prior, forecast, cov.gain[0], cov.P)
 
 
 def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
@@ -612,29 +606,29 @@ def _state_inputs(spec, priors, y):
     )
 
 
-def run_models(models, sqrt_method="spectral", block=64):
+def run_models(models, sqrt_method="spectral"):
     """Filter each (spec, priors, observations) of ``models``; returns their
     trajectories in order.
 
     Each model is validated once. Models whose state-pass inputs are equal
     (see :func:`_state_inputs`) share one :func:`state_pass`, and their
     volatility recursions run in batched :func:`volatility_pass` calls of up
-    to ``block`` rows, each row from its own beta, S0 and validated degrees
-    of freedom (the prior n0 when every beta_i = 1, else the asserted fixed
-    point). Each trajectory equals the one its model gives alone, and the
+    to ``BLOCK_ROWS`` rows, each row from its own beta, S0 and validated
+    degrees of freedom (the prior n0 when every beta_i = 1, else the asserted
+    fixed point). Each trajectory equals the one its model gives alone, and the
     ``u`` of a batch is whitened once, on the first read of any row.
     """
     groups = {}
     for i, (spec, priors, observations) in enumerate(models):
-        n = validate(spec, priors).n
+        n = validate(spec, priors)
         y = _as_observation_matrix(observations, spec.p)
         groups.setdefault(_state_inputs(spec, priors, y), []).append((i, spec, priors, y, n))
     trajectories = [None] * len(models)
     for members in groups.values():
         _, spec, priors, y, _ = members[0]
         states = state_pass(spec, priors, y)
-        for lo in range(0, len(members), block):
-            index, specs, priors, _, dofs = zip(*members[lo:lo + block])
+        for lo in range(0, len(members), BLOCK_ROWS):
+            index, specs, priors, _, dofs = zip(*members[lo:lo + BLOCK_ROWS])
             vol = volatility_pass(
                 states.e, states.Q, [spec.vol_discounts for spec in specs],
                 np.array([prior.S0 for prior in priors]), dofs, sqrt_method,
@@ -652,7 +646,7 @@ def run(spec, priors, observations, sqrt_method="spectral"):
 def posterior_path(e, Q, spec, priors):
     """Sigma_0..Sigma_N of the model (spec, priors) re-derived from its forecast
     errors e and spreads Q: the ``posterior_means`` of its :func:`run` trajectory."""
-    dof = validate(spec, priors).n  # as run_models starts each volatility pass
+    dof = validate(spec, priors)  # as run_models starts each volatility pass
     return volatility_pass(e, Q, spec.vol_discounts, priors.S0, dof).posterior_means(0)
 
 

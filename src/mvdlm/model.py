@@ -8,7 +8,7 @@ and the volatility discounts beta_1..beta_p govern the stochastic evolution
 of the innovation covariance matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,25 +190,11 @@ class FilterState:
     n: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate`: branch, degrees of freedom and features."""
-
-    p: int
-    d: int
-    mean_beta: float
-    constant_volatility: bool
-    n: float
-    features: dict = field(default_factory=dict)
-    notes: tuple = ()
-
-
 def validate(spec, priors):
-    """Check spec and priors, returning the resolved branch and feature set.
+    """Check spec and priors; returns the working degrees of freedom: the
+    prior ``n0`` when every beta_i = 1, else :func:`compute_n` of beta.
 
-    The features are :attr:`ModelSpec.features`. In the constant-volatility
-    branch both moments are available once enough observations have
-    accumulated, so they are reported enabled.
+    What the discounts admit is :attr:`ModelSpec.features`.
     """
     matrices = {"m0": (spec.d, spec.p), "P0": (spec.d, spec.d), "S0": (spec.p, spec.p)}
     for name, shape in matrices.items():
@@ -224,33 +210,6 @@ def validate(spec, priors):
     # forecast spread non-scalar, which this model rules out.
     spec.design_at(1)
     spec.evolution_at(1)
-
-    mean_beta = spec.mean_beta
-    features = spec.features
-    notes = []
     if spec.constant_volatility:
-        n = float(priors.n0)
-        notes.append(
-            "constant-volatility branch: degrees of freedom grow by 1 per step"
-        )
-    else:
-        n = compute_n(spec.vol_discounts)
-        if not features["posterior_mean"]:
-            notes.append(
-                f"mean_beta = {mean_beta:.6g} <= 1/2: posterior mean of the "
-                "volatility is unavailable"
-            )
-        if not features["forecast_moments"]:
-            notes.append(
-                f"mean_beta = {mean_beta:.6g} <= 2/3: forecast mean and "
-                "standardized errors are unavailable"
-            )
-    return ValidationReport(
-        p=spec.p,
-        d=spec.d,
-        mean_beta=mean_beta,
-        constant_volatility=spec.constant_volatility,
-        n=n,
-        features=features,
-        notes=tuple(notes),
-    )
+        return float(priors.n0)
+    return compute_n(spec.vol_discounts)

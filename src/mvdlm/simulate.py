@@ -17,7 +17,7 @@ from .distributions import _evolution_constants, _evolve_factored, _psd_lower_fa
 from .distributions import invwishart_sample, matrix_normal_sample
 from .filter import _check_finite, covariance_pass
 from .linalg import cholesky_upper, factor_symmetric, inv_factor, symmetrize
-from .model import ModelSpec, Priors, validate
+from .model import validate
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class SimPath:
     observations: np.ndarray  # (N, p)
     states: np.ndarray  # (N, d, p)
     volatilities: np.ndarray  # (N, p, p)
-    seed: int | None = None
 
     def __len__(self):
         return self.observations.shape[0]
@@ -44,7 +43,7 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     discounts inflate a component past the float range within the horizon)
     raises :class:`StateOverflow`.
     """
-    report = validate(spec, priors)
+    n = validate(spec, priors)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     cov = covariance_pass(spec, priors.P0, n_steps)
@@ -53,7 +52,7 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
         rng = np.random.default_rng(seed)
     p, d = spec.p, spec.d
     if sigma0 is None:
-        sigma = invwishart_sample(report.n + 2 * p, priors.S0, rng)
+        sigma = invwishart_sample(n + 2 * p, priors.S0, rng)
     else:
         sigma = symmetrize(np.atleast_2d(sigma0))
     if theta0 is None:
@@ -66,9 +65,9 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     volatilities = np.empty((n_steps, p, p))
 
     root = cholesky_upper(sigma)
-    evolving = not report.constant_volatility
+    evolving = not spec.constant_volatility
     if evolving:
-        half_dofs, scale_outer = _evolution_constants(spec.vol_discounts, report.n)
+        half_dofs, scale_outer = _evolution_constants(spec.vol_discounts, n)
         phi_root = factor_symmetric(inv_factor(root))
     moving = cov.omega.any(axis=(1, 2))
     for i in range(n_steps):
@@ -82,55 +81,4 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
         observations[i] = theta.T @ cov.F[i] + root.T @ rng.standard_normal(p)
         states[i] = theta
         volatilities[i] = sigma
-    return SimPath(
-        observations=observations,
-        states=states,
-        volatilities=volatilities,
-        seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class PairedScenario:
-    """A simulated 4-series local-level path with paired volatility
-    discounts, together with the generating spec and priors."""
-
-    path: SimPath
-    spec: ModelSpec
-    priors: Priors
-
-
-def paired_volatility_scenario(
-    n_steps=333,
-    seed=0,
-    beta_pair=(0.95, 0.92),
-    delta=0.95,
-    state_scale=0.01,
-):
-    """Four return-like series driven by two volatility regimes.
-
-    The model is a local level with design [1, 0]' and identity evolution;
-    the outer pair of series shares the first volatility discount and the
-    inner pair the second, so series 1 and 4 co-move in volatility, as do
-    series 2 and 3. The default discounts are close together on purpose:
-    component volatilities drift apart geometrically at rate beta_2/beta_1
-    per step under the generative evolution, so widely split pairs produce
-    astronomically ill-conditioned paths over a few hundred steps.
-    """
-    beta1, beta2 = beta_pair
-    spec = ModelSpec(
-        p=4,
-        d=2,
-        design=np.array([1.0, 0.0]),
-        evolution=np.eye(2),
-        state_discounts=np.array([delta, delta]),
-        vol_discounts=np.array([beta1, beta2, beta2, beta1]),
-    )
-    priors = Priors(
-        m0=np.zeros((2, 4)),
-        P0=state_scale * np.eye(2),
-        S0=np.eye(4),
-        n0=1.0,
-    )
-    path = simulate(spec, priors, n_steps, seed=seed)
-    return PairedScenario(path=path, spec=spec, priors=priors)
+    return SimPath(observations=observations, states=states, volatilities=volatilities)

@@ -40,9 +40,9 @@ from mvdlm.diagnostics import (
 )
 from mvdlm.distributions import evolve_precision, wishart_sample
 from mvdlm.filter import _closed_form_scales, mle_constant
-from mvdlm.simulate import paired_volatility_scenario, simulate
+from mvdlm.simulate import simulate
 
-from conftest import local_level
+from conftest import local_level, paired_volatility_scenario
 
 
 def report(name, checks):

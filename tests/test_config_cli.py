@@ -547,9 +547,12 @@ class TestSettings:
         ("diagnose", ["--sqrt", "cholesky"]),
         ("var", ["--var-family", "normal"]),
         ("grid", ["--var-family", "normal"]),
+        ("compare", ["--sqrt", "cholesky"]),
     ])
     def test_retired_flags_rejected(self, tmp_path, capsys, command, flag):
         source = ["--traj" if command == "diagnose" else "--data", "in.csv"]
+        if command == "compare":
+            source += ["--config2", "c2.json"]
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", "c.json", *source, "--out", "o", *flag])
         assert exc.value.code == 2

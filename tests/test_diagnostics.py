@@ -20,12 +20,11 @@ from mvdlm.diagnostics import (
     loglik_constant,
     loglik_time_varying,
     msse_mae_me,
-    standardize,
     var_at_horizon,
     var_portfolio,
 )
 from mvdlm.errors import (
-    DegreesTooSmall,
+    DofTooSmall,
     EmptyData,
     EmptyGrid,
     InvalidWeights,
@@ -33,43 +32,11 @@ from mvdlm.errors import (
     MvdlmError,
     NoPositiveEigenvalues,
 )
-from mvdlm import diagnostics
 from mvdlm import filter as filter_module
 from mvdlm.filter import mle_constant
 from mvdlm.simulate import simulate
 
 from conftest import local_level
-
-
-class TestStandardize:
-    def test_scalar_hand_value(self):
-        u = standardize([3.0], 3.0, [[1.0]], vol_discounts=[0.9], n=10.0)
-        assert_allclose(u, [3.0 * np.sqrt(7.0 / 2.7)], rtol=1e-12)
-        assert_allclose(u[0] ** 2, 23.0 + 1.0 / 3.0, rtol=1e-12)
-
-    def test_zero_error(self):
-        u = standardize([0.0, 0.0], 2.0, np.eye(2), vol_discounts=[0.9, 0.9])
-        assert_allclose(u, [0.0, 0.0])
-
-    def test_constant_branch_hand_value(self):
-        # unit scale, dof 10, Q = 1: u = sqrt(k - 2) e
-        u = standardize([1.0, 0.0], 1.0, np.eye(2), dof=10.0)
-        assert_allclose(u, [np.sqrt(8.0), 0.0], rtol=1e-12)
-
-    def test_low_dof_rejected(self):
-        with pytest.raises(DegreesTooSmall):
-            standardize([1.0], 1.0, [[1.0]], dof=2.0)
-        with pytest.raises(DegreesTooSmall):
-            # mean discount 0.6 gives k = 1.5
-            standardize([1.0], 1.0, [[1.0]], vol_discounts=[0.6])
-
-    def test_root_conventions_agree_on_quadratic_form(self):
-        e = np.array([1.0, -2.0])
-        s = np.array([[2.0, 0.5], [0.5, 1.0]])
-        u_spec = standardize(e, 1.5, s, vol_discounts=[0.9, 0.9])
-        u_chol = standardize(e, 1.5, s, vol_discounts=[0.9, 0.9], method="cholesky")
-        # different roots of the same whitening matrix preserve u'u
-        assert_allclose(u_spec @ u_spec, u_chol @ u_chol, rtol=1e-10)
 
 
 class TestMsse:
@@ -260,7 +227,7 @@ class TestVarPortfolio:
 
     def test_t_family_needs_dof(self):
         config = VaRConfig(weights=[1.0], alpha=95.0, quantile_family="t")
-        with pytest.raises(DegreesTooSmall):
+        with pytest.raises(DofTooSmall):
             var_portfolio([0.0], [[1.0]], config)
 
     def test_t_quantile_scaled_to_unit_variance(self):
@@ -450,7 +417,7 @@ class TestGridSearch:
                 [row.var95, row.var99], var_at_horizon(traj, weights), rtol=1e-12
             )
         # smaller blocks (several volatility passes per delta) rank identically
-        monkeypatch.setattr(diagnostics, "GRID_BLOCK", 2)
+        monkeypatch.setattr(filter_module, "BLOCK_ROWS", 2)
         again = grid_search(
             spec, priors, obs, deltas, betas, weights=weights, sqrt_method=sqrt_method
         )
@@ -558,7 +525,7 @@ class TestLbfClosedForm:
     def test_first_bad_step_named(self):
         u = np.zeros((5, 2))
         k1 = np.array([9.0, 9.0, 2.0, 1.0, 9.0])
-        with pytest.raises(DegreesTooSmall, match="^step 3: standardized-error densities"):
+        with pytest.raises(DofTooSmall, match="^step 3: standardized-error densities"):
             lbf(u, u, k1, 9.0)
-        with pytest.raises(DegreesTooSmall, match="^step 2:"):
+        with pytest.raises(DofTooSmall, match="^step 2:"):
             lbf(u, u, 9.0, [9.0, np.nan, 9.0, 9.0, 9.0])

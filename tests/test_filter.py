@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from mvdlm import ModelSpec, Priors, compute_n, predict, run, update
 from mvdlm.errors import (
     DimensionMismatch,
+    DofTooSmall,
     EmptyData,
     FeatureUnavailable,
     MvdlmError,
@@ -33,9 +34,9 @@ from mvdlm.filter import (
 from mvdlm import filter as filter_module
 from mvdlm.linalg import symmetrize
 from mvdlm.model import FilterState
-from mvdlm.simulate import paired_volatility_scenario, simulate
+from mvdlm.simulate import simulate
 
-from conftest import local_level
+from conftest import local_level, paired_volatility_scenario
 
 
 def initial_state(spec, priors):
@@ -59,7 +60,7 @@ class TestPredict:
         assert_allclose(pred.R, [[2.0]])  # P/delta with delta = 0.5
         assert_allclose(pred.Q, 3.0)
         # one-step volatility mean 0.1 * 0.9 / 0.7
-        assert_allclose(pred.sigma_forecast_mean, [[0.9 / 7.0]])
+        assert_allclose(pred.sigma_prior.mean, [[0.9 / 7.0]])
         assert_allclose(pred.forecast.dof, 9.0)
 
     def test_unit_state_discount_no_inflation(self):
@@ -76,7 +77,8 @@ class TestPredict:
         spec, priors = local_level(1, 0.9, [0.6])  # mean beta 0.6 <= 2/3
         state = initial_state(spec, priors)
         pred = predict(state, spec, 1)
-        assert pred.sigma_forecast_mean is None
+        with pytest.raises(DofTooSmall):
+            pred.sigma_prior.mean
         assert pred.sigma_prior.dof > 0  # parameters still reported
 
 
@@ -93,6 +95,19 @@ class TestUpdate:
         # standardized error 3 sqrt(7 / 2.7)
         assert_allclose(step.u, [4.830458915396479], rtol=1e-12)
         assert_allclose(step.u[0] ** 2, 7.0 * 9.0 / (3.0 * 0.9), rtol=1e-12)
+
+    def test_constant_branch_hand_value(self):
+        # S = I, n = 10 and Q = 1 (P0 = 0): u = sqrt(k - 2) e with k = n
+        spec, priors = local_level(2, 1.0, [1.0, 1.0], p0=0.0)
+        state = FilterState(t=0, m=priors.m0, P=priors.P0, S=priors.S0, n=10.0)
+        _, step = update(state, np.array([1.0, 0.0]), spec, 1)
+        assert step.Q == 1.0
+        assert_allclose(step.u, [np.sqrt(8.0), 0.0], rtol=1e-12)
+
+    def test_no_standardized_error_at_two_or_fewer_dof(self):
+        spec, priors = local_level(1, 0.9, [0.6])  # k = 0.6 / 0.4 = 1.5
+        _, step = update(initial_state(spec, priors), np.array([1.0]), spec, 1)
+        assert step.u is None
 
     def test_zero_error_pure_decay(self, scalar_spec, scalar_priors):
         state = initial_state(scalar_spec, scalar_priors)
@@ -201,6 +216,14 @@ class TestRun:
         np.linalg.cholesky(traj.S[1:])
         # degrees of freedom pinned at the fixed point
         assert_allclose(traj.final.n, compute_n(scenario.spec.vol_discounts), rtol=1e-12)
+
+    def test_root_conventions_agree_on_squared_norm(self):
+        # different roots of the same whitening matrix preserve u'u
+        scenario = paired_volatility_scenario(n_steps=60, seed=4)
+        u_spec, u_chol = (run(scenario.spec, scenario.priors, scenario.path.observations,
+                              sqrt_method=method).u for method in ("spectral", "cholesky"))
+        assert not np.allclose(u_spec, u_chol)
+        assert_allclose(np.sum(u_spec**2, axis=1), np.sum(u_chol**2, axis=1), rtol=1e-10)
 
     def test_closed_form_scale_matches_recursion(self):
         scenario = paired_volatility_scenario(n_steps=333, seed=5)
@@ -669,12 +692,15 @@ class TestRunModels:
         for t in trajectories:
             assert_bitwise(t.u, _whiten(t.e, t.Q, *t.forecast_laws(), sqrt_method))
 
-    def test_blocks_of_rows(self):
+    def test_blocks_of_rows(self, monkeypatch):
         spec, priors, obs = self.models()
         models = [(replace(spec, vol_discounts=np.full(4, b)), priors, obs)
                   for b in (0.9, 0.95, 0.97, 1.0, 0.92)]
-        self.assert_alone(run_models(models, "cholesky", block=2),
-                          [(*model, "cholesky") for model in models])
+        monkeypatch.setattr(filter_module, "BLOCK_ROWS", 2)
+        passes = self.counted(monkeypatch, "volatility_pass")
+        trajectories = run_models(models, "cholesky")
+        assert len(passes) == 3  # blocks of 2, 2 and 1 rows
+        self.assert_alone(trajectories, [(*model, "cholesky") for model in models])
 
 
 class TestConstantVolatility:

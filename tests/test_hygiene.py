@@ -1,8 +1,8 @@
 """Static hygiene of the package, with the standard library's ``ast``: no
-module imports a name it never uses, every exported name resolves, every
-module-level function or class has a reader, and every setting a
-configuration parses is read. Also the import weight of the CLI and of
-the commands that need no scipy."""
+module imports a name it never uses, every exported name resolves and a
+submodule exports only its own names, every module-level function or class
+has a reader, and every setting a configuration parses is read. Also the
+import weight of the CLI and of the commands that need no scipy."""
 
 import argparse
 import ast
@@ -52,6 +52,22 @@ def test_exported_names_resolve(path):
     module = importlib.import_module(f"mvdlm.{path.stem}" if path.stem != "__init__" else "mvdlm")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+def test_submodule_exports_are_defined_in_the_module():
+    """A submodule's ``__all__`` lists only names that the module itself
+    defines at module level. Re-exporting is the package root's job."""
+    foreign = []
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        foreign += [f"{path.stem}.{name}" for name in sorted(_exported(tree) - defined)]
+    assert not foreign, foreign
 
 
 def _referenced(node):

@@ -88,10 +88,9 @@ class TestValidate:
             p=1, d=1, design=[1.0], evolution=[[1.0]],
             state_discounts=[0.5], vol_discounts=[0.9],
         )
-        report = validate(spec, Priors(m0=[[0.0]], P0=[[1.0]], S0=[[1.0]]))
-        assert_allclose(report.n, 10.0)
-        assert not report.constant_volatility
-        assert report.features == {"posterior_mean": True, "forecast_moments": True}
+        assert_allclose(validate(spec, Priors(m0=[[0.0]], P0=[[1.0]], S0=[[1.0]])), 10.0)
+        assert not spec.constant_volatility
+        assert spec.features == {"posterior_mean": True, "forecast_moments": True}
 
     def test_constant_branch(self):
         spec = ModelSpec(
@@ -99,9 +98,8 @@ class TestValidate:
             state_discounts=[0.9], vol_discounts=[1.0, 1.0, 1.0, 1.0],
         )
         priors = Priors(m0=np.zeros((1, 4)), P0=[[1.0]], S0=np.eye(4), n0=3.0)
-        report = validate(spec, priors)
-        assert report.constant_volatility
-        assert report.n == 3.0
+        assert validate(spec, priors) == 3.0
+        assert spec.constant_volatility
 
     def test_boundary_features_disabled(self):
         spec = ModelSpec(
@@ -109,11 +107,10 @@ class TestValidate:
             state_discounts=[0.9], vol_discounts=[0.5, 0.5],
         )
         priors = Priors(m0=np.zeros((1, 2)), P0=[[1.0]], S0=np.eye(2))
-        report = validate(spec, priors)
-        assert report.mean_beta == 0.5
-        assert not report.features["posterior_mean"]
-        assert not report.features["forecast_moments"]
-        assert report.notes
+        assert validate(spec, priors) == 2.0
+        assert spec.mean_beta == 0.5
+        assert not spec.features["posterior_mean"]
+        assert not spec.features["forecast_moments"]
 
     def test_rejects_non_pd_priors(self):
         spec = ModelSpec(

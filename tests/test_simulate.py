@@ -17,9 +17,9 @@ from mvdlm.distributions import (
 from mvdlm.filter import covariance_pass, predict
 from mvdlm.linalg import cholesky_upper, inv_spd, symmetrize
 from mvdlm.model import FilterState
-from mvdlm.simulate import paired_volatility_scenario, simulate
+from mvdlm.simulate import simulate
 
-from conftest import local_level
+from conftest import local_level, paired_volatility_scenario
 
 
 def wishart_reference(dof, scale, rng):
@@ -57,7 +57,7 @@ def evolve_reference(phi_prev, beta, n, rng):
 def simulate_reference(spec, priors, n_steps, rng, sigma0=None, theta0=None):
     """The simulator's step loop written with the public samplers, one
     factorization per use: observations, states and volatilities."""
-    n, p, d = validate(spec, priors).n, spec.p, spec.d
+    n, p, d = validate(spec, priors), spec.p, spec.d
     omega = covariance_pass(spec, priors.P0, n_steps).omega
     sigma = invwishart_sample(n + 2 * p, priors.S0, rng) if sigma0 is None else sigma0
     theta = matrix_normal_sample(priors.m0, priors.P0, sigma, rng) if theta0 is None else theta0
@@ -158,8 +158,7 @@ class TestSimulate:
         # the first coordinate of a single-step path follows the forecast
         # t law implied by the priors
         spec, priors = local_level(2, 0.9, [0.9, 0.9])
-        report = validate(spec, priors)
-        state = FilterState(t=0, m=priors.m0, P=priors.P0, S=priors.S0, n=report.n)
+        state = FilterState(t=0, m=priors.m0, P=priors.P0, S=priors.S0, n=validate(spec, priors))
         pred = predict(state, spec, 1)
         k = pred.forecast.dof
         scale = np.sqrt(pred.Q * pred.forecast.scale_col[0, 0] / k)
