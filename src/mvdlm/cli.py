@@ -88,7 +88,7 @@ def _print_report(report):
 
 def cmd_fit(args):
     config = load_config(args.config)
-    trajectory = run(*_model(config, _read_data(config, args.data)), args.sqrt)
+    trajectory = run(*_model(config, _read_data(config, args.data)))
     report = diagnostics.compute_diagnostics(trajectory)  # whitens: a failure writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,10 +105,8 @@ def cmd_grid(args):
     config = load_config(args.config)
     observations = _observations(config, _read_data(config, args.data))
     deltas, betas = config.grid_candidates()
-    result = diagnostics.grid_search(
-        config.spec(), config.priors(), observations, deltas, betas,
-        weights=config.weights, var_family=config.var_family, sqrt_method=args.sqrt,
-    )
+    result = diagnostics.grid_search(config.spec(), config.priors(), observations, deltas, betas,
+                                     weights=config.weights, var_family=config.var_family)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     result.to_csv(out)
@@ -198,8 +196,7 @@ def cmd_diagnose(args):
     if not np.allclose(means[[1, -1]][:, rows, cols], ends, CLOSED_FORM_RTOL, 0.0, equal_nan=True):
         raise ConfigError(f"{args.traj} was not fitted with this config's discounts and priors")
     loglik = diagnostics.posterior_loglik(e, q, means, spec.vol_discounts)
-    # u carries the root of the fit that wrote it, which the trajectory does not record
-    report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0], None)
+    report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0])
     diagnostics.export_report_json(report, args.out)
     _print_report(report)
     print(f"wrote {args.out}")
@@ -217,17 +214,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True, sqrt=True):
+    def add_common(p, data=True):
         p.add_argument("--config", required=True, help="JSON configuration file")
         if data:
             p.add_argument("--data", required=True, help="input CSV")
-        if sqrt:  # only where the output depends on the root (fit's u, grid's MSSE)
-            p.add_argument(
-                "--sqrt",
-                choices=("spectral", "cholesky"),
-                default="spectral",
-                help="square-root convention for standardized errors, recorded by fit",
-            )
 
     p_fit = sub.add_parser("fit", help="filter a series and write diagnostics")
     add_common(p_fit)
@@ -244,16 +234,16 @@ def build_parser():
     p_sim.add_argument("--seed", type=int, default=None)
 
     p_var = sub.add_parser("var", help="portfolio Value-at-Risk at the horizon")
-    add_common(p_var, sqrt=False)
+    add_common(p_var)
     p_var.add_argument("--out", required=True, help="output JSON path")
 
     p_cmp = sub.add_parser("compare", help="sequential log Bayes factors")
-    add_common(p_cmp, sqrt=False)
+    add_common(p_cmp)
     p_cmp.add_argument("--config2", required=True, help="second configuration")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
 
     p_diag = sub.add_parser("diagnose", help="re-run diagnostics on a stored trajectory")
-    add_common(p_diag, data=False, sqrt=False)
+    add_common(p_diag, data=False)
     p_diag.add_argument("--traj", required=True, help="trajectory CSV from fit")
     p_diag.add_argument("--out", required=True, help="output JSON path")
     return parser

@@ -9,8 +9,7 @@ constant fill for the state mean):
       "design": [1.0, 0.0],               # F, length d
       "evolution": "identity",            # or a d x d matrix
       "state_discounts": 0.95,            # scalar or length-d list
-      "vol_discounts": [0.9, 0.75, 0.75, 0.9],
-      "branch": "auto",                   # "auto" | "constant" | "time-varying"
+      "vol_discounts": [0.9, 0.75, 0.75, 0.9],   # scalar or length-p list
       "priors": {"m0": 0.0, "P0": 1000.0, "S0": 1.0, "n0": 1.0},
       "data_kind": "prices",              # or "returns"
       "names": ["alum", "copp", "lead", "zinc"],
@@ -21,10 +20,10 @@ constant fill for the state mean):
       "var": {"family": "t", "alphas": [95, 99]}   # family "t" or "normal"
     }
 
-``branch: "constant"`` forces the time-invariant volatility model; the
-volatility discounts must then be omitted or all 1. A key outside this
-schema, at the top level or in ``priors``, ``grid`` or ``var``, is a
-configuration error.
+``vol_discounts`` is required: all 1 is the time-invariant volatility
+model, anything else evolves. ``names`` holds p distinct strings and
+``weights`` p numbers. A key outside this schema, at the top level or in
+``priors``, ``grid`` or ``var``, is a configuration error.
 """
 
 import json
@@ -36,8 +35,8 @@ from .errors import ConfigError
 from .model import ModelSpec, Priors
 
 KEYS = {  # the schema above: top-level keys, then those of each section
-    None: {"p", "d", "design", "evolution", "state_discounts", "vol_discounts", "branch",
-           "priors", "data_kind", "names", "weights", "seed", "horizon", "grid", "var"},
+    None: {"p", "d", "design", "evolution", "state_discounts", "vol_discounts", "priors",
+           "data_kind", "names", "weights", "seed", "horizon", "grid", "var"},
     "priors": {"m0", "P0", "S0", "n0"},
     "grid": {"deltas", "betas"},
     "var": {"family", "alphas"},
@@ -118,18 +117,18 @@ class RunConfig:
             raise ConfigError(f"{path}: missing required key {exc}") from None
         if self.p < 1 or self.d < 1:
             raise ConfigError(f"{path}: p and d must be positive")
-        self.branch = raw.get("branch", "auto")
-        if self.branch not in ("auto", "constant", "time-varying"):
-            raise ConfigError(f"{path}: unknown branch {self.branch!r}")
         self.data_kind = raw.get("data_kind", "prices")
         if self.data_kind not in ("prices", "returns"):
             raise ConfigError(f"{path}: unknown data_kind {self.data_kind!r}")
         self.names = names = raw.get("names")
-        if names is not None and (type(names) is not list or [*map(type, names)] != [str] * self.p):
-            raise ConfigError(f"{path}: names must be a list of {self.p} strings")
+        if names is not None and (type(names) is not list or [*map(type, names)] != [str] * self.p
+                                  or len(set(names)) < self.p):
+            raise ConfigError(f"{path}: names must be a list of {self.p} distinct strings")
         self.seed = _whole(raw.get("seed"), "seed", 0)
         self.horizon = _whole(raw.get("horizon"), "horizon", 1)
         self.weights = _numbers(raw.get("weights"), "weights")
+        if self.weights is not None and len(self.weights) != self.p:
+            raise ConfigError(f"{path}: weights must be a list of {self.p} numbers")
         self.grid = raw.get("grid")
         var = raw.get("var") or {}
         self.var_family = var.get("family", "t")
@@ -155,25 +154,9 @@ class RunConfig:
         state_discounts = _as_vector(
             raw.get("state_discounts", 1.0), self.d, "state_discounts"
         )
-        vol_raw = raw.get("vol_discounts")
-        if vol_raw is None:
-            if self.branch != "constant":
-                raise ConfigError(
-                    f"{self.path}: vol_discounts required unless branch is "
-                    "'constant'"
-                )
-            vol_discounts = np.ones(self.p)
-        else:
-            vol_discounts = _as_vector(vol_raw, self.p, "vol_discounts")
-        if self.branch == "constant" and not np.all(vol_discounts == 1.0):
-            raise ConfigError(
-                f"{self.path}: branch 'constant' requires all vol_discounts = 1"
-            )
-        if self.branch == "time-varying" and np.all(vol_discounts == 1.0):
-            raise ConfigError(
-                f"{self.path}: branch 'time-varying' requires some "
-                "vol_discount below 1"
-            )
+        if raw.get("vol_discounts") is None:
+            raise ConfigError(f"{self.path}: missing required key 'vol_discounts'")
+        vol_discounts = _as_vector(raw["vol_discounts"], self.p, "vol_discounts")
         try:
             return ModelSpec(
                 p=self.p,

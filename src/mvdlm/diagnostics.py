@@ -41,8 +41,6 @@ class DiagnosticsReport:
     over steps where standardization is defined), ``mae`` and ``me`` average
     the absolute and raw forecast errors, and ``loglik`` holds the
     log-likelihood of :func:`posterior_loglik` (None from :func:`msse_mae_me`).
-    ``sqrt_convention`` names the square root behind the standardized errors,
-    None when they were read from a stored trajectory.
     """
 
     msse: np.ndarray
@@ -50,7 +48,6 @@ class DiagnosticsReport:
     me: np.ndarray
     loglik: float | None
     n_obs: int
-    sqrt_convention: str | None = "spectral"
 
 
 @dataclass(frozen=True)
@@ -121,14 +118,7 @@ def msse_mae_me(trajectory):
     if len(trajectory) == 0:
         raise EmptyData("diagnostics need at least one filtered step")
     msse, mae, me = error_summary(trajectory.e, trajectory.u)
-    return DiagnosticsReport(
-        msse=msse,
-        mae=mae,
-        me=me,
-        loglik=None,
-        n_obs=len(trajectory),
-        sqrt_convention=trajectory.sqrt_convention,
-    )
+    return DiagnosticsReport(msse=msse, mae=mae, me=me, loglik=None, n_obs=len(trajectory))
 
 
 def loglik_arrays(errors, q_values, means, vol_discounts):
@@ -408,16 +398,8 @@ def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
     return values
 
 
-def grid_search(
-    spec_template,
-    priors,
-    observations,
-    delta_grid,
-    beta_grid,
-    weights=None,
-    var_family="t",
-    sqrt_method="spectral",
-):
+def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weights=None,
+                var_family="t"):
     """Score every (delta, beta) candidate and rank by log-likelihood.
 
     ``delta_grid`` holds scalar state discounts (applied to every state
@@ -453,7 +435,7 @@ def grid_search(
                 reason = f"mean volatility discount {spec.mean_beta:.6g} <= 2/3"
                 excluded.append((float(delta), tuple(beta.tolist()), reason))
     rows = []
-    for trajectory in run_models(models, sqrt_method):
+    for trajectory in run_models(models):
         report = compute_diagnostics(trajectory)
         var95 = var99 = None
         if weights is not None:
@@ -475,7 +457,6 @@ def export_report_json(report, path=None):
         "me": report.me.tolist(),
         "loglik": report.loglik,
         "n_obs": report.n_obs,
-        "sqrt_convention": report.sqrt_convention,
     }
     if path is not None:
         write_json(path, payload)
@@ -487,6 +468,5 @@ def export_report_csv(report, path):
     p = report.msse.size
     header = [f"{name}_{i + 1}" for name in ("msse", "mae", "me") for i in range(p)]
     loglik = float("nan") if report.loglik is None else report.loglik
-    row = [*report.msse.tolist(), *report.mae.tolist(), *report.me.tolist(), loglik,
-           report.n_obs, report.sqrt_convention]
-    write_csv(path, [header + ["loglik", "n_obs", "sqrt_convention"], row])
+    row = [*report.msse.tolist(), *report.mae.tolist(), *report.me.tolist(), loglik, report.n_obs]
+    write_csv(path, [header + ["loglik", "n_obs"], row])

@@ -40,7 +40,7 @@ from .errors import (
     RankDeficient,
     StateOverflow,
 )
-from .linalg import cholesky_upper_stack, symmetrize, vech_indices
+from .linalg import symmetrize, vech_indices
 from .model import FilterState, ModelSpec, Priors, validate
 
 FIXED_POINT_TOL = 1e-9
@@ -104,14 +104,13 @@ class VolatilityPass:
     e: np.ndarray  # (N, p) forecast errors
     Q: np.ndarray  # (N,) forecast spreads
     betas: np.ndarray  # (K, p) volatility discounts
-    sqrt_method: str = "spectral"
 
     @cached_property
     def u(self):  # (K, N, p) standardized errors, NaN where dof <= 2
         law = forecast_law(self.betas[:, None])  # broadcast over the N steps
         scale = self.S[:, :-1] * law.outer  # the priors, exactly symmetric past a caller's
         scale[:, :1] = symmetrize(scale[:, :1])  # S0: symmetrize runs on that row only
-        return _whiten(self.e, self.Q, scale, law.mean * self.n[:, :-1], self.sqrt_method)
+        return _whiten(self.e, self.Q, scale, law.mean * self.n[:, :-1])
 
     def posterior_means(self, k):
         """Posterior-mean volatilities Sigma_0..Sigma_N of row k, NaN where undefined."""
@@ -151,7 +150,6 @@ class Trajectory:
     S = property(lambda self: self.volatility.S[self.row])  # (N+1, p, p) S_0..S_N
     n = property(lambda self: self.volatility.n[self.row])  # (N+1,) n_0..n_N
     u = property(lambda self: self.volatility.u[self.row])  # (N, p), NaN where dof <= 2
-    sqrt_convention = property(lambda self: self.volatility.sqrt_method)
     residuals = property(lambda self: self.e / self.Q[:, None])
     p = property(lambda self: self.spec.p)
     constant_volatility = property(lambda self: self.spec.constant_volatility)
@@ -347,26 +345,20 @@ def forecast_law(beta):
     return ForecastLaw(root[..., :, None] * root[..., None, :], np.mean(beta, axis=-1))
 
 
-def _whiten(e, q, scale, dof, method):
-    """Standardized errors {(dof - 2) Q^{-1} scale^{-1}}^{1/2} e over a
-    (..., p, p) stack of scales; rows with dof <= 2 come back NaN.
+def _whiten(e, q, scale, dof):
+    """Standardized errors {(dof - 2) Q^{-1} scale^{-1}}^{1/2} e by the
+    symmetric root, over a (..., p, p) stack of scales; rows with dof <= 2
+    come back NaN.
 
-    Spectral: with scale = V diag(lam) V', u = V (V'e / sqrt(lam)), never
-    forming the root. Cholesky: u = C e, C the upper factor of the whitening
-    matrix.
+    With scale = V diag(lam) V', u = V (V'e / sqrt(lam)), never forming the
+    root.
     """
     factor = np.sqrt(np.where(dof > 2.0, dof - 2.0, np.nan) / q)[..., None]
-    if method == "spectral":
-        lam, vecs = np.linalg.eigh(scale)
-        if np.any(lam <= 0.0):
-            raise NonPositiveDefinite("volatility scale has a non-positive eigenvalue")
-        coef = (np.swapaxes(vecs, -1, -2) @ e[..., None])[..., 0] / np.sqrt(lam)
-        return (vecs @ coef[..., None])[..., 0] * factor
-    if method == "cholesky":
-        root_inv = np.linalg.inv(cholesky_upper_stack(scale))  # scale^{-1} = C^{-1} C^{-T}
-        upper = cholesky_upper_stack(root_inv @ np.swapaxes(root_inv, -1, -2))
-        return (upper @ e[..., None])[..., 0] * factor
-    raise ValueError(f"unknown square-root method {method!r}")
+    lam, vecs = np.linalg.eigh(scale)
+    if np.any(lam <= 0.0):
+        raise NonPositiveDefinite("volatility scale has a non-positive eigenvalue")
+    coef = (np.swapaxes(vecs, -1, -2) @ e[..., None])[..., 0] / np.sqrt(lam)
+    return (vecs @ coef[..., None])[..., 0] * factor
 
 
 def _as_observation_matrix(observations, p):
@@ -464,7 +456,7 @@ def state_pass(spec, priors, observations):
     return StatePass(f=f, e=y - f, Q=cov.Q, R=cov.R, m=m, P=cov.P)
 
 
-def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
+def volatility_pass(e, Q, betas, S0, n):
     """Run the volatility recursions for K discount vectors at once.
 
     ``betas`` is (K, p), ``S0`` the starting scale ((p, p) or (K, p, p)) and
@@ -472,8 +464,8 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
     beta_i = 1 grow n by one per step. For the others n must be the fixed
     point 1/(1 - tr(beta)/p), which is asserted, and the closed-form
     expression for S_N is checked against the recursion to relative 1e-8.
-    Returns a :class:`VolatilityPass`, which whitens by ``sqrt_method``
-    only when its ``u`` is first read.
+    Returns a :class:`VolatilityPass`, which whitens only when its ``u`` is
+    first read.
     """
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n_cells, p = betas.shape
@@ -510,7 +502,7 @@ def volatility_pass(e, Q, betas, S0, n, sqrt_method="spectral"):
                 f"closed-form scale accumulation deviates from the recursion "
                 f"(relative error {float(np.max(rel)):.3e})"
             )
-    return VolatilityPass(S=S, n=n_path, e=e, Q=Q, betas=betas, sqrt_method=sqrt_method)
+    return VolatilityPass(S=S, n=n_path, e=e, Q=Q, betas=betas)
 
 
 def _closed_form_scales(e, q, roots, S0):
@@ -567,7 +559,7 @@ def predict(state, spec, t):
     return Prediction(t, cov.R[0], a, f, q, sigma_prior, forecast, cov.gain[0], cov.P)
 
 
-def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
+def update(state, y_t, spec, t, prediction=None):
     """Absorb the observation y_t, returning the new state and step record.
     S_t, n_t and u_t come from a one-step :func:`volatility_pass`, which
     asserts the degrees-of-freedom fixed point as in :func:`run`."""
@@ -584,9 +576,7 @@ def update(state, y_t, spec, t, prediction=None, sqrt_method="spectral"):
         prediction = predict(state, spec, t)
     q, e = prediction.Q, y_t - prediction.f
     m_new = prediction.a + np.outer(prediction.gain, e)
-    vol = volatility_pass(
-        e[None], np.array([q]), spec.vol_discounts, state.S, state.n, sqrt_method
-    )
+    vol = volatility_pass(e[None], np.array([q]), spec.vol_discounts, state.S, state.n)
     s_new, n_new, u = vol.S[0, 1], float(vol.n[0, 1]), vol.u[0, 0]
     sigma_post = InvWishartParams(dof=n_new + 2 * spec.p, scale=s_new)
     step = StepResult(
@@ -606,7 +596,7 @@ def _state_inputs(spec, priors, y):
     )
 
 
-def run_models(models, sqrt_method="spectral"):
+def run_models(models):
     """Filter each (spec, priors, observations) of ``models``; returns their
     trajectories in order.
 
@@ -629,18 +619,16 @@ def run_models(models, sqrt_method="spectral"):
         states = state_pass(spec, priors, y)
         for lo in range(0, len(members), BLOCK_ROWS):
             index, specs, priors, _, dofs = zip(*members[lo:lo + BLOCK_ROWS])
-            vol = volatility_pass(
-                states.e, states.Q, [spec.vol_discounts for spec in specs],
-                np.array([prior.S0 for prior in priors]), dofs, sqrt_method,
-            )
+            vol = volatility_pass(states.e, states.Q, [spec.vol_discounts for spec in specs],
+                                  np.array([prior.S0 for prior in priors]), dofs)
             for k, i in enumerate(index):
                 trajectories[i] = Trajectory(states, vol, k, specs[k], priors[k])
     return trajectories
 
 
-def run(spec, priors, observations, sqrt_method="spectral"):
+def run(spec, priors, observations):
     """Filter a full observation sequence: :func:`run_models` of one model."""
-    return run_models([(spec, priors, observations)], sqrt_method)[0]
+    return run_models([(spec, priors, observations)])[0]
 
 
 def posterior_path(e, Q, spec, priors):
@@ -678,7 +666,7 @@ class LinearTransformResult:
     max_closure_error: float
 
 
-def linear_transform(spec, priors, observations, a_matrix, sqrt_method="spectral"):
+def linear_transform(spec, priors, observations, a_matrix):
     """Filter y*_t = A y_t and verify closure of the scale recursion.
 
     A must be q x p with full row rank. With a scalar discount matrix
@@ -716,12 +704,12 @@ def linear_transform(spec, priors, observations, a_matrix, sqrt_method="spectral
             stacklevel=2,
         )
     obs = _as_observation_matrix(observations, spec.p)
-    base = run(spec, priors, obs, sqrt_method=sqrt_method)
+    base = run(spec, priors, obs)
     spec_star = replace(spec, p=q_dim, vol_discounts=beta_star)
     priors_star = Priors(
         priors.m0 @ a_matrix.T, priors.P0, a_matrix @ priors.S0 @ a_matrix.T, priors.n0
     )
-    transformed = run(spec_star, priors_star, obs @ a_matrix.T, sqrt_method=sqrt_method)
+    transformed = run(spec_star, priors_star, obs @ a_matrix.T)
     expected = a_matrix @ base.S[1:] @ a_matrix.T
     err = np.max(np.abs(transformed.S[1:] - expected), axis=(1, 2), initial=0.0)
     scale = np.maximum(np.max(np.abs(expected), axis=(1, 2), initial=0.0), 1.0)

@@ -71,21 +71,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_constant_branch_requires_unit_discounts(self, tmp_path):
-        path = write_config(
-            tmp_path, {"branch": "constant", "vol_discounts": [0.9, 0.9]}
-        )
-        with pytest.raises(ConfigError):
-            load_config(path).spec()
-
-    def test_constant_branch_defaults_to_ones(self, tmp_path):
-        raw = dict(BASE_CONFIG)
-        raw.pop("vol_discounts")
-        raw["branch"] = "constant"
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        spec = load_config(path).spec()
+    def test_unit_vol_discounts_give_constant_volatility(self, tmp_path):
+        # the discounts alone pick the branch: a scalar 1 is beta = I
+        config = load_config(write_config(tmp_path, {"vol_discounts": 1.0}))
+        spec = config.spec()
         assert spec.constant_volatility
+        assert np.array_equal(spec.vol_discounts, np.ones(2))
+        traj = run(spec, config.priors(), np.zeros((5, 2)))
+        assert np.array_equal(traj.n, 1.0 + np.arange(6))  # n grows from n0 by one per step
 
     def test_matrix_shapes_checked(self, tmp_path):
         path = write_config(tmp_path, {"priors": {"S0": [1.0, 2.0, 3.0]}})
@@ -232,7 +225,7 @@ class TestCliPipeline:
     def test_diagnose_reproduces_constant_branch_loglik(self, tmp_path):
         # with n0 = 1 the first posterior means are undefined (NaN in the
         # trajectory); the constant-volatility likelihood reads Sigma_N only
-        config_path = write_config(tmp_path, {"branch": "constant", "vol_discounts": None})
+        config_path = write_config(tmp_path, {"vol_discounts": 1.0})
         obs_path, _ = write_returns(tmp_path)
         out_dir = tmp_path / "fit"
         assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
@@ -494,6 +487,10 @@ class TestMalformedTrajectory:
     ("fit", {"grid": {"deltas": [0.9], "betas": [[0.9, 0.9]], "top": 3}}, "grid.top"),
     ("var", {"var": {"alpha": [95]}}, "unknown key 'var.alpha'"),
     ("fit", {"names": ["series_1"]}, "names"),
+    ("fit", {"names": ["series_1", "series_1"]}, "names"),
+    ("fit", {"weights": [0.5, 0.25, 0.25]}, "weights"),
+    ("fit", {"branch": "auto"}, "unknown key 'branch'"),
+    ("fit", {"vol_discounts": None}, "vol_discounts"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, key):
     config_path = write_config(tmp_path, overrides)
@@ -528,26 +525,14 @@ class TestSettings:
         row = rows[(rows[:, 0] == 0.9) & (rows[:, 1] == 0.9) & (rows[:, 2] == 0.9)][0]
         assert_allclose(row[-2:], normal, rtol=1e-12)
 
-    @pytest.mark.parametrize("sqrt", ["spectral", "cholesky"])
-    def test_diagnose_records_no_convention(self, tmp_path, sqrt):
-        # the stored u carry the root of the fit that wrote them
-        config_path = write_config(tmp_path)
-        obs_path, _ = write_returns(tmp_path)
-        out_dir = tmp_path / "fit"
-        assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
-                     "--out", str(out_dir), "--sqrt", sqrt]) == 0
-        assert main(["diagnose", "--config", str(config_path),
-                     "--traj", str(out_dir / "trajectory.csv"),
-                     "--out", str(tmp_path / "diag.json")]) == 0
-        assert json.loads((out_dir / "report.json").read_text())["sqrt_convention"] == sqrt
-        assert json.loads((tmp_path / "diag.json").read_text())["sqrt_convention"] is None
-
     @pytest.mark.parametrize("command, flag", [
         ("var", ["--sqrt", "cholesky"]),
         ("diagnose", ["--sqrt", "cholesky"]),
         ("var", ["--var-family", "normal"]),
         ("grid", ["--var-family", "normal"]),
         ("compare", ["--sqrt", "cholesky"]),
+        ("fit", ["--sqrt", "cholesky"]),
+        ("grid", ["--sqrt", "spectral"]),
     ])
     def test_retired_flags_rejected(self, tmp_path, capsys, command, flag):
         source = ["--traj" if command == "diagnose" else "--data", "in.csv"]

@@ -379,8 +379,7 @@ class TestGridSearch:
         logliks = [r.loglik for r in first.rows]
         assert logliks == sorted(logliks, reverse=True)
 
-    @pytest.mark.parametrize("sqrt_method", ["spectral", "cholesky"])
-    def test_batched_rows_equal_direct_runs(self, sqrt_method, monkeypatch):
+    def test_batched_rows_equal_direct_runs(self, monkeypatch):
         p, weights = 3, [0.2, 0.3, 0.5]
         spec = ModelSpec(
             p=p, d=2, design=[1.0, 0.0], evolution=np.eye(2),
@@ -396,9 +395,7 @@ class TestGridSearch:
             [0.9, 0.9, 0.9],
             [0.99, 0.8, 0.9],
         ]
-        result = grid_search(
-            spec, priors, obs, deltas, betas, weights=weights, sqrt_method=sqrt_method
-        )
+        result = grid_search(spec, priors, obs, deltas, betas, weights=weights)
         assert result.excluded == tuple(
             (d, (0.6, 0.65, 0.7), "mean volatility discount 0.65 <= 2/3") for d in deltas
         )
@@ -408,7 +405,7 @@ class TestGridSearch:
                 p=p, d=2, design=[1.0, 0.0], evolution=np.eye(2),
                 state_discounts=[row.delta] * 2, vol_discounts=row.beta,
             )
-            traj = run(cell, priors, obs, sqrt_method=sqrt_method)
+            traj = run(cell, priors, obs)
             report = compute_diagnostics(traj)
             assert_allclose(row.msse, report.msse, rtol=1e-12)
             assert_allclose(row.me, report.me, rtol=1e-12)
@@ -418,9 +415,7 @@ class TestGridSearch:
             )
         # smaller blocks (several volatility passes per delta) rank identically
         monkeypatch.setattr(filter_module, "BLOCK_ROWS", 2)
-        again = grid_search(
-            spec, priors, obs, deltas, betas, weights=weights, sqrt_method=sqrt_method
-        )
+        again = grid_search(spec, priors, obs, deltas, betas, weights=weights)
         assert [(r.delta, r.beta, r.loglik) for r in again.rows] == [
             (r.delta, r.beta, r.loglik) for r in result.rows
         ]
@@ -487,11 +482,11 @@ class TestReportExport:
         report = compute_diagnostics(traj)
         payload = export_report_json(report, tmp_path / "report.json")
         assert payload["n_obs"] == 3
-        assert payload["sqrt_convention"] == "spectral"
+        assert set(payload) == {"msse", "mae", "me", "loglik", "n_obs"}
         assert (tmp_path / "report.json").exists()
         export_report_csv(report, tmp_path / "report.csv")
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
-        assert header == "msse_1,mae_1,me_1,loglik,n_obs,sqrt_convention"
+        assert header == "msse_1,mae_1,me_1,loglik,n_obs"
 
 
 class TestLbfClosedForm:

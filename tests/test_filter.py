@@ -217,14 +217,6 @@ class TestRun:
         # degrees of freedom pinned at the fixed point
         assert_allclose(traj.final.n, compute_n(scenario.spec.vol_discounts), rtol=1e-12)
 
-    def test_root_conventions_agree_on_squared_norm(self):
-        # different roots of the same whitening matrix preserve u'u
-        scenario = paired_volatility_scenario(n_steps=60, seed=4)
-        u_spec, u_chol = (run(scenario.spec, scenario.priors, scenario.path.observations,
-                              sqrt_method=method).u for method in ("spectral", "cholesky"))
-        assert not np.allclose(u_spec, u_chol)
-        assert_allclose(np.sum(u_spec**2, axis=1), np.sum(u_chol**2, axis=1), rtol=1e-10)
-
     def test_closed_form_scale_matches_recursion(self):
         scenario = paired_volatility_scenario(n_steps=333, seed=5)
         traj = run(scenario.spec, scenario.priors, scenario.path.observations)
@@ -252,16 +244,15 @@ class TestTwoPassEngine:
         scenario = paired_volatility_scenario(n_steps=80, seed=2)
         spec, priors = scenario.spec, scenario.priors
         obs = scenario.path.observations
-        for sqrt_method in ("spectral", "cholesky"):
-            traj = run(spec, priors, obs, sqrt_method=sqrt_method)
-            state = initial_state(spec, priors)
-            for i in range(len(traj)):
-                state, step = update(state, obs[i], spec, i + 1, sqrt_method=sqrt_method)
-                assert_step_equals_row(step, traj, i)
-                assert np.array_equal(step.sigma_post.scale, traj.S[i + 1])
-                assert state.n == traj.n[i + 1]
-            assert np.array_equal(state.m, traj.final.m)
-            assert np.array_equal(state.P, traj.final.P)
+        traj = run(spec, priors, obs)
+        state = initial_state(spec, priors)
+        for i in range(len(traj)):
+            state, step = update(state, obs[i], spec, i + 1)
+            assert_step_equals_row(step, traj, i)
+            assert np.array_equal(step.sigma_post.scale, traj.S[i + 1])
+            assert state.n == traj.n[i + 1]
+        assert np.array_equal(state.m, traj.final.m)
+        assert np.array_equal(state.P, traj.final.P)
 
     def test_volatility_pass_rows_equal_single_runs(self):
         scenario = paired_volatility_scenario(n_steps=60, seed=4)
@@ -600,14 +591,13 @@ class TestKernelPins:
         with pytest.raises(StateOverflow, match=f"at step {step} in state component 1:"):
             covariance_pass(spec, P0, 333)
 
-    @pytest.mark.parametrize("sqrt_method", ["spectral", "cholesky"])
-    def test_volatility_pass_equals_law_loop(self, sqrt_method):
+    def test_volatility_pass_equals_law_loop(self):
         rng = np.random.default_rng(12)
         e, Q = rng.standard_normal((120, 3)), 1.0 + rng.random(120)
         betas = np.array([[0.8, 0.95, 0.8], [0.9] * 3, [1.0] * 3])
         n0 = np.array([1 / (1 - np.mean(betas[0])), 1 / (1 - 0.9), 4.0])
         S0 = np.eye(3) + 0.2 * np.triu(np.ones((3, 3)), 1)  # asymmetric as given
-        vol = volatility_pass(e, Q, betas, S0, n0, sqrt_method)
+        vol = volatility_pass(e, Q, betas, S0, n0)
         for k, beta in enumerate(betas):
             law, S, n = forecast_law(beta), [S0], [n0[k]]
             u = []
@@ -615,7 +605,7 @@ class TestKernelPins:
                 prior, dof = law(S[-1], n[-1])
                 S.append(symmetrize(prior + np.outer(e[i], e[i]) / Q[i]))
                 n.append(n[-1] + 1.0 if k == 2 else n[-1])
-                u.append(_whiten(e[i], Q[i], prior, dof, sqrt_method))
+                u.append(_whiten(e[i], Q[i], prior, dof))
             assert_bitwise(vol.S[k], np.array(S))
             assert_bitwise(vol.n[k], np.array(n))
             assert_bitwise(vol.u[k], np.array(u))
@@ -676,8 +666,7 @@ class TestRunModels:
         assert len(passes) == 2
         self.assert_alone(trajectories, models)
 
-    @pytest.mark.parametrize("sqrt_method", ["spectral", "cholesky"])
-    def test_batched_u_equals_whitening_each_trajectory(self, sqrt_method):
+    def test_batched_u_equals_whitening_each_trajectory(self):
         # the identity the lazy u rests on, over the benchmark's grid lattice
         # (37 paired betas x 2 deltas): whitening a block of rows at once
         # gives each row the bits of whitening its own forecast laws
@@ -687,10 +676,10 @@ class TestRunModels:
         betas = [[o, i, i, o] for o in levels for i in levels] + [[2 / 3] * 4]
         models = [(replace(spec, state_discounts=np.full(2, delta), vol_discounts=np.array(beta)),
                    priors, obs) for delta in (0.8, 0.95) for beta in betas]
-        trajectories = run_models(models, sqrt_method)
+        trajectories = run_models(models)
         assert len(trajectories) == 74
         for t in trajectories:
-            assert_bitwise(t.u, _whiten(t.e, t.Q, *t.forecast_laws(), sqrt_method))
+            assert_bitwise(t.u, _whiten(t.e, t.Q, *t.forecast_laws()))
 
     def test_blocks_of_rows(self, monkeypatch):
         spec, priors, obs = self.models()
@@ -698,9 +687,9 @@ class TestRunModels:
                   for b in (0.9, 0.95, 0.97, 1.0, 0.92)]
         monkeypatch.setattr(filter_module, "BLOCK_ROWS", 2)
         passes = self.counted(monkeypatch, "volatility_pass")
-        trajectories = run_models(models, "cholesky")
+        trajectories = run_models(models)
         assert len(passes) == 3  # blocks of 2, 2 and 1 rows
-        self.assert_alone(trajectories, [(*model, "cholesky") for model in models])
+        self.assert_alone(trajectories, models)
 
 
 class TestConstantVolatility:

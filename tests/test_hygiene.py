@@ -2,13 +2,15 @@
 module imports a name it never uses, every exported name resolves and a
 submodule exports only its own names, every module-level function or class
 has a reader, and every setting a configuration parses is read. Also the
-import weight of the CLI and of the commands that need no scipy."""
+import weight of the CLI and of the commands that need no scipy, and the
+README's schema example and command-line section against the code."""
 
 import argparse
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +19,11 @@ import numpy as np
 import pytest
 
 import mvdlm
-from mvdlm import cli
+from mvdlm import cli, config
 from mvdlm.data import write_observations_csv
 
 MODULES = sorted(Path(mvdlm.__file__).parent.glob("*.py"))
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _exported(tree):
@@ -219,14 +222,45 @@ def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
 
 
 
+def _subcommands():
+    """The subcommand parsers of ``cli.build_parser()``, by name."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_every_subcommand_resolves_to_a_module_level_command():
     """``main`` runs ``cmd_<name>`` of ``cli`` for subcommand ``name``, and
     every ``cmd_*`` function of ``cli`` is a subcommand."""
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
     commands = {name[4:] for name, value in vars(cli).items()
                 if name.startswith("cmd_") and callable(value)}
-    assert set(subparsers.choices) == commands
+    assert set(_subcommands()) == commands
+
+
+def _readme_command_line():
+    """The README's "Command line" section, up to the next section."""
+    text = README.read_text()
+    start = text.index("\n## Command line\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def test_readme_schema_example_has_the_config_keys():
+    """The README's JSON schema example writes exactly the keys of
+    ``config.KEYS``, section by section."""
+    example = json.loads(_readme_command_line().split("```json\n")[1].split("```")[0])
+    for section, keys in config.KEYS.items():
+        assert set(example if section is None else example[section]) == keys, section
+
+
+def test_readme_names_every_command_line_option():
+    """Every option of every subcommand is named in the README's "Command
+    line" section."""
+    named = set(re.findall(r"--[\w-]+", _readme_command_line()))
+    missing = sorted(
+        f"{name} {option}" for name, parser in _subcommands().items()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings if option not in named
+    )
+    assert not missing, missing
 
 
 def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):
