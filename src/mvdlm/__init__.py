@@ -10,13 +10,9 @@ from . import errors
 from .diagnostics import (
     DiagnosticsReport,
     LbfSeries,
-    VaRConfig,
     compute_diagnostics,
     grid_search,
     lbf,
-    loglik_constant,
-    loglik_time_varying,
-    msse_mae_me,
     var_portfolio,
 )
 from .distributions import (
@@ -63,7 +59,6 @@ __all__ = [
     "SingularBetaParams",
     "StepResult",
     "Trajectory",
-    "VaRConfig",
     "compute_diagnostics",
     "compute_n",
     "errors",
@@ -73,11 +68,8 @@ __all__ = [
     "invwishart_sample",
     "lbf",
     "linear_transform",
-    "loglik_constant",
-    "loglik_time_varying",
     "matrix_normal_sample",
     "mle_constant",
-    "msse_mae_me",
     "mvt_logpdf",
     "predict",
     "run",

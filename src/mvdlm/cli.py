@@ -106,7 +106,8 @@ def cmd_grid(args):
     observations = _observations(config, _read_data(config, args.data))
     deltas, betas = config.grid_candidates()
     result = diagnostics.grid_search(config.spec(), config.priors(), observations, deltas, betas,
-                                     weights=config.weights, var_family=config.var_family)
+                                     weights=config.weights, var_family=config.var_family,
+                                     var_alphas=config.var_alphas)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     result.to_csv(out)

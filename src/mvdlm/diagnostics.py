@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveDefinite,
     NoPositiveEigenvalues,
 )
-from .filter import forecast_law, forecast_mean, run_models
+from .filter import forecast_law, predict, run_models
 from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
 
 QUANTILE_FAMILIES = ("t", "normal")  # of the VaR
@@ -40,46 +40,14 @@ class DiagnosticsReport:
     ``msse`` averages the squared standardized errors component-wise (only
     over steps where standardization is defined), ``mae`` and ``me`` average
     the absolute and raw forecast errors, and ``loglik`` holds the
-    log-likelihood of :func:`posterior_loglik` (None from :func:`msse_mae_me`).
+    log-likelihood of :func:`posterior_loglik`.
     """
 
     msse: np.ndarray
     mae: np.ndarray
     me: np.ndarray
-    loglik: float | None
+    loglik: float
     n_obs: int
-
-
-@dataclass(frozen=True)
-class VaRConfig:
-    """Portfolio weights, confidence percentage and quantile family.
-
-    ``alpha`` is the confidence percentage (95 and 99 are the conventional
-    choices); ``quantile_family`` is "t" for the model-implied standardized
-    Student t (requires ``dof`` > 2) or "normal". Weights must be
-    nonnegative and sum to 1.
-    """
-
-    weights: np.ndarray
-    alpha: float
-    quantile_family: str = "t"
-    dof: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", np.atleast_1d(np.asarray(self.weights, dtype=float))
-        )
-        w = self.weights
-        if np.any(w < -WEIGHT_TOL) or abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
-            raise InvalidWeights(
-                "weights must be nonnegative and sum to 1 within 1e-10"
-            )
-        if not 0.0 < self.alpha < 100.0:
-            raise InvalidWeights("alpha must be a percentage in (0, 100)")
-        if self.quantile_family not in QUANTILE_FAMILIES:
-            raise InvalidWeights(
-                f"unknown quantile family {self.quantile_family!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -104,6 +72,8 @@ def error_summary(e, u):
     The MSSE averages over the steps where the standardized error exists
     (u not NaN); MAE and ME average the raw forecast errors over every step.
     """
+    if len(e) == 0:
+        raise EmptyData("diagnostics need at least one filtered step")
     defined = ~np.isnan(u[:, 0])
     if not np.any(defined):
         raise FeatureUnavailable(
@@ -111,14 +81,6 @@ def error_summary(e, u):
             "degrees of freedom"
         )
     return np.mean(u[defined] ** 2, axis=0), np.mean(np.abs(e), axis=0), np.mean(e, axis=0)
-
-
-def msse_mae_me(trajectory):
-    """Component-wise MSSE, MAE and ME of a trajectory (log-likelihood unset)."""
-    if len(trajectory) == 0:
-        raise EmptyData("diagnostics need at least one filtered step")
-    msse, mae, me = error_summary(trajectory.e, trajectory.u)
-    return DiagnosticsReport(msse=msse, mae=mae, me=me, loglik=None, n_obs=len(trajectory))
 
 
 def loglik_arrays(errors, q_values, means, vol_discounts):
@@ -143,7 +105,7 @@ def loglik_arrays(errors, q_values, means, vol_discounts):
     if b >= 1.0:
         raise MvdlmError(
             "the evolving-volatility likelihood is undefined when every "
-            "discount is 1; use loglik_constant"
+            "discount is 1; use loglik_constant_arrays"
         )
     m_param = b / (1.0 - b) + p - 1
     path = symmetrize(np.asarray(means, dtype=float))
@@ -188,19 +150,6 @@ def posterior_loglik(errors, q_values, means, vol_discounts):
     return loglik_arrays(errors, q_values, used, vol_discounts)
 
 
-def loglik_time_varying(trajectory):
-    """Path log-likelihood of the evolving model at the per-step posterior
-    means, the prior mean at step 0 included: :func:`posterior_loglik`."""
-    if trajectory.constant_volatility:
-        raise MvdlmError(
-            "the evolving-volatility likelihood is undefined at beta = I; "
-            "use loglik_constant"
-        )
-    return posterior_loglik(
-        trajectory.e, trajectory.Q, trajectory.posterior_means, trajectory.spec.vol_discounts
-    )
-
-
 def loglik_constant_arrays(errors, q_values, sigma):
     """Array-level core of the constant-volatility log-likelihood."""
     errors = np.atleast_2d(np.asarray(errors, dtype=float))
@@ -219,32 +168,28 @@ def loglik_constant_arrays(errors, q_values, sigma):
     )
 
 
-def loglik_constant(trajectory, sigma=None):
-    """Log-likelihood of a single constant volatility matrix.
-
-    Defaults to the final posterior mean, scored by :func:`posterior_loglik`.
-    """
-    if len(trajectory) == 0:
-        raise EmptyData("likelihood evaluation needs at least one step")
-    if sigma is None:
-        means, ones = trajectory.posterior_means, np.ones(trajectory.p)
-        return posterior_loglik(trajectory.e, trajectory.Q, means, ones)
-    return loglik_constant_arrays(trajectory.e, trajectory.Q, sigma)
-
-
-def var_portfolio(mu, sigma, config):
-    """Value-at-Risk of a weighted portfolio at confidence ``config.alpha``.
+def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
+    """Value-at-Risk of a weighted portfolio, one value per confidence
+    percentage of ``alphas``.
 
     Evaluates mu_port + F^{-1}(alpha/100) * sigma_port where F is the
-    standardized quantile family: the model t scaled to unit variance, or
-    the normal. ``alpha`` is a confidence percentage, so the value is
-    nondecreasing in alpha and equals the portfolio mean at alpha = 50. The
+    standardized quantile ``family``: "t", the model t with ``dof`` > 2
+    scaled to unit variance, or "normal". The weights must be nonnegative
+    and sum to 1, and each alpha lies in (0, 100), so the values are
+    nondecreasing in alpha and equal the portfolio mean at alpha = 50. The
     quantiles are ``ndtri`` and ``stdtrit``, the functions behind
     ``scipy.stats.norm.ppf`` and ``scipy.stats.t.ppf``.
     """
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if np.any(w < -WEIGHT_TOL) or abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
+        raise InvalidWeights("weights must be nonnegative and sum to 1 within 1e-10")
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((0.0 < alphas) & (alphas < 100.0)):
+        raise InvalidWeights("alpha must be a percentage in (0, 100)")
+    if family not in QUANTILE_FAMILIES:
+        raise InvalidWeights(f"unknown quantile family {family!r}")
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = symmetrize(np.atleast_2d(sigma))
-    w = config.weights
     if w.shape != mu.shape or sigma.shape != (w.size, w.size):
         raise InvalidWeights(
             f"weights of length {w.size} do not match a mean of shape "
@@ -256,17 +201,16 @@ def var_portfolio(mu, sigma, config):
         raise InvalidWeights("portfolio variance is negative")
     from scipy.special import ndtri, stdtrit  # loaded only where a quantile is taken
 
-    level = config.alpha / 100.0
-    if config.quantile_family == "normal":
-        quantile = ndtri(level)
+    levels = alphas / 100.0
+    if family == "normal":
+        quantiles = ndtri(levels)
     else:
-        k = config.dof
-        if k is None or k <= 2:
+        if dof is None or dof <= 2:
             raise DofTooSmall(
                 "the t quantile family needs dof > 2 in the VaR configuration"
             )
-        quantile = stdtrit(k, level) * math.sqrt((k - 2.0) / k)
-    return port_mean + quantile * math.sqrt(port_var)
+        quantiles = stdtrit(dof, levels) * math.sqrt((dof - 2.0) / dof)
+    return (port_mean + quantiles * math.sqrt(port_var)).tolist()
 
 
 def lbf(u_model1, u_model2, dof_model1, dof_model2, labels=("M1", "M2")):
@@ -325,12 +269,13 @@ def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
 
 
 def compute_diagnostics(trajectory):
-    """Full diagnostics report with the log-likelihood of :func:`posterior_loglik`."""
-    report = msse_mae_me(trajectory)
+    """The :func:`error_summary` of a trajectory with the log-likelihood of
+    :func:`posterior_loglik`."""
+    msse, mae, me = error_summary(trajectory.e, trajectory.u)
     loglik = posterior_loglik(
         trajectory.e, trajectory.Q, trajectory.posterior_means, trajectory.spec.vol_discounts
     )
-    return replace(report, loglik=loglik)
+    return DiagnosticsReport(msse, mae, me, loglik, len(trajectory))
 
 
 @dataclass(frozen=True)
@@ -342,8 +287,7 @@ class GridRow:
     msse: np.ndarray
     me: np.ndarray
     loglik: float
-    var95: float | None
-    var99: float | None
+    var: tuple  # VaR at each of the search's alphas, NaN without weights
 
 
 @dataclass(frozen=True)
@@ -352,54 +296,54 @@ class GridSearchResult:
 
     rows: tuple
     excluded: tuple  # (delta, beta, reason) triples
+    alphas: tuple  # confidence percentages of each row's ``var``
 
     def to_csv(self, path):
         """Column order: delta, beta_1..beta_p, msse_1..msse_p,
-        me_1..me_p, loglik, var95, var99."""
+        me_1..me_p, loglik and one var<alpha> column per alpha."""
         if not self.rows:
             raise EmptyGrid("no feasible candidates to export")
         p = len(self.rows[0].beta)
         names = (f"{name}_{i + 1}" for name in ("beta", "msse", "me") for i in range(p))
-        header = ["delta", *names, "loglik", "var95", "var99"]
-        table = np.array([
-            [*row.beta, *row.msse, *row.me, row.loglik,
-             *(np.nan if v is None else v for v in (row.var95, row.var99))]
-            for row in self.rows
-        ])
+        header = ["delta", *names, "loglik", *(f"var{alpha:g}" for alpha in self.alphas)]
+        table = np.array([[*row.beta, *row.msse, *row.me, row.loglik, *row.var]
+                          for row in self.rows])
         write_csv(path, [header], (row.delta for row in self.rows), table)
 
 
 def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
-    """Portfolio VaR from the end-of-sample posterior.
+    """Portfolio VaR of step N + 1 from the end-of-sample posterior, one value
+    per confidence percentage, by :func:`var_portfolio`.
 
-    Uses the filtered level m_N'F (by :func:`~mvdlm.filter.forecast_mean`)
-    as the portfolio mean components, the posterior-mean volatility matrix,
-    and (for the t family) the end-of-sample forecast degrees of freedom.
-    Returns one value per requested confidence percentage. A final scale
-    that is not positive definite to working precision raises
+    The portfolio mean components are the forecast mean of
+    :func:`~mvdlm.filter.predict` at step N + 1, f_{N+1} = (G_{N+1} m_N)'
+    F_{N+1}; the covariance is the posterior-mean volatility Sigma_N, and
+    the t family takes the degrees of freedom of that step's forecast law.
+    A final scale that is not positive definite to working precision raises
     :class:`NonPositiveDefinite`.
     """
     if len(trajectory) == 0:
         raise EmptyData("VaR needs at least one filtered step")
-    final = trajectory.final
-    spec = trajectory.spec
+    return _var(trajectory, weights, family, alphas, {})
+
+
+def _var(trajectory, weights, family, alphas, locations):
+    """:func:`var_at_horizon` that keeps f_{N+1} in ``locations`` by state
+    pass, for the trajectories that share one."""
+    final, spec = trajectory.final, trajectory.spec
     lam = np.linalg.eigvalsh(final.S)  # below p eps of the largest, round-off sets the sign
     if not lam[0] > lam[-1] * spec.p * np.finfo(float).eps:  # a NaN S reads 0, an inf S NaN
         raise NonPositiveDefinite("final volatility scale is not positive definite")
-    mu = forecast_mean(final.m, spec.design_at(final.t))
+    key = id(trajectory.states)
+    if key not in locations:
+        locations[key] = predict(final, spec, final.t + 1).f
     sigma = InvWishartParams(final.n + 2 * spec.p, final.S).mean
-    dof = forecast_law(spec.vol_discounts)(final.S, final.n)[1]  # of step N + 1
-    values = []
-    for alpha in alphas:
-        config = VaRConfig(
-            weights=weights, alpha=float(alpha), quantile_family=family, dof=dof
-        )
-        values.append(var_portfolio(mu, sigma, config))
-    return values
+    dof = forecast_law(spec.vol_discounts)(final.S, final.n)[1]  # predict's, of step N + 1
+    return var_portfolio(locations[key], sigma, weights, alphas, family, dof)
 
 
 def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weights=None,
-                var_family="t"):
+                var_family="t", var_alphas=(95.0, 99.0)):
     """Score every (delta, beta) candidate and rank by log-likelihood.
 
     ``delta_grid`` holds scalar state discounts (applied to every state
@@ -409,12 +353,15 @@ def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weig
     ``excluded`` instead of being scored; all-ones candidates run the
     constant-volatility branch and are scored with its likelihood.
     Ranking is by log-likelihood, descending, with lexicographic
-    (delta, beta) tie-breaks.
+    (delta, beta) tie-breaks. With ``weights``, each row holds the VaR at
+    every confidence percentage of ``var_alphas``; without, NaN.
 
     The candidates run through :func:`run_models`: one state pass per delta
-    and one batched volatility pass per block of candidates. Each row
-    holds exactly what :func:`compute_diagnostics` and
-    :func:`var_at_horizon` give for that candidate's own trajectory.
+    and one batched volatility pass per block of candidates. The candidates
+    of a state pass share its step-N+1 forecast mean, so :func:`predict`
+    runs once per pass. Each row holds exactly what
+    :func:`compute_diagnostics` and :func:`var_at_horizon` give for that
+    candidate's own trajectory.
     """
     delta_grid = list(delta_grid)
     beta_grid = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_grid]
@@ -434,19 +381,20 @@ def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weig
             else:
                 reason = f"mean volatility discount {spec.mean_beta:.6g} <= 2/3"
                 excluded.append((float(delta), tuple(beta.tolist()), reason))
-    rows = []
+    alphas = tuple(var_alphas)
+    rows, locations = [], {}  # f_{N+1} by state pass
     for trajectory in run_models(models):
         report = compute_diagnostics(trajectory)
-        var95 = var99 = None
+        var = [np.nan] * len(alphas)
         if weights is not None:
-            var95, var99 = var_at_horizon(trajectory, weights, var_family)
+            var = _var(trajectory, weights, var_family, alphas, locations)
         spec = trajectory.spec
         rows.append(GridRow(
             float(spec.state_discounts[0]), tuple(spec.vol_discounts.tolist()), report.msse,
-            report.me, report.loglik, var95, var99,
+            report.me, report.loglik, tuple(var),
         ))
     rows.sort(key=lambda row: (-row.loglik, row.delta, row.beta))
-    return GridSearchResult(rows=tuple(rows), excluded=tuple(excluded))
+    return GridSearchResult(rows=tuple(rows), excluded=tuple(excluded), alphas=alphas)
 
 
 def export_report_json(report, path=None):
@@ -467,6 +415,6 @@ def export_report_csv(report, path):
     """One-row CSV export of a diagnostics report."""
     p = report.msse.size
     header = [f"{name}_{i + 1}" for name in ("msse", "mae", "me") for i in range(p)]
-    loglik = float("nan") if report.loglik is None else report.loglik
-    row = [*report.msse.tolist(), *report.mae.tolist(), *report.me.tolist(), loglik, report.n_obs]
+    row = [*report.msse.tolist(), *report.mae.tolist(), *report.me.tolist(), report.loglik,
+           report.n_obs]
     write_csv(path, [header + ["loglik", "n_obs"], row])

@@ -152,7 +152,6 @@ class Trajectory:
     u = property(lambda self: self.volatility.u[self.row])  # (N, p), NaN where dof <= 2
     residuals = property(lambda self: self.e / self.Q[:, None])
     p = property(lambda self: self.spec.p)
-    constant_volatility = property(lambda self: self.spec.constant_volatility)
     final = property(lambda self: FilterState(  # the posterior after step N
         t=len(self.Q), m=self.states.m, P=self.states.P, S=self.S[-1], n=float(self.n[-1])))
 
@@ -421,17 +420,36 @@ def _scalar_mean_recursion(m, g, f, gain, y, observed):
     return forecasts, np.array([final])
 
 
+def _mean_pass(cov, m, y=None):
+    """The mean pass over the steps of the covariance pass ``cov`` from the
+    (d, p) mean ``m``: the forecasts f (N, p) and the final mean, or, with
+    ``y`` None, the prior mean a_t = G_t m_{t-1} of a one-step ``cov``.
+
+    It runs block by block, like the covariance pass, reading the F_t, G_t
+    and state blocks it resolved: a block of one component in float
+    arithmetic (:func:`_scalar_mean_recursion`), any other through
+    :func:`_mean_recursion`. Only the observed block meets the data; every
+    other block evolves its means without it, and an entry past the float
+    range reads inf, never NaN.
+    """
+    out, f = np.empty(m.shape), None
+    for k, idx in enumerate(cov.blocks):
+        kernel = _scalar_mean_recursion if len(idx) == 1 else _mean_recursion
+        args = m[idx], cov.G[:, idx[:, None], idx], cov.F[:, idx], cov.gain[:, idx], y
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m_b = kernel(*args, False)[1]
+            m_b[np.isnan(m_b)] = np.inf
+        else:
+            f, m_b = kernel(*args, y is not None)
+        out[idx] = m_b
+    return out if y is None else (f, out)
+
+
 def state_pass(spec, priors, observations):
     """Run the beta-independent state recursions over every observation:
-    the covariance pass, then the mean pass on the data, which reads the
-    F_t, G_t and state blocks the covariance pass resolved. Returns a
-    :class:`StatePass`.
-
-    The mean pass runs block by block, like the covariance pass: a block of
-    one component in float arithmetic (:func:`_scalar_mean_recursion`), any
-    other through :func:`_mean_recursion`. Only the observed block meets the
-    data; every other block evolves its means without it, and an entry past
-    the float range reads inf, never NaN.
+    the covariance pass, then the mean pass (:func:`_mean_pass`) on the
+    data. Returns a :class:`StatePass`.
     """
     y = _as_observation_matrix(observations, spec.p)
     missing = ~np.isfinite(y).all(axis=1)
@@ -440,19 +458,8 @@ def state_pass(spec, priors, observations):
             f"observation at step {int(np.argmax(missing)) + 1} has missing or "
             "non-finite components"
         )
-    n_steps = y.shape[0]
-    cov = covariance_pass(spec, priors.P0, n_steps)
-    m = np.empty(priors.m0.shape)
-    for k, idx in enumerate(cov.blocks):
-        kernel = _scalar_mean_recursion if len(idx) == 1 else _mean_recursion
-        args = priors.m0[idx], cov.G[:, idx[:, None], idx], cov.F[:, idx], cov.gain[:, idx], y
-        if k:
-            with np.errstate(over="ignore", invalid="ignore"):
-                m_b = kernel(*args, False)[1]
-            m_b[np.isnan(m_b)] = np.inf
-        else:
-            f, m_b = kernel(*args, True)
-        m[idx] = m_b
+    cov = covariance_pass(spec, priors.P0, y.shape[0])
+    f, m = _mean_pass(cov, priors.m0, y)
     return StatePass(f=f, e=y - f, Q=cov.Q, R=cov.R, m=m, P=cov.P)
 
 
@@ -536,21 +543,12 @@ def predict(state, spec, t):
     inverted-Wishart prior of the step volatility (its ``mean``, where
     defined, is the forecast mean of the volatility), the multivariate-t
     forecast law of y_t, and the data-free gain and P_t. :func:`update`
-    applies a_t, the gain and P_t, so G_t is resolved once. Like the mean
-    pass of :func:`state_pass`, a_t is formed block by block: an unobserved
-    entry past the float range reads inf, never NaN.
+    applies a_t, the gain and P_t, so G_t is resolved once. a_t comes from
+    the mean pass of :func:`state_pass` (:func:`_mean_pass`) over one step
+    without data.
     """
     cov = covariance_pass(spec, state.P, 1, start=t)
-    a = np.empty(state.m.shape)
-    for k, idx in enumerate(cov.blocks):  # block by block, as in state_pass
-        g_b, m_b = cov.G[0][idx[:, None], idx], state.m[idx]
-        if k:
-            with np.errstate(over="ignore", invalid="ignore"):
-                a_b = g_b @ m_b
-            a_b[np.isnan(a_b)] = np.inf
-        else:
-            a_b = g_b @ m_b
-        a[idx] = a_b
+    a = _mean_pass(cov, state.m)
     f = forecast_mean(a, cov.F[0])
     q = float(cov.Q[0])
     scale_prior, k = forecast_law(spec.vol_discounts)(state.S, state.n)

@@ -32,11 +32,11 @@ from mvdlm import (
     validate,
 )
 from mvdlm.diagnostics import (
+    error_summary,
     grid_search,
     lbf,
-    loglik_constant,
-    loglik_time_varying,
-    msse_mae_me,
+    loglik_arrays,
+    loglik_constant_arrays,
 )
 from mvdlm.distributions import evolve_precision, wishart_sample
 from mvdlm.filter import _closed_form_scales, mle_constant
@@ -158,13 +158,13 @@ class TestConstantVolatilityMle:
              dev <= 1e-6)
         )
 
-        base = loglik_constant(traj, estimate)
+        base = loglik_constant_arrays(traj.e, traj.Q, estimate)
         optimal = True
         for i in range(2):
             for eps in (0.01, -0.01, 0.05, -0.05):
                 perturbed = estimate.copy()
                 perturbed[i, i] *= 1.0 + eps
-                if loglik_constant(traj, perturbed) > base + 1e-9:
+                if loglik_constant_arrays(traj.e, traj.Q, perturbed) > base + 1e-9:
                     optimal = False
         checks.append(
             ("axis-aligned +/-1%, +/-5% perturbations never increase the "
@@ -217,7 +217,7 @@ class TestCalibration:
         sigma_true = np.array([[1.5, 0.4], [0.4, 0.8]])
         path = simulate(spec, priors, 2000, seed=11, sigma0=sigma_true)
         traj = run(spec, priors, path.observations)
-        msse = msse_mae_me(traj).msse
+        msse = error_summary(traj.e, traj.u)[0]
         checks.append(
             (f"MSSE components in [0.8, 1.25] at N=2000 "
              f"({np.array2string(msse, precision=3)})",
@@ -254,7 +254,7 @@ class TestLikelihoodCrossChecks:
         rng = np.random.default_rng(1)
         obs = rng.standard_normal((10, 1))
         traj = run(spec, priors, obs)
-        value = loglik_time_varying(traj)
+        value = loglik_arrays(traj.e, traj.Q, traj.posterior_means, spec.vol_discounts)
         beta, n = 0.9, 10.0
         m = beta / (1 - beta)
         sigmas = [priors.S0[0, 0] / (n - 2)]
@@ -370,8 +370,8 @@ class TestReferenceReproduction:
         )
         validate(spec, priors)
         traj = run(spec, priors, table.returns)
-        msse = msse_mae_me(traj).msse
-        loglik = loglik_time_varying(traj)
+        msse = error_summary(traj.e, traj.u)[0]
+        loglik = loglik_arrays(traj.e, traj.Q, traj.posterior_means, spec.vol_discounts)
         checks = [
             (f"MSSE (1.05, 1.37, 1.34, 0.94) +/- 0.02 "
              f"({np.array2string(msse, precision=3)})",
@@ -384,7 +384,9 @@ class TestReferenceReproduction:
             state_discounts=[0.08, 0.08], vol_discounts=[1.0] * 4,
         )
         traj_const = run(spec_const, priors, table.returns)
-        const_loglik = loglik_constant(traj_const)
+        const_loglik = loglik_constant_arrays(
+            traj_const.e, traj_const.Q, traj_const.posterior_means[-1]
+        )
         checks.append(
             (f"constant-volatility log-likelihood -10344.66 +/- 0.5% "
              f"({const_loglik:.2f})",

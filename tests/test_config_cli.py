@@ -543,6 +543,20 @@ class TestSettings:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    def test_var_alphas_read_by_grid(self, tmp_path):
+        config_path = write_config(tmp_path, {"var": {"alphas": [90, 97.5]}})
+        obs_path, _ = write_returns(tmp_path)
+        grid = tmp_path / "grid.csv"
+        assert main(["grid", "--config", str(config_path), "--data", str(obs_path),
+                     "--out", str(grid)]) == 0
+        assert grid.read_text().splitlines()[0].endswith(",loglik,var90,var97.5")
+        config = load_config(config_path)
+        returns = ingest_returns(obs_path).returns
+        for row in np.loadtxt(grid, delimiter=",", skiprows=1):
+            cell = replace(config.spec(), state_discounts=row[:1], vol_discounts=row[1:3])
+            traj = run(cell, config.priors(), returns)
+            assert row[-2:].tolist() == var_at_horizon(traj, config.weights, alphas=[90, 97.5])
+
     @pytest.mark.parametrize("names, reads", [(None, 1), (["series_2", "series_1"], 2)])
     def test_compare_parses_data_once_when_read_alike(self, tmp_path, monkeypatch,
                                                       names, reads):

@@ -111,19 +111,18 @@ def test_lbf_file_bytes(tmp_path):
 def test_grid_csv_bytes_with_numpy_scalars(tmp_path):
     rows = (
         GridRow(0.9, (np.float64(0.95), np.float64(0.9)), np.array([1.01, 0.98]),
-                np.array([1e-5, -2.5e-17]), np.float64(-123.456), np.float64(0.0312), None),
+                np.array([1e-5, -2.5e-17]), np.float64(-123.456), (np.float64(0.0312), np.nan)),
         GridRow(0.8, (0.85, 0.85), np.array([1.2, np.inf]), np.array([0.1, 3.0]),
-                -130.0, 0.05, 0.07),
+                -130.0, (0.05, 0.07)),
     )
     header = ["delta", "beta_1", "beta_2", "msse_1", "msse_2", "me_1", "me_2",
               "loglik", "var95", "var99"]
     expected = csv_writer_bytes(tmp_path, header, [
-        [row.delta, *row.beta, *row.msse.tolist(), *row.me.tolist(), row.loglik,
-         *(float("nan") if v is None else v for v in (row.var95, row.var99))]
+        [row.delta, *row.beta, *row.msse.tolist(), *row.me.tolist(), row.loglik, *row.var]
         for row in rows
     ])
     out = tmp_path / "grid.csv"
-    GridSearchResult(rows=rows, excluded=()).to_csv(out)
+    GridSearchResult(rows=rows, excluded=(), alphas=(95.0, 99.0)).to_csv(out)
     assert b"np.float64" not in out.read_bytes()
     assert out.read_bytes() == expected
 

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln, multigammaln
 
-from mvdlm import ModelSpec, Priors, run
+from mvdlm import ModelSpec, Priors, predict, run
 from mvdlm.diagnostics import (
-    VaRConfig,
     compute_diagnostics,
+    error_summary,
     export_report_csv,
     export_report_json,
     grid_search,
     lbf,
     lbf_from_trajectories,
-    loglik_constant,
-    loglik_time_varying,
-    msse_mae_me,
+    loglik_arrays,
+    loglik_constant_arrays,
     var_at_horizon,
     var_portfolio,
 )
@@ -32,6 +31,7 @@ from mvdlm.errors import (
     MvdlmError,
     NoPositiveEigenvalues,
 )
+from mvdlm import diagnostics as diagnostics_module
 from mvdlm import filter as filter_module
 from mvdlm.filter import mle_constant
 from mvdlm.simulate import simulate
@@ -43,29 +43,33 @@ class TestMsse:
     def test_zero_errors(self):
         spec, priors = local_level(1, 0.5, [0.9])
         traj = run(spec, priors, np.zeros((5, 1)))
-        report = msse_mae_me(traj)
-        assert_allclose(report.msse, [0.0])
-        assert_allclose(report.mae, [0.0])
-        assert_allclose(report.me, [0.0])
-        assert report.n_obs == 5
+        msse, mae, me = error_summary(traj.e, traj.u)
+        assert_allclose(msse, [0.0])
+        assert_allclose(mae, [0.0])
+        assert_allclose(me, [0.0])
 
     def test_empty_trajectory(self):
         spec, priors = local_level(1, 0.5, [0.9])
         traj = run(spec, priors, [])
         with pytest.raises(EmptyData):
-            msse_mae_me(traj)
+            error_summary(traj.e, traj.u)
 
     def test_well_specified_simulation(self):
         spec, priors = local_level(2, 0.95, [0.95, 0.95], p0=0.1)
         path = simulate(spec, priors, 2000, seed=101)
         traj = run(spec, priors, path.observations)
-        report = msse_mae_me(traj)
-        assert np.all(report.msse > 0.8) and np.all(report.msse < 1.25)
+        msse = error_summary(traj.e, traj.u)[0]
+        assert np.all(msse > 0.8) and np.all(msse < 1.25)
         u = traj.u
         n = len(traj)
         assert np.all(np.abs(u.mean(axis=0)) < 3.0 / np.sqrt(n))
         emp_cov = u.T @ u / n
         assert np.all(np.abs(emp_cov - np.eye(2)) < 3.0 * np.sqrt(2.0 / n))
+
+
+def path_loglik(traj):
+    """:func:`loglik_arrays` of a trajectory at its own discounts."""
+    return loglik_arrays(traj.e, traj.Q, traj.posterior_means, traj.spec.vol_discounts)
 
 
 class TestLoglikTimeVarying:
@@ -75,7 +79,7 @@ class TestLoglikTimeVarying:
         rng = np.random.default_rng(1)
         obs = rng.standard_normal((10, 1))
         traj = run(spec, priors, obs)
-        value = loglik_time_varying(traj)
+        value = path_loglik(traj)
 
         beta = 0.9
         n = 1.0 / (1.0 - beta)
@@ -108,8 +112,8 @@ class TestLoglikTimeVarying:
     def test_requires_evolving_volatility(self):
         spec, priors = local_level(1, 0.8, [1.0], n0=3.0)
         traj = run(spec, priors, np.ones((4, 1)))
-        with pytest.raises(MvdlmError):
-            loglik_time_varying(traj)
+        with pytest.raises(MvdlmError, match="use loglik_constant_arrays$"):
+            path_loglik(traj)
 
     def test_invariant_under_orthogonal_recoordinatization(self):
         # with a scalar discount matrix, rotating the observation space
@@ -121,11 +125,11 @@ class TestLoglikTimeVarying:
         rng = np.random.default_rng(44)
         obs = rng.standard_normal((25, 2))
         spec, priors = local_level(2, 0.9, [0.9, 0.9], p0=1.0)
-        base = loglik_time_varying(run(spec, priors, obs))
+        base = path_loglik(run(spec, priors, obs))
         priors_rot = Priors(
             m0=priors.m0 @ h.T, P0=priors.P0, S0=h @ priors.S0 @ h.T
         )
-        rotated = loglik_time_varying(run(spec, priors_rot, obs @ h.T))
+        rotated = path_loglik(run(spec, priors_rot, obs @ h.T))
         assert abs(base - rotated) < 1e-8
 
 
@@ -151,7 +155,7 @@ class TestLoglikRankOne:
 
     def check_per_step_closed_form(self, spec, priors, obs):
         traj = run(spec, priors, obs)
-        value = loglik_time_varying(traj)
+        value = path_loglik(traj)
         # plain per-step evaluation from the recursion's scales
         p = spec.p
         beta = spec.vol_discounts
@@ -185,7 +189,7 @@ class TestLoglikRankOne:
         spec, priors = local_level(1, 1.0, [0.9])
         traj = run(spec, priors, np.zeros((3, 1)))
         with pytest.raises(NoPositiveEigenvalues):
-            loglik_time_varying(traj)
+            path_loglik(traj)
 
 
 class TestLoglikConstant:
@@ -195,7 +199,7 @@ class TestLoglikConstant:
         q1 = traj.Q[0]
         sigma = 2.0
         expected = -0.5 * np.log(2 * np.pi) - 0.5 * np.log(q1) - 0.5 * np.log(sigma)
-        assert_allclose(loglik_constant(traj, [[sigma]]), expected, rtol=1e-12)
+        assert_allclose(loglik_constant_arrays(traj.e, traj.Q, [[sigma]]), expected, rtol=1e-12)
 
     def test_maximized_at_mle(self):
         rng = np.random.default_rng(3)
@@ -205,34 +209,30 @@ class TestLoglikConstant:
         )
         traj = run(spec, priors, obs)
         sigma_hat = mle_constant(obs, spec, priors)
-        base = loglik_constant(traj, sigma_hat)
+        base = loglik_constant_arrays(traj.e, traj.Q, sigma_hat)
         for i in range(2):
             for eps in (0.01, -0.01, 0.05, -0.05):
                 perturbed = sigma_hat.copy()
                 perturbed[i, i] *= 1.0 + eps
-                assert loglik_constant(traj, perturbed) <= base + 1e-9
+                assert loglik_constant_arrays(traj.e, traj.Q, perturbed) <= base + 1e-9
 
 
 class TestVarPortfolio:
     def test_median_equals_mean(self):
-        config = VaRConfig(weights=[0.5, 0.5], alpha=50.0, quantile_family="normal")
-        value = var_portfolio([0.3, -0.1], np.eye(2), config)
+        value = var_portfolio([0.3, -0.1], np.eye(2), [0.5, 0.5], [50.0], "normal")
         assert_allclose(value, 0.1, atol=1e-12)
 
     def test_normal_quantile_oracle(self):
-        config = VaRConfig(weights=[0.5, 0.5], alpha=95.0, quantile_family="normal")
-        value = var_portfolio([0.0, 0.0], np.eye(2), config)
+        value = var_portfolio([0.0, 0.0], np.eye(2), [0.5, 0.5], [95.0], "normal")
         expected = scipy.stats.norm.ppf(0.95) * np.sqrt(0.5)
         assert_allclose(value, expected, rtol=1e-12)
 
     def test_t_family_needs_dof(self):
-        config = VaRConfig(weights=[1.0], alpha=95.0, quantile_family="t")
         with pytest.raises(DofTooSmall):
-            var_portfolio([0.0], [[1.0]], config)
+            var_portfolio([0.0], [[1.0]], [1.0], [95.0], "t")
 
     def test_t_quantile_scaled_to_unit_variance(self):
-        config = VaRConfig(weights=[1.0], alpha=99.0, quantile_family="t", dof=9.0)
-        value = var_portfolio([0.0], [[1.0]], config)
+        value = var_portfolio([0.0], [[1.0]], [1.0], [99.0], "t", 9.0)
         expected = scipy.stats.t.ppf(0.99, 9) * np.sqrt(7.0 / 9.0)
         assert_allclose(value, expected, rtol=1e-12)
 
@@ -243,19 +243,19 @@ class TestVarPortfolio:
         mean, scale = weights @ mu, np.sqrt(weights @ sigma @ weights)
         dofs = np.linspace(2.01, 400.0, 500)
         level = alpha / 100.0
-        normal = var_portfolio(mu, sigma, VaRConfig(weights, alpha, "normal"))
+        normal = var_portfolio(mu, sigma, weights, [alpha], "normal")[0]
         assert np.array_equal(normal, mean + scipy.stats.norm.ppf(level) * scale)
-        t_values = [var_portfolio(mu, sigma, VaRConfig(weights, alpha, "t", k)) for k in dofs]
+        t_values = [var_portfolio(mu, sigma, weights, [alpha], "t", k)[0] for k in dofs]
         quantiles = [scipy.stats.t.ppf(level, df=k) * np.sqrt((k - 2.0) / k) for k in dofs]
         assert np.array_equal(t_values, mean + np.array(quantiles) * scale)
 
     def test_invalid_weights(self):
         with pytest.raises(InvalidWeights):
-            VaRConfig(weights=[0.5, 0.6], alpha=95.0)
+            var_portfolio([0.0, 0.0], np.eye(2), [0.5, 0.6], [95.0])
         with pytest.raises(InvalidWeights):
-            VaRConfig(weights=[-0.1, 1.1], alpha=95.0)
+            var_portfolio([0.0, 0.0], np.eye(2), [-0.1, 1.1], [95.0])
         with pytest.raises(InvalidWeights):
-            VaRConfig(weights=[1.0], alpha=0.0)
+            var_portfolio([0.0], [[1.0]], [1.0], [0.0])
 
     @given(st.floats(min_value=51.0, max_value=99.9), st.floats(min_value=51.0, max_value=99.9))
     @settings(max_examples=40)
@@ -263,12 +263,7 @@ class TestVarPortfolio:
         lo, hi = sorted((a1, a2))
         mu = np.array([0.05, -0.02])
         sigma = np.array([[1.3, 0.4], [0.4, 0.9]])
-        v = [
-            var_portfolio(
-                mu, sigma, VaRConfig(weights=[0.3, 0.7], alpha=a, quantile_family="t", dof=8.0)
-            )
-            for a in (lo, hi)
-        ]
+        v = var_portfolio(mu, sigma, [0.3, 0.7], [lo, hi], "t", 8.0)
         assert v[0] <= v[1] + 1e-12
 
     @given(
@@ -363,7 +358,9 @@ class TestGridSearch:
             priors,
             obs,
         )
-        assert_allclose(result.rows[0].loglik, loglik_constant(traj), rtol=1e-12)
+        sigma_n = traj.posterior_means[-1]  # the final posterior mean
+        assert_allclose(result.rows[0].loglik, loglik_constant_arrays(traj.e, traj.Q, sigma_n),
+                        rtol=1e-12)
 
     def test_deterministic_ranking(self):
         spec, priors = local_level(2, 0.9, [0.9, 0.9])
@@ -410,9 +407,7 @@ class TestGridSearch:
             assert_allclose(row.msse, report.msse, rtol=1e-12)
             assert_allclose(row.me, report.me, rtol=1e-12)
             assert_allclose(row.loglik, report.loglik, rtol=1e-12)
-            assert_allclose(
-                [row.var95, row.var99], var_at_horizon(traj, weights), rtol=1e-12
-            )
+            assert_allclose(row.var, var_at_horizon(traj, weights), rtol=1e-12)
         # smaller blocks (several volatility passes per delta) rank identically
         monkeypatch.setattr(filter_module, "BLOCK_ROWS", 2)
         again = grid_search(spec, priors, obs, deltas, betas, weights=weights)
@@ -421,19 +416,20 @@ class TestGridSearch:
         ]
 
     def test_rows_bitwise_equal_direct_runs(self, monkeypatch):
-        # one state pass per delta; each scored cell validated once, each
-        # excluded one ruled out by its discounts alone
-        calls = {"validate": [], "state_pass": []}
+        # one state pass and one step-N+1 prediction per delta; each scored
+        # cell validated once, each excluded one ruled out by its discounts alone
+        calls = {"validate": [], "state_pass": [], "predict": []}
         for name, found in calls.items():
-            original = getattr(filter_module, name)
-            monkeypatch.setattr(filter_module, name,
+            module = diagnostics_module if name == "predict" else filter_module
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *args, f=original, c=found: c.append(args) or f(*args))
         spec, priors = local_level(3, 0.9, [0.9] * 3, p0=1.0)
         obs = np.random.default_rng(13).standard_normal((80, 3))
         deltas = [0.8, 0.95]
         betas = [[1.0] * 3, [0.6, 0.65, 0.7], [0.7, 0.95, 0.85], [0.9] * 3]
         result = grid_search(spec, priors, obs, deltas, betas, weights=[0.2, 0.3, 0.5])
-        assert len(calls["state_pass"]) == len(deltas)
+        assert len(calls["state_pass"]) == len(calls["predict"]) == len(deltas)
         assert len(calls["validate"]) == len(result.rows) == 6 and len(result.excluded) == 2
         for row in result.rows:
             cell = replace(spec, state_discounts=[row.delta], vol_discounts=row.beta)
@@ -441,7 +437,7 @@ class TestGridSearch:
             report = compute_diagnostics(traj)
             assert np.array_equal(row.msse, report.msse) and np.array_equal(row.me, report.me)
             assert row.loglik == report.loglik
-            assert [row.var95, row.var99] == var_at_horizon(traj, [0.2, 0.3, 0.5])
+            assert list(row.var) == var_at_horizon(traj, [0.2, 0.3, 0.5])
 
     def test_empty_grid(self):
         spec, priors = local_level(1, 0.9, [0.9])
@@ -468,11 +464,45 @@ class TestGridSearch:
             spec, priors, obs, [0.9], [[0.9, 0.9]], weights=[0.5, 0.5]
         )
         row = result.rows[0]
-        assert row.var95 is not None and row.var99 is not None
-        assert row.var95 < row.var99
+        var95, var99 = row.var
+        assert not np.isnan(row.var).any()
+        assert var95 < var99
         traj = run(spec, priors, obs)
         v95, v99 = var_at_horizon(traj, [0.5, 0.5], family="t")
-        assert_allclose([row.var95, row.var99], [v95, v99], rtol=1e-12)
+        assert_allclose([var95, var99], [v95, v99], rtol=1e-12)
+
+
+def trend_model():
+    """A local linear trend (G = [[1, 1], [0, 1]], F = [1, 0]) at p = 4,
+    N = 333, fitted to series that rise by 0.5 per step."""
+    spec = ModelSpec(p=4, d=2, design=[1.0, 0.0], evolution=[[1.0, 1.0], [0.0, 1.0]],
+                     state_discounts=[0.9, 0.9], vol_discounts=[0.95] * 4)
+    priors = Priors(m0=np.zeros((2, 4)), P0=np.eye(2), S0=np.eye(4))
+    rng = np.random.default_rng(333)
+    return spec, priors, 0.5 * np.arange(1, 334)[:, None] + rng.standard_normal((333, 4))
+
+
+def switching_design_model():
+    """F_t = [1, 0] up to step 50 and [1, 1] after, G = I, m0 = [[0, 0], [1, 1]],
+    N = 50: the second state row first meets the data at step N + 1."""
+    spec = ModelSpec(p=2, d=2, design=lambda t: [1.0, 0.0] if t <= 50 else [1.0, 1.0],
+                     evolution=np.eye(2), state_discounts=[0.9, 0.9], vol_discounts=[0.9, 0.9])
+    priors = Priors(m0=[[0.0, 0.0], [1.0, 1.0]], P0=np.eye(2), S0=np.eye(2))
+    return spec, priors, np.random.default_rng(50).standard_normal((50, 2))
+
+
+class TestVarAtHorizon:
+    @pytest.mark.parametrize("model", [trend_model, switching_design_model],
+                             ids=["trend", "switching_design"])
+    def test_portfolio_mean_is_the_forecast_of_the_next_step(self, model):
+        # at alpha = 50 the VaR is the portfolio mean: w' f_{N+1}, with
+        # f_{N+1} = (G_{N+1} m_N)' F_{N+1}, not the filtered level m_N' F_N
+        spec, priors, obs = model()
+        traj = run(spec, priors, obs)
+        weights = np.full(spec.p, 1.0 / spec.p)
+        median = var_at_horizon(traj, weights, family="normal", alphas=[50.0])
+        forecast = predict(traj.final, spec, len(traj) + 1).f
+        assert_allclose(median, [weights @ forecast], rtol=1e-12)
 
 
 class TestReportExport:

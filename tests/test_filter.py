@@ -717,7 +717,7 @@ class TestConstantVolatility:
     def test_dispatch_from_run(self):
         spec, priors = local_level(2, 0.95, [1.0, 1.0], n0=3.0)
         traj = run(spec, priors, np.zeros((4, 2)))
-        assert traj.constant_volatility
+        assert traj.spec.constant_volatility
 
 
 class TestMleConstant:

@@ -3,11 +3,13 @@ module imports a name it never uses, every exported name resolves and a
 submodule exports only its own names, every module-level function or class
 has a reader, and every setting a configuration parses is read. Also the
 import weight of the CLI and of the commands that need no scipy, and the
-README's schema example and command-line section against the code."""
+README's package list, schema example and command-line section against the
+code."""
 
 import argparse
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -234,6 +236,58 @@ def test_every_subcommand_resolves_to_a_module_level_command():
     commands = {name[4:] for name, value in vars(cli).items()
                 if name.startswith("cmd_") and callable(value)}
     assert set(_subcommands()) == commands
+
+
+def _readme_module_bullets():
+    """The README's package list: the text of each ``- `mvdlm.<module>` -``
+    bullet, its continuation lines included, by module (a bullet may name
+    several)."""
+    bullets, current = {}, None
+    for line in README.read_text().splitlines():
+        if line.startswith("- `mvdlm."):
+            head, _, body = line[2:].partition(" - ")
+            current = [body]
+            bullets.update((module, current) for module in re.findall(r"`mvdlm\.(\w+)`", head))
+        elif current is not None and line.startswith("  "):
+            current.append(line.strip())
+        else:
+            current = None
+    return {module: " ".join(lines) for module, lines in bullets.items()}
+
+
+def _name_list(bullet):
+    """The bullet's name list: its first parenthesized group whose
+    comma-separated items are each one backticked name."""
+    for group in re.findall(r"\(([^()]*)\)", bullet):
+        items = [re.fullmatch(r"`(\w+)`", item.strip()) for item in group.split(",")]
+        if all(items):
+            return [item[1] for item in items]
+    return []
+
+
+def test_readme_bullets_name_every_exported_function():
+    """Every function in ``mvdlm.__all__`` is named in the README bullet of
+    the module that defines it."""
+    bullets = _readme_module_bullets()
+    missing = []
+    for name in mvdlm.__all__:
+        value = getattr(mvdlm, name)
+        module = getattr(value, "__module__", "").rpartition(".")[2]
+        if inspect.isfunction(value) and f"`{name}`" not in bullets.get(module, ""):
+            missing.append(f"{module}.{name}")
+    assert not missing, missing
+
+
+def test_readme_bullet_name_lists_resolve():
+    """Each name in a README bullet's name list resolves in its module, so a
+    removed or renamed function cannot stay listed there."""
+    unresolved, listed = [], 0
+    for module, bullet in _readme_module_bullets().items():
+        owner = importlib.import_module(f"mvdlm.{module}")
+        names = _name_list(bullet)
+        listed += len(names)
+        unresolved += [f"{module}.{name}" for name in names if not hasattr(owner, name)]
+    assert listed and not unresolved, unresolved
 
 
 def _readme_command_line():

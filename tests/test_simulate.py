@@ -5,7 +5,7 @@ import scipy.stats
 from numpy.random import SeedSequence, default_rng
 
 from mvdlm import ModelSpec, Priors, compute_n, run, validate
-from mvdlm.diagnostics import compute_diagnostics, msse_mae_me
+from mvdlm.diagnostics import compute_diagnostics, error_summary
 from mvdlm.distributions import (
     SingularBetaParams,
     evolve_precision,
@@ -207,8 +207,8 @@ class TestPairedScenario:
         for seed in (0, 1, 2):
             scenario = paired_volatility_scenario(n_steps=333, seed=seed)
             traj = run(scenario.spec, scenario.priors, scenario.path.observations)
-            report = msse_mae_me(traj)
-            assert np.all(report.msse > 0.7) and np.all(report.msse < 1.4)
+            msse = error_summary(traj.e, traj.u)[0]
+            assert np.all(msse > 0.7) and np.all(msse < 1.4)
 
     @pytest.mark.xfail(
         strict=True,
