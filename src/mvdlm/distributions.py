@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DofTooSmall, DimensionMismatch, NonPositiveDefinite
+from .errors import DiscountOutOfRange, DofTooSmall, DimensionMismatch, NonPositiveDefinite
 from .linalg import cholesky_upper, factor_symmetric, inv_spd, logdet_spd, symmetrize
 from .linalg import solve_upper_t
 
@@ -97,10 +97,7 @@ class SingularBetaParams:
     p: int
 
     def __post_init__(self):
-        if self.shape_a <= (self.p - 1) / 2.0:
-            raise DofTooSmall(
-                f"shape_a must exceed (p - 1)/2 = {(self.p - 1) / 2.0}"
-            )
+        _singular_half_dofs(self.shape_a, self.p)
 
 
 def log_multigamma(a, p, ratio=False):
@@ -176,21 +173,24 @@ def mvt_logpdf(x, params):
 def wishart_sample(dof, scale, rng):
     """Draw from W_p(dof, scale) by the Bartlett decomposition.
 
-    Works for any real dof > p - 1 (chi-square marginals drawn as gammas).
+    Works for any finite real dof > p - 1 (chi-square marginals drawn as gammas).
     """
-    scale = symmetrize(np.atleast_2d(scale))
+    scale = symmetrize(np.array(scale, dtype=float, ndmin=2))
     p = scale.shape[0]
-    if dof <= p - 1:
-        raise DofTooSmall(f"Wishart sampling requires dof > p - 1 = {p - 1}")
-    a = factor_symmetric(scale).T @ _bartlett((dof - np.arange(p)) / 2.0, rng)
-    return symmetrize(a @ a.T)
+    if not p - 1 < dof < math.inf:
+        raise DofTooSmall(f"Wishart sampling requires a finite dof > p - 1 = {p - 1}, got {dof}")
+    a = factor_symmetric(scale).T @ _bartlett([(dof - i) / 2.0 for i in range(p)], rng)
+    # numpy takes a @ a.T as one syrk and mirrors its upper triangle: exactly symmetric.
+    return a @ a.T
 
 
 def _bartlett(half_dofs, rng):
-    """Bartlett factor of W_p(dof, I): the roots of gamma((dof - i)/2, 2)
+    """Bartlett factor of W_p(dof, I): the roots of scalar gamma((dof - i)/2, 2)
     draws on the diagonal, then standard normals below it, row by row."""
     p = len(half_dofs)
-    t = np.diag(np.sqrt(rng.gamma(half_dofs, 2.0)))
+    t = np.zeros((p, p))
+    for i, half_dof in enumerate(half_dofs):
+        t[i, i] = math.sqrt(rng.gamma(half_dof, 2.0))
     z = rng.standard_normal(p * (p - 1) // 2)
     for i in range(1, p):
         t[i, :i] = z[i * (i - 1) // 2:i * (i + 1) // 2]
@@ -234,26 +234,36 @@ def singular_beta_sample(params, rng):
     (upper Cholesky), B = (C')^{-1} A C^{-1}. The result is symmetric with
     eigenvalues in [0, 1] and I - B of rank one.
     """
-    return _singular_beta((2.0 * params.shape_a - np.arange(params.p)) / 2.0, rng)
+    return _singular_beta(_singular_half_dofs(params.shape_a, params.p), rng)
+
+
+def _singular_half_dofs(shape_a, p):
+    """The half dofs (2 shape_a - i)/2 of the Wishart draw inside the singular
+    beta, after the check shape_a > (p - 1)/2 (finite)."""
+    if not (p - 1) / 2.0 < shape_a < math.inf:
+        raise DofTooSmall(f"shape_a must be finite and exceed (p - 1)/2 = {(p - 1) / 2.0}")
+    return [(2.0 * shape_a - i) / 2.0 for i in range(p)]
 
 
 def _singular_beta(half_dofs, rng):
     """:func:`singular_beta_sample` given the half dofs of its Wishart draw."""
     t = _bartlett(half_dofs, rng)
-    a = symmetrize(t @ t.T)
+    a = t @ t.T  # exactly symmetric, as in wishart_sample
     u = rng.standard_normal(len(half_dofs))
-    c = factor_symmetric(a + np.outer(u, u))
+    c = factor_symmetric(a + u[:, None] * u)
     # (C')^{-1} A C^{-1} via two triangular solves.
     return symmetrize(solve_upper_t(c, solve_upper_t(c, a).T).T)
 
 
 def _evolution_constants(beta, n):
     """The half dofs of the singular-beta draw at shape_a = (tr(beta)/p n + p - 1)/2,
-    after its check, and beta^{-1/2} 1 1' beta^{-1/2}."""
+    after the checks of beta and shape_a, and beta^{-1/2} 1 1' beta^{-1/2}."""
     p = len(beta)
-    params = SingularBetaParams(shape_a=(float(np.mean(beta)) * n + p - 1) / 2.0, p=p)
+    if not all(0.0 < b <= 1.0 for b in beta.tolist()):
+        raise DiscountOutOfRange(f"volatility discounts {beta.tolist()} must lie in (0, 1]")
+    half_dofs = _singular_half_dofs((float(beta.sum()) / p * n + p - 1) / 2.0, p)
     inv_root = 1.0 / np.sqrt(beta)
-    return (2.0 * params.shape_a - np.arange(p)) / 2.0, np.outer(inv_root, inv_root)
+    return half_dofs, inv_root[:, None] * inv_root
 
 
 def _evolve_factored(c_prev, half_dofs, scale_outer, rng):
@@ -272,11 +282,11 @@ def evolve_precision(phi_prev, beta, n, rng):
     shapes ((tr(beta)/p * n + p - 1)/2, 1/2). Marginally over a Wishart
     previous precision with n + p - 1 degrees of freedom and scale S^{-1},
     the result is Wishart with tr(beta)/p * n + p - 1 degrees of freedom
-    and scale beta^{-1/2} S^{-1} beta^{-1/2}.
+    and scale beta^{-1/2} S^{-1} beta^{-1/2}. Needs each beta_i in (0, 1], n finite.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    beta = np.array(beta, dtype=float, ndmin=1)
     p = beta.shape[0]
-    phi_prev = symmetrize(np.atleast_2d(phi_prev))
+    phi_prev = symmetrize(np.array(phi_prev, dtype=float, ndmin=2))
     if phi_prev.shape != (p, p):
         raise DimensionMismatch(f"phi_prev has shape {phi_prev.shape}, expected {(p, p)}")
     half_dofs, scale_outer = _evolution_constants(beta, n)

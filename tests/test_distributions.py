@@ -18,7 +18,7 @@ from mvdlm.distributions import (
     singular_beta_sample,
     wishart_sample,
 )
-from mvdlm.errors import DofTooSmall, NonPositiveDefinite
+from mvdlm.errors import DiscountOutOfRange, DofTooSmall, NonPositiveDefinite
 from mvdlm.linalg import cholesky_upper
 
 
@@ -209,6 +209,11 @@ class TestSingularBeta:
         with pytest.raises(DofTooSmall):
             SingularBetaParams(shape_a=0.4, p=2)
 
+    @pytest.mark.parametrize("shape_a", [np.nan, np.inf])
+    def test_non_finite_shape_refused(self, shape_a):
+        with pytest.raises(DofTooSmall):
+            SingularBetaParams(shape_a=shape_a, p=2)
+
 
 class TestEvolvePrecision:
     def test_scalar_beta_scaling_ks(self):
@@ -282,6 +287,30 @@ class TestEvolvePrecision:
             # cholesky inside evolve_precision already guarantees SPD; make
             # sure the iteration does not degenerate numerically
             assert np.all(np.isfinite(phi))
+
+
+BAD_SAMPLER_INPUTS = {
+    "wishart nan dof": (wishart_sample, (np.nan, np.eye(2)), DofTooSmall),
+    "wishart inf dof": (wishart_sample, (np.inf, np.eye(2)), DofTooSmall),
+    "invwishart nan dof": (invwishart_sample, (np.nan, np.eye(2)), DofTooSmall),
+    "invwishart inf dof": (invwishart_sample, (np.inf, np.eye(2)), DofTooSmall),
+    "beta above 1": (evolve_precision, (np.eye(2), [1.5, 0.9], 10.0), DiscountOutOfRange),
+    "beta 0": (evolve_precision, (np.eye(2), [0.0, 0.9], 10.0), DiscountOutOfRange),
+    "beta negative": (evolve_precision, (np.eye(2), [-0.5, 0.9], 10.0), DiscountOutOfRange),
+    "beta nan": (evolve_precision, (np.eye(2), [np.nan, 0.9], 10.0), DiscountOutOfRange),
+    "n nan": (evolve_precision, (np.eye(2), [0.9, 0.9], np.nan), DofTooSmall),
+    "n inf": (evolve_precision, (np.eye(2), [0.9, 0.9], np.inf), DofTooSmall),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SAMPLER_INPUTS))
+def test_bad_sampler_input_raises_before_any_draw(case):
+    # the typed error comes first: the generator is left where a fresh one starts
+    sampler, args, error = BAD_SAMPLER_INPUTS[case]
+    rng = np.random.default_rng(4)
+    with pytest.raises(error):
+        sampler(*args, rng)
+    assert rng.random() == np.random.default_rng(4).random()
 
 
 class TestTransitionDensityScalar:

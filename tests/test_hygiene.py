@@ -2,9 +2,9 @@
 module imports a name it never uses, every exported name resolves and a
 submodule exports only its own names, every module-level function or class
 has a reader, and every setting a configuration parses is read. Also the
-import weight of the CLI and of the commands that need no scipy, and the
-README's package list, schema example and command-line section against the
-code."""
+import weight of the CLI and of the commands that need no scipy, the scalar
+gamma draws of the samplers, and the README's package list, schema example
+and command-line section against the code."""
 
 import argparse
 import ast
@@ -21,8 +21,11 @@ import numpy as np
 import pytest
 
 import mvdlm
-from mvdlm import cli, config
+from mvdlm import ModelSpec, Priors, cli, config
 from mvdlm.data import write_observations_csv
+from mvdlm.distributions import (SingularBetaParams, evolve_precision, singular_beta_sample,
+                                 wishart_sample)
+from mvdlm.simulate import simulate
 
 MODULES = sorted(Path(mvdlm.__file__).parent.glob("*.py"))
 README = Path(__file__).parents[1] / "README.md"
@@ -222,6 +225,42 @@ def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
     codes, loaded = json.loads(_run_python(code))
     assert codes == [0] * 6 and loaded == []
 
+
+
+class GammaCallCounter:
+    """A Generator stand-in: every draw goes to a real generator, and the
+    ``shape`` of each ``gamma`` call is recorded."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.gamma_shapes = []
+
+    def gamma(self, shape, scale=1.0, size=None):
+        self.gamma_shapes.append(shape)
+        return self.rng.gamma(shape, scale, size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_samplers_draw_each_gamma_with_a_scalar_shape():
+    """The Bartlett diagonal is drawn one scalar ``gamma`` call per entry: an
+    array ``shape`` costs about 20 us per call against about 1.3 us per
+    scalar call on a 2-vCPU host, and the stream is the same either way."""
+    spec = ModelSpec(p=4, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+                     state_discounts=[0.95, 0.95], vol_discounts=[0.95, 0.92, 0.92, 0.95])
+    priors = Priors(m0=np.zeros((2, 4)), P0=0.01 * np.eye(2), S0=np.eye(4), n0=1.0)
+    draws = {
+        "wishart_sample": lambda rng: wishart_sample(5.5, np.eye(4), rng),
+        "singular_beta_sample": lambda rng: singular_beta_sample(SingularBetaParams(3.0, 4), rng),
+        "evolve_precision": lambda rng: evolve_precision(np.eye(4), [0.9] * 4, 10.0, rng),
+        "simulate": lambda rng: simulate(spec, priors, 20, rng=rng).volatilities,
+    }
+    for name, draw in draws.items():
+        counter = GammaCallCounter(5)
+        assert np.array_equal(draw(counter), draw(np.random.default_rng(5))), name
+        assert counter.gamma_shapes, name
+        assert all(np.ndim(shape) == 0 for shape in counter.gamma_shapes), name
 
 
 def _subcommands():

@@ -109,7 +109,7 @@ class TestBitwiseReference:
             for got, want in zip((path.observations, path.states, path.volatilities), ref):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("p", [1, 2, 4, 16])
     def test_samplers_equal_scipy_constructions(self, p):
         rng, ref = default_rng(30 + p), default_rng(30 + p)
         scale = np.eye(p) + 0.3 * np.ones((p, p))
