@@ -12,7 +12,6 @@ from .diagnostics import (
     LbfSeries,
     compute_diagnostics,
     grid_search,
-    lbf,
     var_portfolio,
 )
 from .distributions import (
@@ -66,7 +65,6 @@ __all__ = [
     "grid_search",
     "invwishart_logpdf",
     "invwishart_sample",
-    "lbf",
     "linear_transform",
     "matrix_normal_sample",
     "mle_constant",

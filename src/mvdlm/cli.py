@@ -5,6 +5,7 @@ numerical error, 1 unexpected internal error.
 """
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .config import load_config
+from .config import load_config, whole_number
 from .data import (
     ingest,
     ingest_returns,
@@ -38,12 +39,22 @@ EXIT_DATA = 3
 EXIT_MODEL = 4
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Turn an OSError raised while reading the input file ``path`` into a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_data(config, data_path):
     """The return table of the data CSV as ``config`` reads it (its
     ``data_kind`` and ``names``)."""
-    if config.data_kind == "prices":
-        return to_returns(ingest(data_path, columns=config.names))
-    return ingest_returns(data_path, columns=config.names)
+    with _reading(data_path):
+        if config.data_kind == "prices":
+            return to_returns(ingest(data_path, columns=config.names))
+        return ingest_returns(data_path, columns=config.names)
 
 
 def _observations(config, table):
@@ -103,6 +114,7 @@ def cmd_fit(args):
 
 def cmd_grid(args):
     config = load_config(args.config)
+    top = whole_number(args.top, "--top", 0)
     observations = _observations(config, _read_data(config, args.data))
     deltas, betas = config.grid_candidates()
     result = diagnostics.grid_search(config.spec(), config.priors(), observations, deltas, betas,
@@ -111,7 +123,7 @@ def cmd_grid(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     result.to_csv(out)
-    for row in result.rows[: args.top]:
+    for row in result.rows[:top]:
         beta_txt = " ".join(f"{b:.3g}" for b in row.beta)
         msse_txt = " ".join(f"{x:.2f}" for x in row.msse)
         print(
@@ -129,7 +141,7 @@ def cmd_simulate(args):
     config = load_config(args.config)
     if config.horizon is None:
         raise ConfigError(f"{args.config}: simulation needs a 'horizon' key")
-    seed = args.seed if args.seed is not None else config.seed
+    seed = config.seed if args.seed is None else whole_number(args.seed, "--seed", 0)
     path = simulate(config.spec(), config.priors(), config.horizon, seed=seed)
     write_observations_csv(args.out, path.observations, names=config.names)
     print(f"simulated {len(path)} steps (seed={seed}) -> {args.out}")
@@ -176,7 +188,7 @@ def cmd_compare(args):
 
 def _read_trajectory_csv(path):
     """e, u and Q of a trajectory CSV, and the sigma_post cells of its end lines."""
-    with open(path) as handle:  # without e_ columns, e_1 is reported missing
+    with _reading(path), open(path) as handle:  # without e_ columns, e_1 is reported missing
         p = sum(name.startswith("e_") for name in handle.readline().split(",")) or 1
     data = read_columns(path, [*(f"{name}_{i + 1}" for name in "eu" for i in range(p)), "Q"])
     ends = read_end_rows(path, [f"sigma_post_{i + 1}_{j + 1}" for i, j in vech_indices(p)])
@@ -191,12 +203,12 @@ def cmd_diagnose(args):
             f"trajectory has {e.shape[1]} series but the config declares p = {config.p}"
         )
     msse, mae, me = diagnostics.error_summary(e, u)
-    spec = config.spec()
-    means = posterior_path(e, q, spec, config.priors())  # Sigma_0..Sigma_N
-    rows, cols = np.array(vech_indices(spec.p)).T  # Sigma_1 shows S0 and n0, Sigma_N beta
+    vol = posterior_path(e, q, config.spec(), config.priors())
+    means = vol.posterior_means(0)  # Sigma_0..Sigma_N
+    rows, cols = np.array(vech_indices(config.p)).T  # Sigma_1 shows S0 and n0, Sigma_N beta
     if not np.allclose(means[[1, -1]][:, rows, cols], ends, CLOSED_FORM_RTOL, 0.0, equal_nan=True):
         raise ConfigError(f"{args.traj} was not fitted with this config's discounts and priors")
-    loglik = diagnostics.posterior_loglik(e, q, means, spec.vol_discounts)
+    loglik = diagnostics.posterior_loglik(vol, 0)
     report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0])
     diagnostics.export_report_json(report, args.out)
     _print_report(report)

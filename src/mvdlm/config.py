@@ -95,7 +95,7 @@ def _check_keys(raw, path):
             raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
 
 
-def _whole(value, what, low):
+def whole_number(value, what, low):
     """A whole number >= ``low`` as an int (None passes through), else ConfigError."""
     whole = type(value) is int or type(value) is float and value.is_integer()
     if value is not None and not (whole and value >= low):
@@ -124,8 +124,8 @@ class RunConfig:
         if names is not None and (type(names) is not list or [*map(type, names)] != [str] * self.p
                                   or len(set(names)) < self.p):
             raise ConfigError(f"{path}: names must be a list of {self.p} distinct strings")
-        self.seed = _whole(raw.get("seed"), "seed", 0)
-        self.horizon = _whole(raw.get("horizon"), "horizon", 1)
+        self.seed = whole_number(raw.get("seed"), "seed", 0)
+        self.horizon = whole_number(raw.get("horizon"), "horizon", 1)
         self.weights = _numbers(raw.get("weights"), "weights")
         if self.weights is not None and len(self.weights) != self.p:
             raise ConfigError(f"{path}: weights must be a list of {self.p} numbers")

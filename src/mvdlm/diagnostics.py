@@ -27,7 +27,7 @@ from .errors import (
     NoPositiveEigenvalues,
 )
 from .filter import forecast_law, predict, run_models
-from .linalg import cholesky_upper_stack, inv_spd, logdet_spd, symmetrize
+from .linalg import inv_spd, logdet_spd, symmetrize
 
 QUANTILE_FAMILIES = ("t", "normal")  # of the VaR
 WEIGHT_TOL = 1e-10
@@ -83,22 +83,24 @@ def error_summary(e, u):
     return np.mean(u[defined] ** 2, axis=0), np.mean(np.abs(e), axis=0), np.mean(e, axis=0)
 
 
-def loglik_arrays(errors, q_values, means, vol_discounts):
-    """Array-level core of the evolving-volatility path log-likelihood at
-    the (N+1, p, p) posterior means Sigma_t = S_t / (n - 2) of the filter,
-    Sigma_0 (the prior's) to Sigma_N.
+def loglik_arrays(q_values, logdet, r, vol_discounts):
+    """Array-level core of the evolving-volatility path log-likelihood at the
+    posterior means Sigma_t = S_t / (n - 2) of the filter, Sigma_0 (the
+    prior's) to Sigma_N, from the spreads Q_t (N,) and a row of
+    :attr:`~mvdlm.filter.VolatilityPass.scale_terms`: log|S_0|..log|S_N|
+    (N+1,) and r_t = e_t' S_t^{-1} e_t / Q_t (N,).
 
     For each step the positive eigenvalues of I - B_t, with
     B_t = (C_{t-1}')^{-1} beta^{1/2} Sigma_t^{-1} beta^{1/2} C_{t-1}^{-1}
     and C_{t-1} the upper Cholesky factor of Sigma_{t-1}^{-1}, enter
     through their log-determinant. On the posterior-mean path I - B_t has
-    rank one, and its only non-zero eigenvalue e_t' S_t^{-1} e_t / Q_t is
-    used directly (the closed form), without an eigendecomposition.
+    rank one, and its only non-zero eigenvalue is r_t (the closed form);
+    log|Sigma_t| = log|S_t| - p log(n - 2), and the quadratic form
+    e_t' Sigma_t^{-1} e_t / Q_t is (n - 2) r_t. No factorization runs here.
     """
-    errors = np.atleast_2d(np.asarray(errors, dtype=float))
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     beta = np.atleast_1d(np.asarray(vol_discounts, dtype=float))
-    n_steps, p = errors.shape
+    n_steps, p = len(q_values), len(beta)
     if n_steps == 0:
         raise EmptyData("likelihood evaluation needs at least one step")
     b = float(np.mean(beta))
@@ -108,46 +110,42 @@ def loglik_arrays(errors, q_values, means, vol_discounts):
             "discount is 1; use loglik_constant_arrays"
         )
     m_param = b / (1.0 - b) + p - 1
-    path = symmetrize(np.asarray(means, dtype=float))
+    scale = 1.0 / (1.0 - b) - 2.0  # n - 2 at the fixed point n = 1/(1 - b)
     constant = n_steps * (
         0.5 * (m_param - p) * float(np.sum(np.log(beta)))
         + log_multigamma(m_param / 2.0, p, ratio=True)
         - 0.5 * p * np.log(2.0)
         - p * np.log(np.pi)
     )
-    upper = cholesky_upper_stack(path)  # Sigma_t = C_t' C_t
-    logdet = 2.0 * np.sum(np.log(np.diagonal(upper, axis1=1, axis2=2)), axis=1)
-    solved = np.linalg.solve(np.swapaxes(upper[1:], 1, 2), errors[:, :, None])[:, :, 0]
-    quad = np.sum(solved * solved, axis=1) / q_values  # e' Sigma_t^{-1} e / Q
-    eigvals = quad / (1.0 / (1.0 - b) - 2.0)
-    positive = eigvals > 0.0
-    if not positive.all():
+    if not np.all(r > 0.0):
         raise NoPositiveEigenvalues(
-            f"step {int(np.argmin(positive)) + 1}: the volatility transition "
+            f"step {int(np.argmin(r > 0.0)) + 1}: the volatility transition "
             "factor is degenerate"
         )
+    logdet = logdet - p * np.log(scale)  # log|Sigma_0|..log|Sigma_N|
     total = np.sum(
         p * np.log(q_values)
         + (p - m_param) * logdet[:-1]
-        + quad
-        + p * np.log(eigvals)
+        + scale * r
+        + p * np.log(r)
         + (m_param - p - 2) * logdet[1:]
     )
     return float(constant - 0.5 * total)
 
 
-def posterior_loglik(errors, q_values, means, vol_discounts):
-    """The log-likelihood that fit, grid search and diagnose report, from the
-    (N+1, p, p) posterior means Sigma_0 (the prior's)..Sigma_N: at beta = I
-    the constant-volatility likelihood of Sigma_N, else the path likelihood
-    of :func:`loglik_arrays`. A NaN mean read raises DofTooSmall."""
-    constant = np.all(np.asarray(vol_discounts) == 1.0)
-    used = means[-1] if constant else means
-    if np.isnan(used).any():
+def posterior_loglik(vol, k):
+    """The log-likelihood that fit, grid search and diagnose report for row k
+    of the volatility pass ``vol``: at beta = I the constant-volatility
+    likelihood of the final posterior mean Sigma_N, else the path likelihood
+    of :func:`loglik_arrays` from ``vol.scale_terms``. An undefined posterior
+    mean (n <= 2) raises DofTooSmall."""
+    beta = vol.betas[k]
+    if not vol.n[k, -1] > 2.0:
         raise DofTooSmall("posterior mean of the volatility requires n > 2")
-    if constant:
-        return loglik_constant_arrays(errors, q_values, used)
-    return loglik_arrays(errors, q_values, used, vol_discounts)
+    if np.all(beta == 1.0):
+        return loglik_constant_arrays(vol.e, vol.Q, vol.posterior_means(k)[-1])
+    logdet, r = vol.scale_terms
+    return loglik_arrays(vol.Q, logdet[k], r[k], beta)
 
 
 def loglik_constant_arrays(errors, q_values, sigma):
@@ -213,68 +211,45 @@ def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
     return (port_mean + quantiles * math.sqrt(port_var)).tolist()
 
 
-def lbf(u_model1, u_model2, dof_model1, dof_model2, labels=("M1", "M2")):
-    """Sequential log Bayes factors from two standardized-error series.
+def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
+    """Sequential log Bayes factors of two fitted models over the same
+    observations.
 
     Each step contributes log p(u_t | M1) - log p(u_t | M2), where the
-    predictive law of a standardized error with k degrees of freedom is the
-    multivariate t with identity covariance (column scale (k - 2) I).
-    Positive values favour model 1.
+    predictive law of a standardized error with k_t degrees of freedom is the
+    multivariate t with identity covariance (column scale (k_t - 2) I).
+    Positive values favour model 1. The density reads u_t only through
+    log(1 + u_t'u_t / (k_t - 2)) = log(1 + e_t' A_t^{-1} e_t / Q_t), with A_t
+    the prior scale beta^{1/2} S_{t-1} beta^{1/2}; since S_t = A_t +
+    e_t e_t' / Q_t, the matrix determinant lemma makes that term
+    log|S_t| - log|S_{t-1}| - sum_i log beta_i, read from the ``scale_terms``
+    of each model's volatility pass. Nothing is whitened.
     """
-    u1 = np.atleast_2d(np.asarray(u_model1, dtype=float))
-    u2 = np.atleast_2d(np.asarray(u_model2, dtype=float))
-    if u1.shape != u2.shape:
-        raise LengthMismatch(
-            f"standardized error series differ in shape: {u1.shape} vs {u2.shape}"
-        )
-    n_steps, p = u1.shape
-    k1 = np.broadcast_to(np.asarray(dof_model1, dtype=float), (n_steps,))
-    k2 = np.broadcast_to(np.asarray(dof_model2, dtype=float), (n_steps,))
-    bad = ~((k1 > 2) & (k2 > 2))
-    if bad.any():
-        step = int(np.argmax(bad)) + 1
-        raise DofTooSmall(f"step {step}: standardized-error densities need dof > 2")
-    values = _standardized_t_logpdf(u1, k1) - _standardized_t_logpdf(u2, k2)
-    return LbfSeries(values=values, model_labels=tuple(labels))
-
-
-def _standardized_t_logpdf(u, k):
-    """Row-wise log-density of standardized errors u (N, p) under the t law
-    with dof k (N,), location 0, row scale 1 and column scale (k - 2) I.
-    Each term is formed as :func:`mvt_logpdf` forms it (the gamma ratio of
-    :func:`~mvdlm.distributions.log_multigamma`, the root sqrt(k - 2), a BLAS
-    dot), so the values match its per-step results bitwise (seen for p = 1..33
-    with OpenBLAS)."""
-    p = u.shape[1]
-    root = np.sqrt(k - 2.0)[:, None]
-    w = u / root
-    logdet = 2.0 * np.sum(np.log(np.repeat(root, p, axis=1)), axis=1)
-    dofs, step = np.unique(k, return_inverse=True)
-    ratio = np.array([log_multigamma((dof + p - 1) / 2.0, p, ratio=True) for dof in dofs])
-    return (
-        ratio[step] - 0.5 * p * np.log(np.pi) - 0.5 * logdet
-        - 0.5 * (k + p) * np.log1p((w[:, None, :] @ w[:, :, None])[:, 0, 0])
-    )
-
-
-def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
-    """Log Bayes factors of two fitted models over the same observations."""
     if len(traj1) != len(traj2):
         raise LengthMismatch("trajectories cover different horizons")
-    if np.any(np.isnan(traj1.u)) or np.any(np.isnan(traj2.u)):
-        raise FeatureUnavailable(
-            "both models must produce standardized errors at every step"
+    dofs = [traj1.forecast_dofs, traj2.forecast_dofs]
+    if not all(np.all(k > 2.0) for k in dofs):
+        raise FeatureUnavailable("both models must produce standardized errors at every step")
+    if traj1.p != traj2.p:
+        raise LengthMismatch(
+            f"standardized error series differ in shape: {traj1.e.shape} vs {traj2.e.shape}"
         )
-    return lbf(traj1.u, traj2.u, traj1.forecast_dofs, traj2.forecast_dofs, labels=labels)
+    p, terms = traj1.p, []
+    for traj, k in zip((traj1, traj2), dofs):
+        logdet = traj.volatility.scale_terms[0][traj.row]
+        log1p_quad = np.diff(logdet) - np.sum(np.log(traj.spec.vol_discounts))
+        distinct, step = np.unique(k, return_inverse=True)
+        ratio = np.array([log_multigamma((dof + p - 1) / 2.0, p, ratio=True) for dof in distinct])
+        terms.append(ratio[step] - 0.5 * p * np.log(np.pi * (k - 2.0))
+                     - 0.5 * (k + p) * log1p_quad)
+    return LbfSeries(values=terms[0] - terms[1], model_labels=tuple(labels))
 
 
 def compute_diagnostics(trajectory):
     """The :func:`error_summary` of a trajectory with the log-likelihood of
     :func:`posterior_loglik`."""
     msse, mae, me = error_summary(trajectory.e, trajectory.u)
-    loglik = posterior_loglik(
-        trajectory.e, trajectory.Q, trajectory.posterior_means, trajectory.spec.vol_discounts
-    )
+    loglik = posterior_loglik(trajectory.volatility, trajectory.row)
     return DiagnosticsReport(msse, mae, me, loglik, len(trajectory))
 
 

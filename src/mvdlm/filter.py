@@ -40,7 +40,7 @@ from .errors import (
     RankDeficient,
     StateOverflow,
 )
-from .linalg import symmetrize, vech_indices
+from .linalg import cholesky_upper_stack, symmetrize, vech_indices
 from .model import FilterState, ModelSpec, Priors, validate
 
 FIXED_POINT_TOL = 1e-9
@@ -97,13 +97,24 @@ class StatePass:
 @dataclass(frozen=True)
 class VolatilityPass:
     """Output of the volatility recursions for K discount vectors ``betas``
-    over ``e`` and ``Q``. Its ``u`` is computed on first read, for all K rows."""
+    over ``e`` and ``Q``. Its ``scale_terms`` and ``u`` are each computed on
+    first read, for all K rows."""
 
     S: np.ndarray  # (K, N+1, p, p) scales S_0..S_N
     n: np.ndarray  # (K, N+1) degrees of freedom n_0..n_N
     e: np.ndarray  # (N, p) forecast errors
     Q: np.ndarray  # (N,) forecast spreads
     betas: np.ndarray  # (K, p) volatility discounts
+
+    @cached_property
+    def scale_terms(self):
+        """log|S_0|..log|S_N| (K, N+1) and r_t = e_t' S_t^{-1} e_t / Q_t (K, N)
+        for all K rows, from one batched Cholesky S_t = C_t'C_t and one batched
+        solve of C_t' x = e_t; the factors are not kept."""
+        upper = cholesky_upper_stack(self.S)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(upper, axis1=-2, axis2=-1)), axis=-1)
+        solved = np.linalg.solve(np.swapaxes(upper[:, 1:], -1, -2), self.e[None, :, :, None])
+        return logdet, np.sum(solved[..., 0] ** 2, axis=-1) / self.Q
 
     @cached_property
     def u(self):  # (K, N, p) standardized errors, NaN where dof <= 2
@@ -587,7 +598,7 @@ def update(state, y_t, spec, t, prediction=None):
 def _state_inputs(spec, priors, y):
     """What the state pass of a model reads: its data, F, G, delta, m0 and
     P0, by value where they are arrays and by identity where a provider is
-    a dict or a callable."""
+    a callable."""
     return tuple(
         (x.shape, x.tobytes()) if isinstance(x, np.ndarray) else id(x)
         for x in (y, spec.design, spec.evolution, spec.state_discounts, priors.m0, priors.P0)
@@ -630,10 +641,11 @@ def run(spec, priors, observations):
 
 
 def posterior_path(e, Q, spec, priors):
-    """Sigma_0..Sigma_N of the model (spec, priors) re-derived from its forecast
-    errors e and spreads Q: the ``posterior_means`` of its :func:`run` trajectory."""
+    """The one-row volatility pass of the model (spec, priors) re-derived from
+    its forecast errors e and spreads Q: the ``volatility`` of its :func:`run`
+    trajectory."""
     dof = validate(spec, priors)  # as run_models starts each volatility pass
-    return volatility_pass(e, Q, spec.vol_discounts, priors.S0, dof).posterior_means(0)
+    return volatility_pass(e, Q, spec.vol_discounts, priors.S0, dof)
 
 
 def mle_constant(observations, spec, priors):

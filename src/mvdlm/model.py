@@ -28,19 +28,9 @@ FORECAST_MOMENT_THRESHOLD = 2.0 / 3.0
 def _resolve_sequence(provider, t, shape, what):
     """Look up a (possibly time-varying) matrix/vector sequence at step t.
 
-    ``provider`` may be a constant array, a dict keyed by step index, or a
-    callable t -> array. Dict providers fall back to the entry under key
-    ``None`` when the step is absent.
+    ``provider`` may be a constant array or a callable t -> array.
     """
-    if callable(provider):
-        value = provider(t)
-    elif isinstance(provider, dict):
-        value = provider.get(t, provider.get(None))
-        if value is None:
-            raise DimensionMismatch(f"no {what} entry for step {t}")
-    else:
-        value = provider
-    value = np.asarray(value, dtype=float)
+    value = np.asarray(provider(t) if callable(provider) else provider, dtype=float)
     if value.shape != shape:
         raise DimensionMismatch(
             f"{what} at step {t} has shape {value.shape}, expected {shape}"
@@ -73,10 +63,10 @@ class ModelSpec:
         Observation dimension.
     d : int
         State dimension.
-    design : array_like, dict or callable
+    design : array_like or callable
         Sequence provider t -> F_t (d-vector). A plain array is treated as
         constant in time.
-    evolution : array_like, dict or callable
+    evolution : array_like or callable
         Sequence provider t -> G_t (d x d matrix), same conventions.
     state_discounts : array_like
         delta_1..delta_d, each in (0, 1].
@@ -113,7 +103,7 @@ class ModelSpec:
         # Freeze constant providers as arrays of the right shape up front.
         for name, shape in (("design", (self.d,)), ("evolution", (self.d, self.d))):
             provider = getattr(self, name)
-            if not callable(provider) and not isinstance(provider, dict):
+            if not callable(provider):
                 object.__setattr__(self, name, _resolve_sequence(provider, 1, shape, name))
 
     def design_at(self, t):

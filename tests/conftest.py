@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as perfbench/run.py sets it, set before numpy loads: the
+# suite's matrices are small, so a second thread adds CPU time and no speed,
+# and it makes the suite's times follow the load of the host's other cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from dataclasses import dataclass
 
 import numpy as np

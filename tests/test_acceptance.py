@@ -13,6 +13,7 @@ model-simulated data (details in the recovery test's docstring).
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from mvdlm import (
 from mvdlm.diagnostics import (
     error_summary,
     grid_search,
-    lbf,
-    loglik_arrays,
+    lbf_from_trajectories,
     loglik_constant_arrays,
+    posterior_loglik,
 )
 from mvdlm.distributions import evolve_precision, wishart_sample
 from mvdlm.filter import _closed_form_scales, mle_constant
@@ -130,10 +131,9 @@ class TestAlgebraicIdentities:
         )
 
         # log Bayes factor antisymmetry under model swap is exact
-        u1 = rng.standard_normal((40, 2))
-        u2 = rng.standard_normal((40, 2))
-        fwd = lbf(u1, u2, 9.0, 5.0)
-        rev = lbf(u2, u1, 5.0, 9.0)
+        other = run(replace(base_spec, vol_discounts=[0.95, 0.95]), priors, obs)
+        fwd = lbf_from_trajectories(single, other)
+        rev = lbf_from_trajectories(other, single)
         swap_dev = float(np.max(np.abs(fwd.values + rev.values)))
         checks.append((f"LBF antisymmetry (max dev {swap_dev:.2e})", swap_dev == 0.0))
 
@@ -254,7 +254,7 @@ class TestLikelihoodCrossChecks:
         rng = np.random.default_rng(1)
         obs = rng.standard_normal((10, 1))
         traj = run(spec, priors, obs)
-        value = loglik_arrays(traj.e, traj.Q, traj.posterior_means, spec.vol_discounts)
+        value = posterior_loglik(traj.volatility, traj.row)
         beta, n = 0.9, 10.0
         m = beta / (1 - beta)
         sigmas = [priors.S0[0, 0] / (n - 2)]
@@ -371,7 +371,7 @@ class TestReferenceReproduction:
         validate(spec, priors)
         traj = run(spec, priors, table.returns)
         msse = error_summary(traj.e, traj.u)[0]
-        loglik = loglik_arrays(traj.e, traj.Q, traj.posterior_means, spec.vol_discounts)
+        loglik = posterior_loglik(traj.volatility, traj.row)
         checks = [
             (f"MSSE (1.05, 1.37, 1.34, 0.94) +/- 0.02 "
              f"({np.array2string(msse, precision=3)})",

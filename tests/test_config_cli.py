@@ -282,6 +282,43 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["fit", "grid", "var", "compare", "diagnose"])
+    def test_missing_input_file_is_a_data_error(self, tmp_path, capsys, command):
+        config_path = str(write_config(tmp_path))
+        missing = str(tmp_path / "missing.csv")
+        source = ["--traj" if command == "diagnose" else "--data", missing]
+        if command == "compare":
+            source += ["--config2", config_path]
+        out = tmp_path / "out"
+        assert main([command, "--config", config_path, *source, "--out", str(out)]) == 3
+        assert f"data error: cannot read {missing}: [Errno 2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("simulate", "--seed"), ("grid", "--top")])
+    def test_negative_count_flag_is_a_config_error(self, tmp_path, capsys, command, flag):
+        # the rule of the config's seed: a whole number >= 0
+        args = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        if command == "grid":
+            args += ["--data", str(write_returns(tmp_path)[0])]
+        assert main([*args, flag, "-70"]) == 2
+        assert f"config error: {flag}: expected a whole number >= 0, got -70" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_refuses_models_of_different_p(self, tmp_path, capsys):
+        # the second config reads two of the data's four columns by name
+        config1 = write_config(tmp_path, {"p": 4, "vol_discounts": 0.9, "weights": None},
+                               name="p4.json")
+        config2 = write_config(tmp_path, {"names": ["series_1", "series_2"]}, name="p2.json")
+        obs_path = tmp_path / "obs.csv"
+        write_observations_csv(obs_path, np.random.default_rng(2).standard_normal((60, 4)))
+        out = tmp_path / "lbf.csv"
+        assert main(["compare", "--config", str(config1), "--config2", str(config2),
+                     "--data", str(obs_path), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "model error: standardized error series differ in shape: (60, 4) vs (60, 2)\n")
+        assert not out.exists()
+
     def test_state_covariance_overflow_exits_model_error(self, tmp_path, capsys):
         config_path = write_config(
             tmp_path, {"d": 2, "design": [1.0, 0.0], "state_discounts": 0.08,
@@ -677,12 +714,12 @@ class TestDiagnoseRederivesThePath:
 
 
 @pytest.mark.parametrize("action, whitenings", [
-    ("fit", 1), ("compare", 1), ("compare-deltas", 2), ("grid", 2),
+    ("fit", 1), ("compare", 0), ("compare-deltas", 0), ("grid", 2),
     ("var", 0), ("diagnose", 0), ("mle_constant", 0), ("linear_transform", 0),
 ])
 def test_whitening_once_per_block_where_u_is_read(tmp_path, monkeypatch, action, whitenings):
-    """fit, compare and grid whiten each block of rows of their run_models
-    call once (the grid lattice runs in two blocks, one per delta); var,
+    """fit and grid whiten each block of rows of their run_models call once
+    (the grid lattice runs in two blocks, one per delta); compare, var,
     diagnose, mle_constant and linear_transform read no u and never whiten."""
     configs, data_path = metals_inputs(
         tmp_path, paired={"vol_discounts": PAIRED}, uniform={"vol_discounts": [0.9] * 4},

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from mvdlm.diagnostics import (
     export_report_csv,
     export_report_json,
     grid_search,
-    lbf,
     lbf_from_trajectories,
     loglik_arrays,
     loglik_constant_arrays,
@@ -26,6 +27,7 @@ from mvdlm.errors import (
     DofTooSmall,
     EmptyData,
     EmptyGrid,
+    FeatureUnavailable,
     InvalidWeights,
     LengthMismatch,
     MvdlmError,
@@ -33,7 +35,7 @@ from mvdlm.errors import (
 )
 from mvdlm import diagnostics as diagnostics_module
 from mvdlm import filter as filter_module
-from mvdlm.filter import mle_constant
+from mvdlm.filter import forecast_law, mle_constant
 from mvdlm.simulate import simulate
 
 from conftest import local_level
@@ -69,7 +71,8 @@ class TestMsse:
 
 def path_loglik(traj):
     """:func:`loglik_arrays` of a trajectory at its own discounts."""
-    return loglik_arrays(traj.e, traj.Q, traj.posterior_means, traj.spec.vol_discounts)
+    logdet, r = (terms[traj.row] for terms in traj.volatility.scale_terms)
+    return loglik_arrays(traj.Q, logdet, r, traj.spec.vol_discounts)
 
 
 class TestLoglikTimeVarying:
@@ -284,24 +287,40 @@ class TestVarPortfolio:
         assert_allclose(direct, expanded, atol=1e-12)
 
 
+def lbf_pair(n_steps=12, p=2, seed=1):
+    """Trajectories of two local levels (beta = 0.95 I, k_t = 19, and
+    beta = 0.75 I, k_t = 3) fitted to the same standard-normal series."""
+    obs = np.random.default_rng(seed).standard_normal((n_steps, p))
+    return [run(*local_level(p, 0.9, [beta] * p), obs) for beta in (0.95, 0.75)]
+
+
 class TestLbf:
     def test_identical_models_zero(self):
-        u = np.random.default_rng(0).standard_normal((10, 2))
-        series = lbf(u, u, 9.0, 9.0)
+        traj = lbf_pair(n_steps=10, seed=0)[0]
+        series = lbf_from_trajectories(traj, traj)
         assert_allclose(series.values, np.zeros(10), atol=1e-14)
 
     def test_swap_negates_exactly(self):
-        rng = np.random.default_rng(1)
-        u1 = rng.standard_normal((12, 2))
-        u2 = rng.standard_normal((12, 2))
-        fwd = lbf(u1, u2, 9.0, 5.0, labels=("A", "B"))
-        rev = lbf(u2, u1, 5.0, 9.0, labels=("B", "A"))
+        t1, t2 = lbf_pair()
+        fwd = lbf_from_trajectories(t1, t2, labels=("A", "B"))
+        rev = lbf_from_trajectories(t2, t1, labels=("B", "A"))
         assert_allclose(fwd.values, -rev.values, atol=0)
         assert fwd.model_labels == ("A", "B")
 
     def test_length_mismatch(self):
+        t1, t2 = lbf_pair(n_steps=4)
         with pytest.raises(LengthMismatch):
-            lbf(np.zeros((3, 1)), np.zeros((4, 1)), 9.0, 9.0)
+            lbf_from_trajectories(run(t1.spec, t1.priors, np.zeros((3, 2))), t2)
+
+    def test_refusals(self):
+        # a dof of 2 or less at any step, then a different p
+        t1, t2 = lbf_pair()
+        low = run(*local_level(2, 0.9, [0.6, 0.6]), np.ones((12, 2)))  # k_t = 1.5
+        with pytest.raises(FeatureUnavailable, match="standardized errors at every step"):
+            lbf_from_trajectories(t1, low)
+        wide = run(*local_level(3, 0.9, [0.95] * 3), np.ones((12, 3)))
+        with pytest.raises(LengthMismatch, match=r"differ in shape: \(12, 2\) vs \(12, 3\)"):
+            lbf_from_trajectories(t1, wide)
 
     def test_favours_truth_against_oversmoothed_model(self):
         # Standardized errors of an over-smooth wrong model are badly
@@ -520,37 +539,75 @@ class TestReportExport:
 
 
 class TestLbfClosedForm:
-    """lbf evaluates all steps in one closed form; the per-step density
-    loop it replaced stays here as the reference."""
+    """lbf_from_trajectories reads each step's density term from the scale
+    log-determinants; the per-step density loop over the whitened errors u
+    stays here as the reference."""
 
     @staticmethod
-    def loop_reference(u1, u2, k1, k2):
+    def loop_reference(traj):
+        """Per-step log-densities of a trajectory's whitened errors u."""
         from mvdlm.distributions import MultiTParams, mvt_logpdf
 
-        p = u1.shape[1]
-        values = []
-        for t in range(len(u1)):
-            params = [
-                MultiTParams(dof=k, location=np.zeros(p), scale_row=1.0,
-                             scale_col=(k - 2) * np.eye(p))
-                for k in (k1[t], k2[t])
-            ]
-            values.append(mvt_logpdf(u1[t], params[0]) - mvt_logpdf(u2[t], params[1]))
-        return np.array(values)
+        p = traj.p
+        return np.array([
+            mvt_logpdf(u, MultiTParams(dof=k, location=np.zeros(p), scale_row=1.0,
+                                       scale_col=(k - 2) * np.eye(p)))
+            for u, k in zip(traj.u, traj.forecast_dofs)
+        ])
 
     @pytest.mark.parametrize("p", [1, 2, 4, 16])
     def test_matches_per_step_loop(self, p):
-        rng = np.random.default_rng(p)
-        u1, u2 = rng.standard_normal((2, 50, p)) * 1.5
-        k1 = 2.5 + 30.0 * rng.random(50)
-        k2 = np.full(50, 9.0)
-        series = lbf(u1, u2, k1, k2)
-        assert_allclose(series.values, self.loop_reference(u1, u2, k1, k2), rtol=1e-12)
+        # an evolving model against a constant one, whose k_t = n0 + t - 1
+        # grows, on one simulated path; each step's factor is the difference
+        # of two densities, so it is held to 1e-12 of their size
+        spec, priors = local_level(p, 0.9, np.linspace(0.9, 1.0, p + 1)[:p], p0=1.0)
+        obs = simulate(spec, priors, 50, seed=p).observations
+        constant, priors2 = local_level(p, 0.9, [1.0] * p, p0=1.0, n0=2.5)
+        t1, t2 = run(spec, priors, obs), run(constant, priors2, obs)
+        series = lbf_from_trajectories(t1, t2)
+        first, second = self.loop_reference(t1), self.loop_reference(t2)
+        error = np.abs(series.values - (first - second))
+        assert np.all(error <= 1e-12 * (np.abs(first) + np.abs(second))), np.max(error)
 
-    def test_first_bad_step_named(self):
-        u = np.zeros((5, 2))
-        k1 = np.array([9.0, 9.0, 2.0, 1.0, 9.0])
-        with pytest.raises(DofTooSmall, match="^step 3: standardized-error densities"):
-            lbf(u, u, k1, 9.0)
-        with pytest.raises(DofTooSmall, match="^step 2:"):
-            lbf(u, u, 9.0, [9.0, np.nan, 9.0, 9.0, 9.0])
+    def test_exact_on_ill_conditioned_scales(self):
+        # returns of scale 1e-4 against S0 = I with beta = (0.6, 1, 1, 0.6):
+        # the prior scales A_t = beta^{1/2} S_{t-1} beta^{1/2} reach a
+        # condition number of 6e8. Each density term log(1 + e_t' A_t^{-1} e_t
+        # / Q_t) is checked against exact rational arithmetic on the filter's
+        # own float A_t, e_t and Q_t.
+        from mvdlm.distributions import log_multigamma
+
+        def quad(a, e, q):  # e' a^{-1} e / q by exact Gaussian elimination
+            rows = [[*map(Fraction, row), Fraction(x)] for row, x in zip(a.tolist(), e.tolist())]
+            for i, pivot in enumerate(rows):
+                for row in rows[i + 1:]:
+                    factor = row[i] / pivot[i]
+                    row[:] = [x - factor * y for x, y in zip(row, pivot)]
+            x = []
+            for row in reversed(rows):
+                x.insert(0, (row[-1] - sum(r * y for r, y in zip(row[-1 - len(x):-1], x)))
+                         / row[-2 - len(x)])
+            return sum(Fraction(v) * y for v, y in zip(e.tolist(), x)) / Fraction(q)
+
+        def exact_terms(traj):  # each step's standardized-error log-density
+            k, p = traj.forecast_dofs, traj.p
+            scales = traj.S[:-1] * forecast_law(traj.spec.vol_discounts).outer
+            log1p = np.array([math.log1p(quad(a, e, q)) for a, e, q in zip(scales, traj.e, traj.Q)])
+            ratio = np.array([log_multigamma((dof + p - 1) / 2.0, p, ratio=True) for dof in k])
+            return ratio - 0.5 * p * np.log(np.pi * (k - 2.0)) - 0.5 * (k + p) * log1p, log1p
+
+        spec = ModelSpec(
+            p=4, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+            state_discounts=[0.95, 0.95], vol_discounts=[0.6, 1.0, 1.0, 0.6],
+        )
+        priors = Priors(m0=np.zeros((2, 4)), P0=np.eye(2), S0=np.eye(4))
+        obs = 1e-4 * np.random.default_rng(8020214).standard_normal((120, 4))
+        ill = run(spec, priors, obs)
+        other = run(replace(spec, vol_discounts=np.full(4, 0.9)), priors, obs)
+        (ill_terms, log1p), (other_terms, _) = exact_terms(ill), exact_terms(other)
+        logdet = ill.volatility.scale_terms[0][ill.row]
+        assert_allclose(np.diff(logdet) - np.sum(np.log(spec.vol_discounts)), log1p,
+                        rtol=0, atol=1e-12)
+        # in the log Bayes factor the terms carry (k_t + p)/2 = 4 and 6.5
+        assert_allclose(lbf_from_trajectories(ill, other).values, ill_terms - other_terms,
+                        rtol=0, atol=(4 + 6.5) * 1e-12)

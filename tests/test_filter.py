@@ -681,6 +681,24 @@ class TestRunModels:
         for t in trajectories:
             assert_bitwise(t.u, _whiten(t.e, t.Q, *t.forecast_laws()))
 
+    def test_scale_terms_equal_a_per_step_loop(self):
+        # one batched factor of the pass's S stack gives each row, evolving or
+        # constant, the log|S_t| and e_t' S_t^{-1} e_t / Q_t of a per-step loop
+        # (S0 at the data's scale keeps log|S_t| away from 0, where rtol means little)
+        spec, priors, obs = self.models()
+        priors = replace(priors, S0=1e-4 * np.eye(4))
+        models = [(replace(spec, vol_discounts=np.array(beta)), replace(priors, n0=n0), obs)
+                  for beta, n0 in (([0.66, 0.9, 0.9, 0.66], 1.0), ([0.95] * 4, 1.0),
+                                   ([1.0] * 4, 1.0), ([1.0] * 4, 7.0))]
+        trajectories = run_models(models)
+        logdet, r = trajectories[0].volatility.scale_terms
+        assert logdet.shape == (4, 121) and r.shape == (4, 120)
+        for k, t in enumerate(trajectories):
+            assert t.volatility is trajectories[0].volatility and t.row == k
+            assert_allclose(logdet[k], [np.linalg.slogdet(s)[1] for s in t.S], rtol=1e-12)
+            quad = [e @ np.linalg.solve(s, e) / q for s, e, q in zip(t.S[1:], t.e, t.Q)]
+            assert_allclose(r[k], quad, rtol=1e-12)
+
     def test_blocks_of_rows(self, monkeypatch):
         spec, priors, obs = self.models()
         models = [(replace(spec, vol_discounts=np.full(4, b)), priors, obs)

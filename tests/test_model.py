@@ -166,16 +166,6 @@ class TestValidate:
 
 
 class TestSequenceProviders:
-    def test_dict_provider_by_step(self):
-        design = {1: np.array([1.0]), 2: np.array([2.0]), None: np.array([3.0])}
-        spec = ModelSpec(
-            p=1, d=1, design=design, evolution=[[1.0]],
-            state_discounts=[0.9], vol_discounts=[0.9],
-        )
-        assert spec.design_at(1)[0] == 1.0
-        assert spec.design_at(2)[0] == 2.0
-        assert spec.design_at(99)[0] == 3.0  # fallback entry
-
     def test_callable_provider(self):
         spec = ModelSpec(
             p=1, d=1, design=lambda t: np.array([float(t)]), evolution=[[1.0]],
