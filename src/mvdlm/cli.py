@@ -40,18 +40,19 @@ EXIT_MODEL = 4
 
 
 @contextlib.contextmanager
-def _reading(path):
-    """Turn an OSError raised while reading the input file ``path`` into a DataError."""
+def _io(verb, path):
+    """Turn an OSError raised while reading the input or writing the output
+    ``path`` into a DataError."""
     try:
         yield
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot {verb} {path}: {exc}") from exc
 
 
 def _read_data(config, data_path):
     """The return table of the data CSV as ``config`` reads it (its
     ``data_kind`` and ``names``)."""
-    with _reading(data_path):
+    with _io("read", data_path):
         if config.data_kind == "prices":
             return to_returns(ingest(data_path, columns=config.names))
         return ingest_returns(data_path, columns=config.names)
@@ -126,10 +127,7 @@ def cmd_grid(args):
     for row in result.rows[:top]:
         beta_txt = " ".join(f"{b:.3g}" for b in row.beta)
         msse_txt = " ".join(f"{x:.2f}" for x in row.msse)
-        print(
-            f"delta={row.delta:.3g} beta=[{beta_txt}] "
-            f"MSSE=[{msse_txt}] LogL={row.loglik:.2f}"
-        )
+        print(f"delta={row.delta:.3g} beta=[{beta_txt}] MSSE=[{msse_txt}] LogL={row.loglik:.2f}")
     for delta, beta, reason in result.excluded:
         beta_txt = " ".join(f"{b:.3g}" for b in beta)
         print(f"excluded delta={delta:.3g} beta=[{beta_txt}]: {reason}")
@@ -154,9 +152,7 @@ def cmd_var(args):
         raise ConfigError(f"{args.config}: VaR needs a 'weights' key")
     trajectory = run(*_model(config, _read_data(config, args.data)))
     alphas = [float(a) for a in config.var_alphas]
-    values = diagnostics.var_at_horizon(
-        trajectory, config.weights, family=config.var_family, alphas=alphas
-    )
+    values = diagnostics.var_at_horizon(trajectory, config.weights, config.var_family, alphas)
     write_json(args.out, {
         "weights": list(config.weights),
         "family": config.var_family,
@@ -187,12 +183,15 @@ def cmd_compare(args):
 
 
 def _read_trajectory_csv(path):
-    """e, u and Q of a trajectory CSV, and the sigma_post cells of its end lines."""
-    with _reading(path), open(path) as handle:  # without e_ columns, e_1 is reported missing
-        p = sum(name.startswith("e_") for name in handle.readline().split(",")) or 1
-    data = read_columns(path, [*(f"{name}_{i + 1}" for name in "eu" for i in range(p)), "Q"])
-    ends = read_end_rows(path, [f"sigma_post_{i + 1}_{j + 1}" for i, j in vech_indices(p)])
-    return data[:, :p], data[:, p:2 * p], data[:, 2 * p], ends
+    """e, u and Q of a trajectory CSV, and the sigma_post cells of its end lines;
+    e and u are C-ordered, as fit's are, so that their column means sum alike."""
+    with _io("read", path):
+        with open(path) as handle:  # without e_ columns, e_1 is reported missing
+            p = sum(name.startswith("e_") for name in handle.readline().split(",")) or 1
+        data = read_columns(path, [*(f"{name}_{i + 1}" for name in "eu" for i in range(p)), "Q"])
+        ends = read_end_rows(path, [f"sigma_post_{i + 1}_{j + 1}" for i, j in vech_indices(p)])
+    e, u = (np.ascontiguousarray(data[:, i * p:(i + 1) * p]) for i in range(2))
+    return e, u, data[:, 2 * p], ends
 
 
 def cmd_diagnose(args):
@@ -204,9 +203,9 @@ def cmd_diagnose(args):
         )
     msse, mae, me = diagnostics.error_summary(e, u)
     vol = posterior_path(e, q, config.spec(), config.priors())
-    means = vol.posterior_means(0)  # Sigma_0..Sigma_N
-    rows, cols = np.array(vech_indices(config.p)).T  # Sigma_1 shows S0 and n0, Sigma_N beta
-    if not np.allclose(means[[1, -1]][:, rows, cols], ends, CLOSED_FORM_RTOL, 0.0, equal_nan=True):
+    means = vol.posterior_means(0, [1, -1])  # Sigma_1 shows S0 and n0, Sigma_N beta
+    rows, cols = np.array(vech_indices(config.p)).T
+    if not np.allclose(means[:, rows, cols], ends, CLOSED_FORM_RTOL, 0.0, equal_nan=True):
         raise ConfigError(f"{args.traj} was not fitted with this config's discounts and priors")
     loglik = diagnostics.posterior_loglik(vol, 0)
     report = diagnostics.DiagnosticsReport(msse, mae, me, loglik, e.shape[0])
@@ -265,7 +264,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:  # looked up at call time, so a command replaced on the module is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
+        with _io("write", args.out):  # every input is read under _io("read", ...)
+            return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

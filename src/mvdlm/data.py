@@ -224,10 +224,9 @@ def write_json(path, payload):
 
 def read_columns(path, names):
     """The named columns of a numeric CSV whose header needs no quoting, as
-    a column-major (N, len(names)) float array (so column sums run in
-    numpy's pairwise order); NaN cells read as NaN. A missing column, a line
-    of another width than the header or a cell of ``names`` that is not a
-    number raises a :class:`ParseError` naming it."""
+    a row-major (N, len(names)) float array; NaN cells read as NaN. A missing
+    column, a line of another width than the header or a cell of ``names``
+    that is not a number raises a :class:`ParseError` naming it."""
     with open(path) as handle:
         header = handle.readline().rstrip("\r\n").split(",")
     # the last column is read too, so that a truncated line fails the parse
@@ -250,7 +249,7 @@ def read_columns(path, names):
         raise ParseError(str(exc)) from None
     if not data.shape[0]:
         raise ParseError("no data rows", row=2)
-    return np.asfortranarray(data[:, :-1])
+    return data[:, :-1]
 
 
 def read_end_rows(path, names):

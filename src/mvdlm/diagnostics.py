@@ -8,7 +8,7 @@ predictive densities of their standardized errors, and one scoring rule,
 diagnose report.
 """
 
-import math
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,13 +74,15 @@ def error_summary(e, u):
     """
     if len(e) == 0:
         raise EmptyData("diagnostics need at least one filtered step")
+    return _msse(u), np.mean(np.abs(e), axis=0), np.mean(e, axis=0)
+
+
+def _msse(u):
     defined = ~np.isnan(u[:, 0])
     if not np.any(defined):
-        raise FeatureUnavailable(
-            "no standardized errors: the forecast law never had more than 2 "
-            "degrees of freedom"
-        )
-    return np.mean(u[defined] ** 2, axis=0), np.mean(np.abs(e), axis=0), np.mean(e, axis=0)
+        raise FeatureUnavailable("no standardized errors: the forecast law never had more "
+                                 "than 2 degrees of freedom")
+    return np.mean(u[defined] ** 2, axis=0)
 
 
 def loglik_arrays(q_values, logdet, r, vol_discounts):
@@ -88,7 +90,8 @@ def loglik_arrays(q_values, logdet, r, vol_discounts):
     posterior means Sigma_t = S_t / (n - 2) of the filter, Sigma_0 (the
     prior's) to Sigma_N, from the spreads Q_t (N,) and a row of
     :attr:`~mvdlm.filter.VolatilityPass.scale_terms`: log|S_0|..log|S_N|
-    (N+1,) and r_t = e_t' S_t^{-1} e_t / Q_t (N,).
+    (N+1,) and r_t = e_t' S_t^{-1} e_t / Q_t (N,); given R rows of them and
+    (R, p) discounts, the R likelihoods, each bitwise that of its row alone.
 
     For each step the positive eigenvalues of I - B_t, with
     B_t = (C_{t-1}')^{-1} beta^{1/2} Sigma_t^{-1} beta^{1/2} C_{t-1}^{-1}
@@ -100,52 +103,62 @@ def loglik_arrays(q_values, logdet, r, vol_discounts):
     """
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     beta = np.atleast_1d(np.asarray(vol_discounts, dtype=float))
-    n_steps, p = len(q_values), len(beta)
+    n_steps, p = len(q_values), beta.shape[-1]
     if n_steps == 0:
         raise EmptyData("likelihood evaluation needs at least one step")
-    b = float(np.mean(beta))
-    if b >= 1.0:
+    b = np.mean(beta, axis=-1)
+    if np.any(b >= 1.0):
         raise MvdlmError(
             "the evolving-volatility likelihood is undefined when every "
             "discount is 1; use loglik_constant_arrays"
         )
     m_param = b / (1.0 - b) + p - 1
     scale = 1.0 / (1.0 - b) - 2.0  # n - 2 at the fixed point n = 1/(1 - b)
+    ratio = np.reshape([log_multigamma(m / 2.0, p, ratio=True) for m in m_param.flat], b.shape)
     constant = n_steps * (
-        0.5 * (m_param - p) * float(np.sum(np.log(beta)))
-        + log_multigamma(m_param / 2.0, p, ratio=True)
+        0.5 * (m_param - p) * np.sum(np.log(beta), axis=-1)
+        + ratio
         - 0.5 * p * np.log(2.0)
         - p * np.log(np.pi)
     )
-    if not np.all(r > 0.0):
+    positive = np.reshape(r > 0.0, (-1, n_steps)).all(axis=0)
+    if not np.all(positive):
         raise NoPositiveEigenvalues(
-            f"step {int(np.argmin(r > 0.0)) + 1}: the volatility transition "
+            f"step {int(np.argmin(positive)) + 1}: the volatility transition "
             "factor is degenerate"
         )
+    m_param, scale = m_param[..., None], scale[..., None]  # against the step axis
     logdet = logdet - p * np.log(scale)  # log|Sigma_0|..log|Sigma_N|
-    total = np.sum(
+    terms = (
         p * np.log(q_values)
-        + (p - m_param) * logdet[:-1]
+        + (p - m_param) * logdet[..., :-1]
         + scale * r
         + p * np.log(r)
-        + (m_param - p - 2) * logdet[1:]
-    )
-    return float(constant - 0.5 * total)
+        + (m_param - p - 2) * logdet[..., 1:]
+    )  # broadcasting may lay rows out column-major: each must sum pairwise, as one row does
+    total = np.sum(np.ascontiguousarray(terms), axis=-1)
+    return constant - 0.5 * total if total.ndim else float(constant - 0.5 * total)
 
 
 def posterior_loglik(vol, k):
     """The log-likelihood that fit, grid search and diagnose report for row k
-    of the volatility pass ``vol``: at beta = I the constant-volatility
-    likelihood of the final posterior mean Sigma_N, else the path likelihood
-    of :func:`loglik_arrays` from ``vol.scale_terms``. An undefined posterior
+    of the volatility pass ``vol``, or the array of them for a list of rows:
+    at beta = I the constant-volatility likelihood of the final posterior
+    mean Sigma_N, else the path likelihood of :func:`loglik_arrays` from
+    ``vol.scale_terms``, one call for all such rows. An undefined posterior
     mean (n <= 2) raises DofTooSmall."""
-    beta = vol.betas[k]
-    if not vol.n[k, -1] > 2.0:
+    rows = np.atleast_1d(k)
+    if not np.all(vol.n[rows, -1] > 2.0):
         raise DofTooSmall("posterior mean of the volatility requires n > 2")
-    if np.all(beta == 1.0):
-        return loglik_constant_arrays(vol.e, vol.Q, vol.posterior_means(k)[-1])
-    logdet, r = vol.scale_terms
-    return loglik_arrays(vol.Q, logdet[k], r[k], beta)
+    constant = np.all(vol.betas[rows] == 1.0, axis=1)
+    loglik = np.empty(len(rows))
+    for i in np.flatnonzero(constant):
+        loglik[i] = loglik_constant_arrays(vol.e, vol.Q, vol.posterior_means(rows[i], -1))
+    if not constant.all():
+        (logdet, r), evolving = vol.scale_terms, rows[~constant]
+        loglik[~constant] = loglik_arrays(vol.Q, logdet[evolving], r[evolving],
+                                          vol.betas[evolving])
+    return loglik if np.ndim(k) else float(loglik[0])
 
 
 def loglik_constant_arrays(errors, q_values, sigma):
@@ -168,7 +181,8 @@ def loglik_constant_arrays(errors, q_values, sigma):
 
 def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
     """Value-at-Risk of a weighted portfolio, one value per confidence
-    percentage of ``alphas``.
+    percentage of ``alphas`` (one list per matrix of a stack ``sigma``, with
+    a ``dof`` per matrix).
 
     Evaluates mu_port + F^{-1}(alpha/100) * sigma_port where F is the
     standardized quantile ``family``: "t", the model t with ``dof`` > 2
@@ -188,14 +202,15 @@ def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
         raise InvalidWeights(f"unknown quantile family {family!r}")
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = symmetrize(np.atleast_2d(sigma))
-    if w.shape != mu.shape or sigma.shape != (w.size, w.size):
+    if w.shape != mu.shape or sigma.shape[-2:] != (w.size, w.size):
         raise InvalidWeights(
             f"weights of length {w.size} do not match a mean of shape "
             f"{mu.shape} and a covariance of shape {sigma.shape}"
         )
     port_mean = float(w @ mu)
-    port_var = float(w @ sigma @ w)
-    if port_var < 0:
+    port_var = np.reshape([float(w @ s @ w) for s in sigma.reshape(-1, w.size, w.size)],
+                          sigma.shape[:-2])
+    if np.any(port_var < 0):
         raise InvalidWeights("portfolio variance is negative")
     from scipy.special import ndtri, stdtrit  # loaded only where a quantile is taken
 
@@ -203,12 +218,11 @@ def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
     if family == "normal":
         quantiles = ndtri(levels)
     else:
-        if dof is None or dof <= 2:
-            raise DofTooSmall(
-                "the t quantile family needs dof > 2 in the VaR configuration"
-            )
-        quantiles = stdtrit(dof, levels) * math.sqrt((dof - 2.0) / dof)
-    return (port_mean + quantiles * math.sqrt(port_var)).tolist()
+        if dof is None or np.any(np.asarray(dof) <= 2):
+            raise DofTooSmall("the t quantile family needs dof > 2 in the VaR configuration")
+        dof = np.asarray(dof, dtype=float)[..., None]  # against the alphas
+        quantiles = stdtrit(dof, levels) * np.sqrt((dof - 2.0) / dof)
+    return (port_mean + quantiles * np.sqrt(port_var)[..., None]).tolist()
 
 
 def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
@@ -299,22 +313,27 @@ def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
     """
     if len(trajectory) == 0:
         raise EmptyData("VaR needs at least one filtered step")
-    return _var(trajectory, weights, family, alphas, {})
+    return _pass_var([trajectory], weights, family, alphas)[1][0]
 
 
-def _var(trajectory, weights, family, alphas, locations):
-    """:func:`var_at_horizon` that keeps f_{N+1} in ``locations`` by state
-    pass, for the trajectories that share one."""
-    final, spec = trajectory.final, trajectory.spec
-    lam = np.linalg.eigvalsh(final.S)  # below p eps of the largest, round-off sets the sign
-    if not lam[0] > lam[-1] * spec.p * np.finfo(float).eps:  # a NaN S reads 0, an inf S NaN
+def _pass_var(members, weights, family, alphas, location=None):
+    """f_{N+1} and the :func:`var_at_horizon` of each trajectory of
+    ``members``, which share one volatility pass, from one check of their
+    final scales and one call of :func:`var_portfolio`. Once the scales
+    pass, a ``location`` of None is taken from :func:`~mvdlm.filter.predict`
+    at step N + 1 of the first member."""
+    vol, rows, p = members[0].volatility, [t.row for t in members], members[0].p
+    scales = vol.S[rows, -1]
+    lam = np.linalg.eigvalsh(scales)  # below p eps of the largest, round-off sets the sign
+    if not np.all(lam[:, 0] > lam[:, -1] * p * np.finfo(float).eps):  # NaN S: 0, inf S: NaN
         raise NonPositiveDefinite("final volatility scale is not positive definite")
-    key = id(trajectory.states)
-    if key not in locations:
-        locations[key] = predict(final, spec, final.t + 1).f
-    sigma = InvWishartParams(final.n + 2 * spec.p, final.S).mean
-    dof = forecast_law(spec.vol_discounts)(final.S, final.n)[1]  # predict's, of step N + 1
-    return var_portfolio(locations[key], sigma, weights, alphas, family, dof)
+    if location is None:
+        final = members[0].final
+        location = predict(final, members[0].spec, final.t + 1).f
+    n = vol.n[rows, -1]
+    sigma = [InvWishartParams(dof + 2 * p, s).mean for dof, s in zip(n.tolist(), scales)]
+    dof = forecast_law(vol.betas[rows]).mean * n  # predict's, of step N + 1
+    return location, var_portfolio(location, np.array(sigma), weights, alphas, family, dof)
 
 
 def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weights=None,
@@ -332,55 +351,53 @@ def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weig
     every confidence percentage of ``var_alphas``; without, NaN.
 
     The candidates run through :func:`run_models`: one state pass per delta
-    and one batched volatility pass per block of candidates. The candidates
-    of a state pass share its step-N+1 forecast mean, so :func:`predict`
-    runs once per pass. Each row holds exactly what
-    :func:`compute_diagnostics` and :func:`var_at_horizon` give for that
-    candidate's own trajectory.
+    and one batched volatility pass per block of candidates. Each pass is
+    scored whole: the MSSE row by row, the likelihoods by one
+    :func:`posterior_loglik` and the VaR by one :func:`var_portfolio` call,
+    with the ME and the step-N+1 forecast mean (one :func:`predict`) of its
+    state pass. Each row holds exactly what :func:`compute_diagnostics` and
+    :func:`var_at_horizon` give for that candidate's own trajectory.
     """
     delta_grid = list(delta_grid)
     beta_grid = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_grid]
     if not delta_grid or not beta_grid:
         raise EmptyGrid("both the delta grid and the beta grid must be non-empty")
-    models = []
-    excluded = []
-    for delta in delta_grid:
-        for beta in beta_grid:
-            spec = replace(
-                spec_template,
-                state_discounts=np.full(spec_template.d, float(delta)),
-                vol_discounts=beta,
-            )
-            if spec.features["forecast_moments"]:
-                models.append((spec, priors, observations))
-            else:
-                reason = f"mean volatility discount {spec.mean_beta:.6g} <= 2/3"
-                excluded.append((float(delta), tuple(beta.tolist()), reason))
+    models, excluded = [], []
+    for delta, beta in itertools.product(delta_grid, beta_grid):
+        spec = replace(spec_template, state_discounts=np.full(spec_template.d, float(delta)),
+                       vol_discounts=beta)
+        if spec.features["forecast_moments"]:
+            models.append((spec, priors, observations))
+        else:
+            reason = f"mean volatility discount {spec.mean_beta:.6g} <= 2/3"
+            excluded.append((float(delta), tuple(beta.tolist()), reason))
     alphas = tuple(var_alphas)
-    rows, locations = [], {}  # f_{N+1} by state pass
+    groups = {}  # the trajectories of each volatility pass, by state pass
     for trajectory in run_models(models):
-        report = compute_diagnostics(trajectory)
-        var = [np.nan] * len(alphas)
-        if weights is not None:
-            var = _var(trajectory, weights, var_family, alphas, locations)
-        spec = trajectory.spec
-        rows.append(GridRow(
-            float(spec.state_discounts[0]), tuple(spec.vol_discounts.tolist()), report.msse,
-            report.me, report.loglik, tuple(var),
-        ))
+        passes = groups.setdefault(id(trajectory.states), {})
+        passes.setdefault(id(trajectory.volatility), []).append(trajectory)
+    rows = []
+    for passes in groups.values():
+        first, location = next(iter(passes.values()))[0], None
+        me = error_summary(first.e, first.u)[2]  # failing as the first row's would
+        for members in passes.values():  # scored whole, as run_models batched it
+            vol, index = members[0].volatility, [t.row for t in members]
+            msse = [_msse(vol.u[k]) for k in index]
+            loglik = posterior_loglik(vol, index)
+            var = [[np.nan] * len(alphas)] * len(index)
+            if weights is not None:
+                location, var = _pass_var(members, weights, var_family, alphas, location)
+            rows += [GridRow(float(t.spec.state_discounts[0]),
+                             tuple(t.spec.vol_discounts.tolist()), msse[i], me, float(loglik[i]),
+                             tuple(var[i])) for i, t in enumerate(members)]
     rows.sort(key=lambda row: (-row.loglik, row.delta, row.beta))
     return GridSearchResult(rows=tuple(rows), excluded=tuple(excluded), alphas=alphas)
 
 
 def export_report_json(report, path=None):
     """Serialize a diagnostics report to JSON (returns the dict)."""
-    payload = {
-        "msse": report.msse.tolist(),
-        "mae": report.mae.tolist(),
-        "me": report.me.tolist(),
-        "loglik": report.loglik,
-        "n_obs": report.n_obs,
-    }
+    payload = {"msse": report.msse.tolist(), "mae": report.mae.tolist(), "me": report.me.tolist(),
+               "loglik": report.loglik, "n_obs": report.n_obs}
     if path is not None:
         write_json(path, payload)
     return payload

@@ -100,7 +100,7 @@ class VolatilityPass:
     over ``e`` and ``Q``. Its ``scale_terms`` and ``u`` are each computed on
     first read, for all K rows."""
 
-    S: np.ndarray  # (K, N+1, p, p) scales S_0..S_N
+    S: np.ndarray  # (K, N+1, p, p) scales S_0..S_N, a view of time-major storage
     n: np.ndarray  # (K, N+1) degrees of freedom n_0..n_N
     e: np.ndarray  # (N, p) forecast errors
     Q: np.ndarray  # (N,) forecast spreads
@@ -123,9 +123,10 @@ class VolatilityPass:
         scale[:, :1] = symmetrize(scale[:, :1])  # S0: symmetrize runs on that row only
         return _whiten(self.e, self.Q, scale, law.mean * self.n[:, :-1])
 
-    def posterior_means(self, k):
-        """Posterior-mean volatilities Sigma_0..Sigma_N of row k, NaN where undefined."""
-        return _iw_means(self.S[k], self.n[k] + 2 * self.betas.shape[1], self.betas.shape[1])
+    def posterior_means(self, k, steps=slice(None)):
+        """Posterior means Sigma_0..Sigma_N of row k (at ``steps``), NaN where undefined."""
+        p = self.betas.shape[1]
+        return _iw_means(self.S[k, steps], self.n[k, steps] + 2 * p, p)
 
 
 def _iw_means(scales, dof, p):
@@ -174,7 +175,7 @@ class Trajectory:
         freedom (N,), by :func:`forecast_law`."""
         return forecast_law(self.spec.vol_discounts)(self.S[:-1], self.n[:-1])
 
-    forecast_dofs = property(lambda self: self.forecast_laws()[1])
+    forecast_dofs = property(lambda self: forecast_law(self.spec.vol_discounts).mean * self.n[:-1])
     posterior_means = property(lambda self: self.volatility.posterior_means(self.row))
 
     @property
@@ -501,14 +502,16 @@ def volatility_pass(e, Q, betas, S0, n):
         )
     growth = np.broadcast_to(constant[:, None], (n_cells, n_steps))
     n_path = np.cumsum(np.hstack([n0[:, None], growth]), axis=1)
-    S = np.empty((n_cells, n_steps + 1, p, p))
-    S[:, 0], S[:, 1:] = S0, e[:, :, None] * e[:, None, :] / Q[:, None, None]  # step t adds its prior
+    # time-major, so that step t of every row is one contiguous (K, p, p) block
+    steps = np.empty((n_steps + 1, n_cells, p, p))
+    steps[0], steps[1:] = S0, (e[:, :, None] * e[:, None, :] / Q[:, None, None])[:, None]
     prior = law(S0, n0)[0]  # symmetrized, as a caller's S0 may not be
     # sums and products of exactly symmetric operands stay exactly symmetric,
-    # so each step is two in-place ufuncs without symmetrize
-    for i in range(n_steps):
-        np.add(prior, S[:, i + 1], out=S[:, i + 1])
-        np.multiply(S[:, i + 1], law.outer, out=prior)
+    # so each step is two in-place ufuncs without symmetrize; step t adds its prior
+    for block in steps[1:]:
+        np.add(prior, block, block)
+        np.multiply(block, law.outer, prior)
+    S = np.swapaxes(steps, 0, 1)  # (K, N+1, p, p), a view
     if n_steps and not constant.all():
         final = S[~constant, -1]
         closed = _closed_form_scales(e, Q, np.sqrt(betas[~constant]), S0[~constant])

@@ -294,6 +294,24 @@ class TestExitCodes:
         assert f"data error: cannot read {missing}: [Errno 2]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "grid", "var", "compare", "diagnose", "simulate"])
+    def test_unwritable_out_is_a_data_error(self, tmp_path, capsys, command):
+        # an --out below a regular file can be neither created nor written
+        config_path = str(write_config(tmp_path))
+        obs_path, _ = write_returns(tmp_path)
+        assert main(["fit", "--config", config_path, "--data", str(obs_path),
+                     "--out", str(tmp_path / "fit")]) == 0
+        source = {"simulate": [], "diagnose": ["--traj", str(tmp_path / "fit/trajectory.csv")],
+                  "compare": ["--data", str(obs_path), "--config2", config_path]}
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        capsys.readouterr()
+        argv = [command, "--config", config_path,
+                *source.get(command, ["--data", str(obs_path)]), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"data error: cannot write {out}: [Errno ")
+
     @pytest.mark.parametrize("command, flag", [("simulate", "--seed"), ("grid", "--top")])
     def test_negative_count_flag_is_a_config_error(self, tmp_path, capsys, command, flag):
         # the rule of the config's seed: a whole number >= 0
@@ -687,6 +705,25 @@ def metals_inputs(tmp_path, **configs):
     paths = {name: str(write_config(tmp_path, {**metals, **overrides}, f"{name}.json"))
              for name, overrides in configs.items()}
     return paths, str(data_path)
+
+
+@pytest.mark.parametrize("p", [4, 16])
+def test_diagnose_reports_fits_numbers_bitwise(tmp_path, p):
+    """diagnose reads e and u back bitwise and sums them in fit's order, so
+    its MSSE, MAE, ME and log-likelihood are fit's to the last bit."""
+    config_path = str(write_config(tmp_path, {
+        "p": p, "d": 2, "design": [1.0, 0.0], "vol_discounts": [0.95] * p,
+        "weights": [1.0 / p] * p, "grid": None}))
+    obs_path = tmp_path / "returns.csv"
+    write_observations_csv(obs_path, 0.01 * np.random.default_rng(p).standard_normal((333, p)))
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", config_path, "--data", str(obs_path), "--out", str(out)]) == 0
+    assert main(["diagnose", "--config", config_path, "--traj", str(out / "trajectory.csv"),
+                 "--out", str(tmp_path / "diag.json")]) == 0
+    fit = json.loads((out / "report.json").read_text())
+    diag = json.loads((tmp_path / "diag.json").read_text())
+    for key in ("msse", "mae", "me", "loglik", "n_obs"):
+        assert diag[key] == fit[key], key
 
 
 class TestDiagnoseRederivesThePath:

@@ -35,7 +35,7 @@ from mvdlm.errors import (
 )
 from mvdlm import diagnostics as diagnostics_module
 from mvdlm import filter as filter_module
-from mvdlm.filter import forecast_law, mle_constant
+from mvdlm.filter import forecast_law, mle_constant, run_models
 from mvdlm.simulate import simulate
 
 from conftest import local_level
@@ -134,6 +134,22 @@ class TestLoglikTimeVarying:
         )
         rotated = path_loglik(run(spec, priors_rot, obs @ h.T))
         assert abs(base - rotated) < 1e-8
+
+    def test_rows_equal_one_row_calls_bitwise(self):
+        # given rows of scale terms and discounts, the core returns each
+        # row's one-row likelihood bit for bit (the grid scores a pass so)
+        spec, priors = local_level(4, 0.9, [0.9] * 4, p0=1.0)
+        obs = 0.01 * np.random.default_rng(21).standard_normal((200, 4))
+        levels = (0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
+        betas = [[o, i, i, o] for o in levels for i in levels if (o + i) / 2 > 2 / 3 and o * i < 1]
+        models = [(replace(spec, vol_discounts=np.array(beta)), priors, obs) for beta in betas]
+        vol = run_models(models)[0].volatility
+        logdet, r = vol.scale_terms
+        rows = loglik_arrays(vol.Q, logdet, r, vol.betas)
+        assert rows.shape == (len(betas),)
+        assert rows.tolist() == [loglik_arrays(vol.Q, logdet[k], r[k], beta)
+                                 for k, beta in enumerate(betas)]
+        assert rows.tolist() == [compute_diagnostics(t).loglik for t in run_models(models)]
 
 
 class TestLoglikRankOne:
@@ -457,6 +473,34 @@ class TestGridSearch:
             assert np.array_equal(row.msse, report.msse) and np.array_equal(row.me, report.me)
             assert row.loglik == report.loglik
             assert list(row.var) == var_at_horizon(traj, [0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize("weights, family", [(None, "t"), ([0.2, 0.3, 0.5], "normal")],
+                             ids=["no_weights", "normal"])
+    def test_rows_bitwise_equal_direct_runs_in_each_var_setting(self, monkeypatch, weights,
+                                                                  family):
+        # as test_rows_bitwise_equal_direct_runs: without weights the VaR is
+        # NaN and nothing is predicted; the normal family reads no dof
+        calls = []
+        original = diagnostics_module.predict
+        monkeypatch.setattr(diagnostics_module, "predict",
+                            lambda *args: calls.append(args) or original(*args))
+        spec, priors = local_level(3, 0.9, [0.9] * 3, p0=1.0)
+        obs = np.random.default_rng(13).standard_normal((80, 3))
+        deltas = [0.8, 0.95]
+        betas = [[1.0] * 3, [0.6, 0.65, 0.7], [0.7, 0.95, 0.85], [0.9] * 3]
+        result = grid_search(spec, priors, obs, deltas, betas, weights=weights,
+                             var_family=family)
+        assert len(calls) == (0 if weights is None else len(deltas))
+        assert len(result.rows) == 6
+        for row in result.rows:
+            cell = replace(spec, state_discounts=[row.delta], vol_discounts=row.beta)
+            traj = run(cell, priors, obs)
+            report = compute_diagnostics(traj)
+            assert np.array_equal(row.msse, report.msse) and np.array_equal(row.me, report.me)
+            assert row.loglik == report.loglik
+            expected = ([np.nan] * 2 if weights is None
+                        else var_at_horizon(traj, weights, family=family))
+            assert np.array_equal(row.var, expected, equal_nan=True)
 
     def test_empty_grid(self):
         spec, priors = local_level(1, 0.9, [0.9])

@@ -610,6 +610,36 @@ class TestKernelPins:
             assert_bitwise(vol.n[k], np.array(n))
             assert_bitwise(vol.u[k], np.array(u))
 
+    @pytest.mark.parametrize("n_steps", [0, 1, 40])
+    @pytest.mark.parametrize("n_cells", [1, 2, 33])
+    def test_rows_equal_a_step_loop_and_one_row_passes(self, n_cells, n_steps):
+        # the time-major recursion gives each row, evolving or at beta = I and
+        # from its own S0, the bits of a plain per-step loop in the same
+        # operation order and of a pass of that row alone; N = 1 is update's pass
+        p = 3
+        rng = np.random.default_rng(100 * n_cells + n_steps)
+        e, Q = rng.standard_normal((n_steps, p)), 1.0 + rng.random(n_steps)
+        betas = rng.uniform(0.7, 1.0, (n_cells, p))
+        betas[1::3] = 1.0
+        constant = np.all(betas == 1.0, axis=1)
+        n0 = 3.0 + np.arange(n_cells)  # the prior n0 at beta = I, else the fixed point
+        n0[~constant] = 1.0 / (1.0 - betas[~constant].mean(axis=1))
+        S0 = np.eye(p) + 0.2 * rng.random((n_cells, p, p))  # asymmetric, as a caller may give
+        vol = volatility_pass(e, Q, betas, S0, n0)
+        assert vol.S.shape == (n_cells, n_steps + 1, p, p)
+        assert vol.n.shape == (n_cells, n_steps + 1)
+        for k, beta in enumerate(betas):
+            law = forecast_law(beta)
+            prior, S = law(S0[k], n0[k])[0], [S0[k]]
+            for e_t, q_t in zip(e, Q):
+                S.append(prior + e_t[:, None] * e_t[None, :] / q_t)
+                prior = S[-1] * law.outer
+            assert_bitwise(vol.S[k], np.array(S))
+            one = volatility_pass(e, Q, beta[None], S0[k], n0[k])
+            assert_bitwise(vol.S[k], one.S[0])
+            assert_bitwise(vol.n[k], one.n[0])
+            assert_bitwise(vol.n[k], n0[k] + constant[k] * np.arange(n_steps + 1.0))
+
 
 class TestRunModels:
     """One engine for a list of models: one state pass per group of equal
