@@ -7,6 +7,7 @@ numerical error, 1 unexpected internal error.
 import argparse
 import contextlib
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from .data import (
     write_observations_csv,
 )
 from .errors import ConfigError, DataError, MvdlmError
-from .filter import CLOSED_FORM_RTOL, posterior_path, run, run_models, trajectory_to_csv
+from .filter import (CLOSED_FORM_RTOL, posterior_path, run, run_models, step_blocks,
+                     trajectory_to_csv)
 from .linalg import vech_indices
 from .simulate import simulate
 
@@ -73,18 +75,23 @@ def _model(config, table):
 
 
 def _write_volatility_series(trajectory, path):
-    """Plot-ready series: forecast-volatility diagonals and correlations."""
+    """Plot-ready series: forecast-volatility diagonals and correlations, block by block."""
     p = trajectory.p
     rows, cols = np.triu_indices(p, 1)
     header = ["t", *(f"fore_var_{i + 1}" for i in range(p)),
               *(f"fore_corr_{i + 1}_{j + 1}" for i, j in zip(rows, cols))]
-    sigma = trajectory.forecast_means  # NaN where undefined
-    diag = np.diagonal(sigma, axis1=1, axis2=2)
-    denom = np.sqrt(diag[:, rows] * diag[:, cols])
-    corr = np.divide(
-        sigma[:, rows, cols], denom, out=np.full(denom.shape, np.nan), where=denom > 0
-    )
-    write_csv(path, [header], range(1, len(sigma) + 1), np.hstack([diag, corr]))
+
+    def block(steps):
+        sigma = trajectory.volatility.forecast_means(trajectory.row, steps)  # NaN where undefined
+        diag = np.diagonal(sigma, axis1=1, axis2=2)
+        denom = np.sqrt(diag[:, rows] * diag[:, cols])
+        corr = np.divide(
+            sigma[:, rows, cols], denom, out=np.full(denom.shape, np.nan), where=denom > 0
+        )
+        return np.hstack([diag, corr])
+
+    table = itertools.chain.from_iterable(map(block, step_blocks(len(trajectory))))
+    write_csv(path, [header], range(1, len(trajectory) + 1), table)
 
 
 def _print_report(report):

@@ -59,7 +59,9 @@ class ReturnTable:
         return self.returns.shape[1]
 
 
-def _read_table(path, columns=None):
+def _read_table(path, columns=None, positive=False):
+    """Dates, values and names of the ``columns`` (default all); a cell that is not a finite
+    number, or with ``positive`` not above 0, raises at its file line and column."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -72,9 +74,7 @@ def _read_table(path, columns=None):
         names = header[1:] if columns is None else list(columns)
         indices = (range(1, len(header)) if columns is None
                    else [1 + i for i in _column_indices(header[1:], names)])
-        dates = []
-        rows = []
-        prev_date = None
+        dates, rows, prev_date = [], [], None
         try:
             for line_no, record in _data_rows(reader, len(header)):
                 try:
@@ -97,21 +97,28 @@ def _read_table(path, columns=None):
         raise ParseError("no data rows", row=2)
     values = np.asarray(rows, dtype=float)
     _check_finite(path, values, indices, len(header))
+    if positive and (values <= 0.0).any():
+        i, j = np.argwhere(values <= 0.0)[0]
+        raise NonPositivePrice(f"price {float(values[i, j])!r} in column {names[j]!r}",
+                               row=_data_row(path, i, len(header))[0], col=indices[j] + 1)
     return tuple(dates), values, tuple(names)
 
 
 def _check_finite(path, values, indices, width):
     """Raise a ParseError at the first non-finite value of ``values``, the
-    first data rows of ``path`` read at ``indices``; a rescan of the file
-    finds its line and cell."""
+    first data rows of ``path`` read at ``indices``."""
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            rows = _data_rows(reader, width)
-            line_no, record = next(itertools.islice(rows, int(np.argmax(bad)), None))
+        line_no, record = _data_row(path, int(np.argmax(bad)), width)
         _check_cells(record, indices, line_no, finite=True)
+
+
+def _data_row(path, index, width):
+    """(line number, cells) of data row ``index`` of ``path``, read again."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return next(itertools.islice(_data_rows(reader, width), index, None))
 
 
 def _data_rows(reader, width):
@@ -150,19 +157,10 @@ def ingest(path, columns=None):
     """Read a price CSV into a validated :class:`PriceTable`.
 
     ``columns`` optionally restricts (and orders) the price columns by
-    header name. Rows with non-positive prices are rejected with their
-    1-based line number.
+    header name. A non-positive price is rejected with its 1-based file
+    line and column.
     """
-    dates, values, names = _read_table(path, columns)
-    bad = np.argwhere(values <= 0.0)
-    if bad.size:
-        i, j = bad[0]
-        raise NonPositivePrice(
-            f"price {values[i, j]!r} in column {names[j]!r}",
-            row=int(i) + 2,
-            col=int(j) + 2,
-        )
-    return PriceTable(dates=dates, prices=values, names=names)
+    return PriceTable(*_read_table(path, columns, positive=True))
 
 
 def ingest_returns(path, columns=None):
@@ -204,11 +202,10 @@ def write_observations_csv(path, values, dates=None, names=None):
 
 
 def write_csv(path, head, leads=(), table=()):
-    """Write the rows ``head`` (the header, or any row of mixed cells) with
-    csv.writer, quoted as needed, then row i of the float array ``table``
-    as a line starting with ``leads[i]``: CRLF ends and shortest round-trip
-    floats, as csv.writer writes them. Rows are converted one at a time so
-    the file is never held whole."""
+    """Write the rows ``head`` (the header, or any row of mixed cells) with csv.writer,
+    quoted as needed, then each row of ``table``, any iterable of 1-D float arrays, as a
+    line starting with the matching item of ``leads``: CRLF ends and shortest round-trip
+    floats, as csv.writer writes them. Rows are read and converted one at a time."""
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerows(head)
         handle.writelines(f"{lead},{','.join(map(repr, row.tolist()))}\r\n"

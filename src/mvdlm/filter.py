@@ -23,6 +23,7 @@ maximum-likelihood estimator of a constant volatility and closure under
 full-row-rank linear maps of y_t.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -46,6 +47,13 @@ from .model import FilterState, ModelSpec, Priors, validate
 FIXED_POINT_TOL = 1e-9
 CLOSED_FORM_RTOL = 1e-8
 BLOCK_ROWS = 64  # rows of one batched volatility_pass in run_models
+BLOCK_STEPS = 512  # steps of one block of the whitening, the factor and the exports
+
+
+def step_blocks(n_steps):
+    """Slices of up to ``BLOCK_STEPS`` of the steps 0..N-1 (one empty slice at N = 0): a
+    stage that reads a pass's scales holds the temporaries of one block at a time."""
+    return [slice(lo, min(lo + BLOCK_STEPS, n_steps)) for lo in range(0, n_steps or 1, BLOCK_STEPS)]
 
 
 @dataclass(frozen=True)
@@ -108,25 +116,41 @@ class VolatilityPass:
 
     @cached_property
     def scale_terms(self):
-        """log|S_0|..log|S_N| (K, N+1) and r_t = e_t' S_t^{-1} e_t / Q_t (K, N)
-        for all K rows, from one batched Cholesky S_t = C_t'C_t and one batched
-        solve of C_t' x = e_t; the factors are not kept."""
-        upper = cholesky_upper_stack(self.S)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(upper, axis1=-2, axis2=-1)), axis=-1)
-        solved = np.linalg.solve(np.swapaxes(upper[:, 1:], -1, -2), self.e[None, :, :, None])
-        return logdet, np.sum(solved[..., 0] ** 2, axis=-1) / self.Q
+        """log|S_0|..log|S_N| (K, N+1) and r_t = e_t' S_t^{-1} e_t / Q_t (K, N) for all K
+        rows, from one batched Cholesky S_t = C_t'C_t and one batched solve of C_t' x = e_t
+        per block of :func:`step_blocks` (S_0 joins the first); no factor is kept."""
+        logdet, r = np.empty(self.n.shape), np.empty((len(self.n), len(self.Q)))
+        for steps in step_blocks(len(self.Q)):
+            lo = steps.start + 1 if steps.start else 0
+            upper = cholesky_upper_stack(self.S[:, lo:steps.stop + 1])
+            logdet[:, lo:steps.stop + 1] = 2.0 * np.sum(
+                np.log(np.diagonal(upper, axis1=-2, axis2=-1)), axis=-1)
+            solved = np.linalg.solve(np.swapaxes(upper[:, steps.start + 1 - lo:], -1, -2),
+                                     self.e[None, steps, :, None])
+            r[:, steps] = np.sum(solved[..., 0] ** 2, axis=-1) / self.Q[steps]
+        return logdet, r
 
     @cached_property
     def u(self):  # (K, N, p) standardized errors, NaN where dof <= 2
-        law = forecast_law(self.betas[:, None])  # broadcast over the N steps
-        scale = self.S[:, :-1] * law.outer  # the priors, exactly symmetric past a caller's
-        scale[:, :1] = symmetrize(scale[:, :1])  # S0: symmetrize runs on that row only
-        return _whiten(self.e, self.Q, scale, law.mean * self.n[:, :-1])
+        law = forecast_law(self.betas[:, None])  # broadcast over the steps of a block
+        u = np.empty((len(self.betas), *self.e.shape))
+        for steps in step_blocks(len(self.Q)):
+            scale = self.S[:, steps] * law.outer  # the priors, exactly symmetric past a caller's
+            if not steps.start:
+                scale[:, :1] = symmetrize(scale[:, :1])  # S0: symmetrize runs on that row only
+            u[:, steps] = _whiten(self.e[steps], self.Q[steps], scale, law.mean * self.n[:, steps])
+        return u
 
     def posterior_means(self, k, steps=slice(None)):
         """Posterior means Sigma_0..Sigma_N of row k (at ``steps``), NaN where undefined."""
         p = self.betas.shape[1]
         return _iw_means(self.S[k, steps], self.n[k, steps] + 2 * p, p)
+
+    def forecast_means(self, k, steps=slice(None)):
+        """One-step forecast means of row k, t = 1..N (at ``steps``), NaN where undefined."""
+        p = self.betas.shape[1]
+        scales, dofs = forecast_law(self.betas[k])(self.S[k, :-1][steps], self.n[k, :-1][steps])
+        return _iw_means(scales, dofs + 2 * p, p)
 
 
 def _iw_means(scales, dof, p):
@@ -171,18 +195,12 @@ class Trajectory:
         return len(self.Q)
 
     def forecast_laws(self):
-        """The N one-step forecast laws: prior scales (N, p, p) and degrees of
-        freedom (N,), by :func:`forecast_law`."""
+        """The N one-step forecast laws: scales (N, p, p) and dofs (N,), by :func:`forecast_law`."""
         return forecast_law(self.spec.vol_discounts)(self.S[:-1], self.n[:-1])
 
     forecast_dofs = property(lambda self: forecast_law(self.spec.vol_discounts).mean * self.n[:-1])
     posterior_means = property(lambda self: self.volatility.posterior_means(self.row))
-
-    @property
-    def forecast_means(self):
-        """One-step forecast means of the volatility, NaN where undefined."""
-        scales, dofs = self.forecast_laws()
-        return _iw_means(scales, dofs + 2 * self.p, self.p)
+    forecast_means = property(lambda self: self.volatility.forecast_means(self.row))
 
 
 def _evolve(P, g, delta_outer):
@@ -504,7 +522,9 @@ def volatility_pass(e, Q, betas, S0, n):
     n_path = np.cumsum(np.hstack([n0[:, None], growth]), axis=1)
     # time-major, so that step t of every row is one contiguous (K, p, p) block
     steps = np.empty((n_steps + 1, n_cells, p, p))
-    steps[0], steps[1:] = S0, (e[:, :, None] * e[:, None, :] / Q[:, None, None])[:, None]
+    # e_t e_t' / Q_t is built in place in row 0 of each step, then copied to the other rows
+    outer = np.multiply(e[:, :, None], e[:, None, :], out=steps[1:, 0])
+    steps[0], steps[1:, 1:] = S0, np.divide(outer, Q[:, None, None], out=outer)[:, None]
     prior = law(S0, n0)[0]  # symmetrized, as a caller's S0 may not be
     # sums and products of exactly symmetric operands stay exactly symmetric,
     # so each step is two in-place ufuncs without symmetrize; step t adds its prior
@@ -750,11 +770,13 @@ def trajectory_to_csv(trajectory, path):
     E[Sigma_t | D_{t-1}] is (beta^{1/2} 1 1' beta^{1/2}) o Sigma_post,t-1
     times (n_{t-1} - 2) / (k_t - 2), with k_t = mean(beta) n_{t-1}.
     """
-    p = trajectory.p
+    p, vol, row = trajectory.p, trajectory.volatility, trajectory.row
     pairs = vech_indices(p)
     header = ["t", *(f"{name}_{i + 1}" for name in "feu" for i in range(p)), "Q",
               *(f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs)]
     rows, cols = (np.array(idx) for idx in zip(*pairs))
-    table = np.column_stack([trajectory.f, trajectory.e, trajectory.u, trajectory.Q,
-                             trajectory.posterior_means[1:, rows, cols]])
-    write_csv(path, [header], range(1, len(table) + 1), table)
+    blocks = (np.column_stack([trajectory.f[steps], trajectory.e[steps], trajectory.u[steps],
+                               trajectory.Q[steps], vol.posterior_means(
+                                   row, slice(steps.start + 1, steps.stop + 1))[:, rows, cols]])
+              for steps in step_blocks(len(trajectory)))
+    write_csv(path, [header], range(1, len(trajectory) + 1), itertools.chain.from_iterable(blocks))

@@ -707,6 +707,16 @@ def metals_inputs(tmp_path, **configs):
     return paths, str(data_path)
 
 
+def test_non_positive_price_message(tmp_path, capsys):
+    config = write_config(tmp_path, {"p": 1, "vol_discounts": [0.9], "weights": [1.0],
+                                     "names": ["b"], "data_kind": "prices", "grid": None})
+    data_path = tmp_path / "prices.csv"
+    data_path.write_text("date,a,b,c\n2020-01-01,1.0,2.0,3.0\n2020-01-02,1.5,-2.5,3.0\n")
+    argv = ["fit", "--config", str(config), "--data", str(data_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "data error: price -2.5 in column 'b' (line 3, column 3)\n"
+
+
 @pytest.mark.parametrize("p", [4, 16])
 def test_diagnose_reports_fits_numbers_bitwise(tmp_path, p):
     """diagnose reads e and u back bitwise and sums them in fit's order, so

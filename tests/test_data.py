@@ -89,6 +89,22 @@ class TestIngestErrors:
             ingest(path)
         assert err.value.row == 3
 
+    def test_non_positive_price_in_a_selected_column(self, tmp_path):
+        # the file line and the file column of the cell, not its place among
+        # the selected columns, and the value as a Python float
+        path = write(tmp_path, "date,a,b,c\n2020-01-01,1.0,2.0,3.0\n2020-01-02,1.5,-2.5,3.0\n")
+        with pytest.raises(NonPositivePrice) as err:
+            ingest(path, columns=["b"])
+        assert (err.value.row, err.value.col) == (3, 3)
+        assert str(err.value) == "price -2.5 in column 'b'"
+
+    def test_non_positive_price_after_a_blank_line(self, tmp_path):
+        path = write(tmp_path, "date,a,b\n2020-01-01,1,2\n\n2020-01-02,1,2\n2020-01-03,0,2\n")
+        with pytest.raises(NonPositivePrice) as err:
+            ingest(path)
+        assert (err.value.row, err.value.col) == (5, 2)
+        assert str(err.value) == "price 0.0 in column 'a'"
+
     def test_non_monotone_dates(self, tmp_path):
         path = write(tmp_path, "date,x\n2005-01-05,1\n2005-01-04,2\n")
         with pytest.raises(NonMonotoneDates) as err:
