@@ -9,7 +9,6 @@ comparison, a generative simulator and a command-line pipeline.
 from . import errors
 from .diagnostics import (
     DiagnosticsReport,
-    LbfSeries,
     compute_diagnostics,
     grid_search,
     var_portfolio,
@@ -50,7 +49,6 @@ __all__ = [
     "DiagnosticsReport",
     "FilterState",
     "InvWishartParams",
-    "LbfSeries",
     "ModelSpec",
     "MultiTParams",
     "Priors",

@@ -179,10 +179,10 @@ def cmd_compare(args):
     if (config2.data_kind, config2.names) != (config1.data_kind, config1.names):
         table2 = _read_data(config2, args.data)
     traj1, traj2 = run_models([_model(config1, table1), _model(config2, table2)])
+    lbf = diagnostics.lbf_from_trajectories(traj1, traj2)
+    write_csv(args.out, [["t", "lbf"]], range(1, len(lbf) + 1), lbf[:, None])
+    total = float(np.sum(lbf))
     labels = (Path(args.config).stem, Path(args.config2).stem)
-    series = diagnostics.lbf_from_trajectories(traj1, traj2, labels=labels)
-    write_csv(args.out, [["t", "lbf"]], range(1, len(series) + 1), series.values[:, None])
-    total = series.cumulative
     favored = labels[0] if total > 0 else labels[1] if total < 0 else "neither"
     print(f"cumulative LBF = {total:.4f} (favours {favored})")
     print(f"wrote {args.out}")

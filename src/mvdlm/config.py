@@ -22,16 +22,16 @@ constant fill for the state mean):
 
 ``vol_discounts`` is required: all 1 is the time-invariant volatility
 model, anything else evolves. ``names`` holds p distinct strings and
-``weights`` p numbers. A key outside this schema, at the top level or in
-``priors``, ``grid`` or ``var``, is a configuration error.
+``weights`` p numbers that pass the VaR rule with ``var``. A key outside
+this schema, at any level, is a configuration error.
 """
 
 import json
 
 import numpy as np
 
-from .diagnostics import QUANTILE_FAMILIES
-from .errors import ConfigError
+from .diagnostics import check_var_settings
+from .errors import ConfigError, InvalidWeights
 from .model import ModelSpec, Priors
 
 KEYS = {  # the schema above: top-level keys, then those of each section
@@ -132,9 +132,11 @@ class RunConfig:
         self.grid = raw.get("grid")
         var = raw.get("var") or {}
         self.var_family = var.get("family", "t")
-        if self.var_family not in QUANTILE_FAMILIES:
-            raise ConfigError(f"{path}: var.family must be 't' or 'normal', not {self.var_family!r}")
         self.var_alphas = _numbers(var.get("alphas", [95, 99]), "var.alphas")
+        try:
+            check_var_settings(self.weights, self.var_alphas, self.var_family)
+        except InvalidWeights as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def spec(self):
         raw = self.raw

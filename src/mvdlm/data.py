@@ -10,16 +10,15 @@ line 1).
 import contextlib
 import csv
 import datetime
-import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DataError,
     NonMonotoneDates,
     NonPositivePrice,
     ParseError,
@@ -60,8 +59,8 @@ class ReturnTable:
 
 
 def _read_table(path, columns=None, positive=False):
-    """Dates, values and names of the ``columns`` (default all); a cell that is not a finite
-    number, or with ``positive`` not above 0, raises at its file line and column."""
+    """Dates, values and names of the ``columns`` (default all), converted row by row, then
+    checked whole: finite, with ``positive`` above 0, on increasing dates; else the scan."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -74,9 +73,35 @@ def _read_table(path, columns=None, positive=False):
         names = header[1:] if columns is None else list(columns)
         indices = (range(1, len(header)) if columns is None
                    else [1 + i for i in _column_indices(header[1:], names)])
-        dates, rows, prev_date = [], [], None
+        dates, rows = [], []
         try:
-            for line_no, record in _data_rows(reader, len(header)):
+            for _, record in _data_rows(reader, len(header)):
+                dates.append(datetime.date.fromisoformat(record[0].strip()))
+                rows.append([float(record[col]) for col in indices])
+        except (ValueError, ParseError):  # located by the scan below
+            pass
+        else:
+            if not rows:
+                raise ParseError("no data rows", row=2)
+            values = np.asarray(rows, dtype=float)
+            if (np.isfinite(values).all() and not (positive and (values <= 0.0).any())
+                    and all(map(operator.lt, dates, dates[1:]))):
+                return tuple(dates), values, tuple(names)
+    _raise_first_fault(path, len(header), indices, "no fault located", dated=True,
+                       names=names if positive else None)
+
+
+def _raise_first_fault(path, width, columns, fallback, dated=False, names=None):
+    """Raise the first fault of the data lines of ``path``, in file order, then column order:
+    a line of another width than ``width``; with ``dated``, a bad or non-increasing date in
+    column 1; a cell at ``columns`` that is not a number (with ``dated``, a finite one), and
+    with ``names`` (one per column), a price not above 0. Else raise ParseError(fallback)."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        prev_date = None
+        for line_no, record in _data_rows(reader, width):
+            if dated:
                 try:
                     date = datetime.date.fromisoformat(record[0].strip())
                 except ValueError:
@@ -85,40 +110,18 @@ def _read_table(path, columns=None, positive=False):
                     raise NonMonotoneDates(f"date {date.isoformat()} does not increase past "
                                            f"{prev_date.isoformat()}", row=line_no)
                 prev_date = date
+            for j, col in enumerate(columns):
+                cell = record[col].strip()
                 try:
-                    rows.append([float(record[col]) for col in indices])
+                    value = float(cell)
                 except ValueError:
-                    _check_cells(record, indices, line_no, finite=True)
-                dates.append(date)
-        except DataError:  # a non-finite value on an earlier line comes first
-            _check_finite(path, np.reshape(rows, (len(rows), len(indices))), indices, len(header))
-            raise
-    if not rows:
-        raise ParseError("no data rows", row=2)
-    values = np.asarray(rows, dtype=float)
-    _check_finite(path, values, indices, len(header))
-    if positive and (values <= 0.0).any():
-        i, j = np.argwhere(values <= 0.0)[0]
-        raise NonPositivePrice(f"price {float(values[i, j])!r} in column {names[j]!r}",
-                               row=_data_row(path, i, len(header))[0], col=indices[j] + 1)
-    return tuple(dates), values, tuple(names)
-
-
-def _check_finite(path, values, indices, width):
-    """Raise a ParseError at the first non-finite value of ``values``, the
-    first data rows of ``path`` read at ``indices``."""
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        line_no, record = _data_row(path, int(np.argmax(bad)), width)
-        _check_cells(record, indices, line_no, finite=True)
-
-
-def _data_row(path, index, width):
-    """(line number, cells) of data row ``index`` of ``path``, read again."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        return next(itertools.islice(_data_rows(reader, width), index, None))
+                    raise ParseError(f"bad number {cell!r}", row=line_no, col=col + 1) from None
+                if dated and not math.isfinite(value):
+                    raise ParseError(f"non-finite value {cell!r}", row=line_no, col=col + 1)
+                if names is not None and value <= 0.0:
+                    raise NonPositivePrice(f"price {value!r} in column {names[j]!r}",
+                                           row=line_no, col=col + 1)
+    raise ParseError(fallback)
 
 
 def _data_rows(reader, width):
@@ -140,19 +143,6 @@ def _column_indices(header, names):
     return [header.index(name) for name in names]
 
 
-def _check_cells(cells, indices, line_no, finite):
-    """Raise a ParseError at the first cell of ``indices`` that is not a
-    number (or, when ``finite``, not a finite one)."""
-    for col in indices:
-        cell = cells[col].strip()
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ParseError(f"bad number {cell!r}", row=line_no, col=col + 1) from None
-        if finite and not math.isfinite(value):
-            raise ParseError(f"non-finite value {cell!r}", row=line_no, col=col + 1)
-
-
 def ingest(path, columns=None):
     """Read a price CSV into a validated :class:`PriceTable`.
 
@@ -165,8 +155,7 @@ def ingest(path, columns=None):
 
 def ingest_returns(path, columns=None):
     """Read a CSV of already-computed returns (values may be negative)."""
-    dates, values, names = _read_table(path, columns)
-    return ReturnTable(dates=dates, returns=values, names=names)
+    return ReturnTable(*_read_table(path, columns))
 
 
 def to_returns(prices):
@@ -232,18 +221,14 @@ def read_columns(path, names):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: raised below
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
-        with open(path, "rb") as handle:  # loadtxt skips cells past usecols: count them all
-            commas = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord(","))
-                         for block in iter(lambda: handle.read(1 << 20), b""))
-        if commas != (len(header) - 1) * (data.shape[0] + 1):
-            raise ValueError("the file holds more cells than lines of the header's width")
     except ValueError as exc:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            for line_no, cells in _data_rows(reader, len(header)):
-                _check_cells(cells, usecols, line_no, finite=False)
-        raise ParseError(str(exc)) from None
+        _raise_first_fault(path, len(header), usecols, str(exc))
+    with open(path, "rb") as handle:  # loadtxt skips cells past usecols: count them all
+        commas = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord(","))
+                     for block in iter(lambda: handle.read(1 << 20), b""))
+    if commas != (len(header) - 1) * (data.shape[0] + 1):
+        _raise_first_fault(path, len(header), usecols,
+                           "the file holds more cells than lines of the header's width")
     if not data.shape[0]:
         raise ParseError("no data rows", row=2)
     return data[:, :-1]

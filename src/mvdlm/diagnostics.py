@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import write_csv, write_json
-from .distributions import InvWishartParams, log_multigamma
+from .distributions import log_multigamma
 from .errors import (
     DofTooSmall,
     EmptyData,
@@ -48,21 +48,6 @@ class DiagnosticsReport:
     me: np.ndarray
     loglik: float
     n_obs: int
-
-
-@dataclass(frozen=True)
-class LbfSeries:
-    """Per-step log Bayes factors of model 1 against model 2."""
-
-    values: np.ndarray
-    model_labels: tuple
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def cumulative(self):
-        return float(np.sum(self.values))
 
 
 def error_summary(e, u):
@@ -148,17 +133,23 @@ def posterior_loglik(vol, k):
     ``vol.scale_terms``, one call for all such rows. An undefined posterior
     mean (n <= 2) raises DofTooSmall."""
     rows = np.atleast_1d(k)
-    if not np.all(vol.n[rows, -1] > 2.0):
-        raise DofTooSmall("posterior mean of the volatility requires n > 2")
+    sigma = _final_means(vol, rows)
     constant = np.all(vol.betas[rows] == 1.0, axis=1)
     loglik = np.empty(len(rows))
     for i in np.flatnonzero(constant):
-        loglik[i] = loglik_constant_arrays(vol.e, vol.Q, vol.posterior_means(rows[i], -1))
+        loglik[i] = loglik_constant_arrays(vol.e, vol.Q, sigma[i])
     if not constant.all():
         (logdet, r), evolving = vol.scale_terms, rows[~constant]
         loglik[~constant] = loglik_arrays(vol.Q, logdet[evolving], r[evolving],
                                           vol.betas[evolving])
     return loglik if np.ndim(k) else float(loglik[0])
+
+
+def _final_means(vol, rows):
+    """Sigma_N of ``rows`` of the pass ``vol``; an undefined one (n <= 2) raises DofTooSmall."""
+    if not np.all(vol.n[rows, -1] > 2.0):
+        raise DofTooSmall("posterior mean of the volatility requires n > 2")
+    return vol.posterior_means(rows, -1)
 
 
 def loglik_constant_arrays(errors, q_values, sigma):
@@ -179,6 +170,19 @@ def loglik_constant_arrays(errors, q_values, sigma):
     )
 
 
+def check_var_settings(weights, alphas, family):
+    """The VaR rule of :func:`var_portfolio` and of a config at load, else InvalidWeights:
+    ``weights`` (None passes) on the simplex, ``alphas`` in (0, 100), ``family`` "t" or "normal"."""
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    if w is not None and (np.any(w < -WEIGHT_TOL) or abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL):
+        raise InvalidWeights("weights must be nonnegative and sum to 1 within 1e-10")
+    a = np.asarray(alphas, dtype=float)
+    if not np.all((0.0 < a) & (a < 100.0)):
+        raise InvalidWeights(f"var.alphas must be percentages in (0, 100), got {a.tolist()}")
+    if family not in QUANTILE_FAMILIES:
+        raise InvalidWeights(f"var.family must be 't' or 'normal', not {family!r}")
+
+
 def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
     """Value-at-Risk of a weighted portfolio, one value per confidence
     percentage of ``alphas`` (one list per matrix of a stack ``sigma``, with
@@ -192,14 +196,8 @@ def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
     quantiles are ``ndtri`` and ``stdtrit``, the functions behind
     ``scipy.stats.norm.ppf`` and ``scipy.stats.t.ppf``.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if np.any(w < -WEIGHT_TOL) or abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
-        raise InvalidWeights("weights must be nonnegative and sum to 1 within 1e-10")
-    alphas = np.asarray(alphas, dtype=float)
-    if not np.all((0.0 < alphas) & (alphas < 100.0)):
-        raise InvalidWeights("alpha must be a percentage in (0, 100)")
-    if family not in QUANTILE_FAMILIES:
-        raise InvalidWeights(f"unknown quantile family {family!r}")
+    check_var_settings(weights, alphas, family)
+    w, alphas = np.atleast_1d(np.asarray(weights, dtype=float)), np.asarray(alphas, dtype=float)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = symmetrize(np.atleast_2d(sigma))
     if w.shape != mu.shape or sigma.shape[-2:] != (w.size, w.size):
@@ -225,9 +223,9 @@ def var_portfolio(mu, sigma, weights, alphas, family="t", dof=None):
     return (port_mean + quantiles * np.sqrt(port_var)[..., None]).tolist()
 
 
-def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
+def lbf_from_trajectories(traj1, traj2):
     """Sequential log Bayes factors of two fitted models over the same
-    observations.
+    observations, an (N,) array whose sum is the cumulative log Bayes factor.
 
     Each step contributes log p(u_t | M1) - log p(u_t | M2), where the
     predictive law of a standardized error with k_t degrees of freedom is the
@@ -256,7 +254,7 @@ def lbf_from_trajectories(traj1, traj2, labels=("M1", "M2")):
         ratio = np.array([log_multigamma((dof + p - 1) / 2.0, p, ratio=True) for dof in distinct])
         terms.append(ratio[step] - 0.5 * p * np.log(np.pi * (k - 2.0))
                      - 0.5 * (k + p) * log1p_quad)
-    return LbfSeries(values=terms[0] - terms[1], model_labels=tuple(labels))
+    return terms[0] - terms[1]
 
 
 def compute_diagnostics(trajectory):
@@ -313,27 +311,21 @@ def var_at_horizon(trajectory, weights, family="t", alphas=(95.0, 99.0)):
     """
     if len(trajectory) == 0:
         raise EmptyData("VaR needs at least one filtered step")
-    return _pass_var([trajectory], weights, family, alphas)[1][0]
+    return _pass_var([trajectory], weights, family, alphas)[0]
 
 
-def _pass_var(members, weights, family, alphas, location=None):
-    """f_{N+1} and the :func:`var_at_horizon` of each trajectory of
-    ``members``, which share one volatility pass, from one check of their
-    final scales and one call of :func:`var_portfolio`. Once the scales
-    pass, a ``location`` of None is taken from :func:`~mvdlm.filter.predict`
-    at step N + 1 of the first member."""
+def _pass_var(members, weights, family, alphas):
+    """The :func:`var_at_horizon` of each of ``members``, which share one volatility pass,
+    from one check of their final scales, one :func:`~mvdlm.filter.predict` at step N + 1
+    and one :func:`var_portfolio` call."""
     vol, rows, p = members[0].volatility, [t.row for t in members], members[0].p
-    scales = vol.S[rows, -1]
-    lam = np.linalg.eigvalsh(scales)  # below p eps of the largest, round-off sets the sign
+    lam = np.linalg.eigvalsh(vol.S[rows, -1])  # below p eps of the largest, round-off sets the sign
     if not np.all(lam[:, 0] > lam[:, -1] * p * np.finfo(float).eps):  # NaN S: 0, inf S: NaN
         raise NonPositiveDefinite("final volatility scale is not positive definite")
-    if location is None:
-        final = members[0].final
-        location = predict(final, members[0].spec, final.t + 1).f
-    n = vol.n[rows, -1]
-    sigma = [InvWishartParams(dof + 2 * p, s).mean for dof, s in zip(n.tolist(), scales)]
-    dof = forecast_law(vol.betas[rows]).mean * n  # predict's, of step N + 1
-    return location, var_portfolio(location, np.array(sigma), weights, alphas, family, dof)
+    final = members[0].final
+    location = predict(final, members[0].spec, final.t + 1).f
+    dof = forecast_law(vol.betas[rows]).mean * vol.n[rows, -1]  # predict's, of step N + 1
+    return var_portfolio(location, _final_means(vol, rows), weights, alphas, family, dof)
 
 
 def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weights=None,
@@ -351,11 +343,10 @@ def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weig
     every confidence percentage of ``var_alphas``; without, NaN.
 
     The candidates run through :func:`run_models`: one state pass per delta
-    and one batched volatility pass per block of candidates. Each pass is
-    scored whole: the MSSE row by row, the likelihoods by one
-    :func:`posterior_loglik` and the VaR by one :func:`var_portfolio` call,
-    with the ME and the step-N+1 forecast mean (one :func:`predict`) of its
-    state pass. Each row holds exactly what :func:`compute_diagnostics` and
+    and one batched volatility pass per block of candidates, kept together
+    by its delta-major output. Each pass is scored whole: the ME, the MSSE
+    row by row, one :func:`posterior_loglik` and one :func:`_pass_var`.
+    Each row holds exactly what :func:`compute_diagnostics` and
     :func:`var_at_horizon` give for that candidate's own trajectory.
     """
     delta_grid = list(delta_grid)
@@ -372,24 +363,18 @@ def grid_search(spec_template, priors, observations, delta_grid, beta_grid, weig
             reason = f"mean volatility discount {spec.mean_beta:.6g} <= 2/3"
             excluded.append((float(delta), tuple(beta.tolist()), reason))
     alphas = tuple(var_alphas)
-    groups = {}  # the trajectories of each volatility pass, by state pass
-    for trajectory in run_models(models):
-        passes = groups.setdefault(id(trajectory.states), {})
-        passes.setdefault(id(trajectory.volatility), []).append(trajectory)
     rows = []
-    for passes in groups.values():
-        first, location = next(iter(passes.values()))[0], None
-        me = error_summary(first.e, first.u)[2]  # failing as the first row's would
-        for members in passes.values():  # scored whole, as run_models batched it
-            vol, index = members[0].volatility, [t.row for t in members]
-            msse = [_msse(vol.u[k]) for k in index]
-            loglik = posterior_loglik(vol, index)
-            var = [[np.nan] * len(alphas)] * len(index)
-            if weights is not None:
-                location, var = _pass_var(members, weights, var_family, alphas, location)
-            rows += [GridRow(float(t.spec.state_discounts[0]),
-                             tuple(t.spec.vol_discounts.tolist()), msse[i], me, float(loglik[i]),
-                             tuple(var[i])) for i, t in enumerate(members)]
+    for vol, members in itertools.groupby(run_models(models), lambda t: t.volatility):
+        members = list(members)  # one volatility pass, scored whole
+        index = [t.row for t in members]
+        me = error_summary(members[0].e, members[0].u)[2]  # failing as the first row's would
+        msse = [_msse(vol.u[k]) for k in index]
+        loglik = posterior_loglik(vol, index)
+        var = ([[np.nan] * len(alphas)] * len(index) if weights is None
+               else _pass_var(members, weights, var_family, alphas))
+        rows += [GridRow(float(t.spec.state_discounts[0]), tuple(t.spec.vol_discounts.tolist()),
+                         msse[i], me, float(loglik[i]), tuple(var[i]))
+                 for i, t in enumerate(members)]
     rows.sort(key=lambda row: (-row.loglik, row.delta, row.beta))
     return GridSearchResult(rows=tuple(rows), excluded=tuple(excluded), alphas=alphas)
 

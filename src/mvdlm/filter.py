@@ -102,7 +102,7 @@ class StatePass:
     P: np.ndarray  # (d, d) posterior state covariance after step N
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a pass of arrays equals only itself
 class VolatilityPass:
     """Output of the volatility recursions for K discount vectors ``betas``
     over ``e`` and ``Q``. Its ``scale_terms`` and ``u`` are each computed on
@@ -709,9 +709,8 @@ def linear_transform(spec, priors, observations, a_matrix):
     discounts carry over, and a warning notes that exact closure of the
     general transform is not established.
 
-    ``marginal_dof`` reports the inverted-Wishart degrees-of-freedom
-    parameter of the transformed posterior implied by closure,
-    n + 2(p - q) + 2q.
+    ``marginal_dof`` is n_N + 2q, of the transformed posterior IW_q(n_N + 2q,
+    S*_N): a linear map keeps the dimension-free dof n_N, so A Sigma_N A' is its mean.
     """
     a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     q_dim, p = a_matrix.shape
@@ -749,7 +748,7 @@ def linear_transform(spec, priors, observations, a_matrix):
     max_err = float(np.max(err / scale, initial=0.0))
     if max_err > 1e-10:
         raise MvdlmError(f"scale closure violated: max relative deviation {max_err:.3e}")
-    marginal_dof = float(base.n[0]) + 2 * (spec.p - q_dim) + 2 * q_dim
+    marginal_dof = float(transformed.n[-1]) + 2 * q_dim
     return LinearTransformResult(transformed, base, a_matrix, marginal_dof, max_err)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .distributions import _evolution_constants, _evolve_factored, _psd_lower_factor
 from .distributions import invwishart_sample, matrix_normal_sample
+from .errors import EmptyData
 from .filter import _check_finite, covariance_pass
 from .linalg import cholesky_upper, factor_symmetric, inv_factor, symmetrize
 from .model import validate
@@ -45,7 +46,7 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     """
     n = validate(spec, priors)
     if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+        raise EmptyData("n_steps must be at least 1")
     cov = covariance_pass(spec, priors.P0, n_steps)
     _check_finite(cov.omega, np.arange(spec.d), 1)
     if rng is None:

@@ -134,7 +134,7 @@ class TestAlgebraicIdentities:
         other = run(replace(base_spec, vol_discounts=[0.95, 0.95]), priors, obs)
         fwd = lbf_from_trajectories(single, other)
         rev = lbf_from_trajectories(other, single)
-        swap_dev = float(np.max(np.abs(fwd.values + rev.values)))
+        swap_dev = float(np.max(np.abs(fwd + rev)))
         checks.append((f"LBF antisymmetry (max dev {swap_dev:.2e})", swap_dev == 0.0))
 
         report("algebraic-identities", checks)

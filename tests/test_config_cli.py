@@ -546,6 +546,13 @@ class TestMalformedTrajectory:
     ("fit", {"weights": [0.5, 0.25, 0.25]}, "weights"),
     ("fit", {"branch": "auto"}, "unknown key 'branch'"),
     ("fit", {"vol_discounts": None}, "vol_discounts"),
+    ("var", {"weights": [1.0, 1.0]}, "weights must be nonnegative and sum to 1"),
+    ("grid", {"weights": [-0.5, 1.5]}, "weights must be nonnegative and sum to 1"),
+    ("fit", {"weights": [1.0, 1.0]}, "weights must be nonnegative and sum to 1"),
+    ("simulate", {"weights": [-0.5, 1.5]}, "weights must be nonnegative and sum to 1"),
+    ("var", {"var": {"alphas": [0, 99]}}, "var.alphas must be percentages in (0, 100)"),
+    ("grid", {"var": {"alphas": [95, 150]}}, "var.alphas must be percentages in (0, 100)"),
+    ("fit", {"var": {"alphas": [95, 150]}}, "var.alphas must be percentages in (0, 100)"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, key):
     config_path = write_config(tmp_path, overrides)
@@ -553,6 +560,60 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, key):
     if command != "simulate":
         args += ["--data", str(write_returns(tmp_path)[0])]
     assert main(args) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "grid", "var", "compare"])
+def test_var_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command):
+    config_path = str(write_config(tmp_path, {"var": {"alphas": [95, 100]}}))
+    args = [command, "--config", config_path, "--data", str(tmp_path / "absent.csv"),
+            "--out", str(tmp_path / "out")]
+    assert main(args + (["--config2", config_path] if command == "compare" else [])) == 2
+    err = capsys.readouterr().err
+    assert "var.alphas must be percentages in (0, 100), got [95.0, 100.0]" in err
+
+
+def _without(key):
+    return {name: value for name, value in BASE_CONFIG.items() if name != key}
+
+
+THREE_SERIES = "date,a,b,c\n2000-01-03,0.1,0.2,0.3\n2000-01-04,0.2,0.1,0.3\n"
+
+
+@pytest.mark.parametrize("command, raw, data_text, code, key", [
+    ("fit", {**BASE_CONFIG, "p": 0}, None, 2, "p and d must be positive"),
+    ("fit", {**BASE_CONFIG, "data_kind": "xls"}, None, 2, "unknown data_kind 'xls'"),
+    ("fit", _without("design"), None, 2, "missing design vector"),
+    ("fit", {**BASE_CONFIG, "evolution": "foo"}, None, 2,
+     "evolution must be a matrix or 'identity'"),
+    ("fit", {**BASE_CONFIG, "priors": 5}, None, 2, "'priors' must be an object"),
+    ("grid", {**BASE_CONFIG, "grid": {"deltas": [0.9]}}, None, 2,
+     "grid needs non-empty 'deltas' and 'betas'"),
+    ("fit", {**BASE_CONFIG, "design": [1.0, 0.0]}, None, 2, "design: expected 1 entries"),
+    ("fit", {**BASE_CONFIG, "priors": {"S0": [[1.0, 0.0, 0.0]]}}, None, 2,
+     "S0: expected shape (2, 2), got (1, 3)"),
+    ("fit", [BASE_CONFIG], None, 2, "top level must be an object"),
+    ("fit", {**BASE_CONFIG, "p": 4, "vol_discounts": 0.9, "weights": [0.25] * 4}, THREE_SERIES,
+     2, "data has 3 series but the config declares p = 4"),
+    ("simulate", _without("horizon"), None, 2, "simulation needs a 'horizon' key"),
+    ("var", _without("weights"), None, 2, "VaR needs a 'weights' key"),
+    ("fit", {**BASE_CONFIG, "vol_discounts": [0.6, 0.6]}, None, 4,
+     "model error: no standardized errors"),
+    ("grid", {**BASE_CONFIG, "grid": {"deltas": [0.9], "betas": [[0.6, 0.6]]}}, None, 4,
+     "model error: no feasible candidates"),
+    ("fit", BASE_CONFIG, "", 3, "data error: file is empty (line 1)"),
+    ("fit", BASE_CONFIG, "date,series_1,series_2\n", 3, "data error: no data rows (line 2)"),
+])
+def test_typed_exits(tmp_path, capsys, command, raw, data_text, code, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    args = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
+    if command != "simulate":
+        data_path = write_returns(tmp_path)[0]
+        if data_text is not None:
+            data_path.write_text(data_text)
+        args += ["--data", str(data_path)]
+    assert main(args) == code
     assert key in capsys.readouterr().err
 
 
@@ -647,7 +708,7 @@ class TestSettings:
             run(config.spec(), config.priors(), returns) for config in map(load_config, configs)
         ))
         expected = tmp_path / "two_runs.csv"
-        data.write_csv(expected, [["t", "lbf"]], range(1, len(series) + 1), series.values[:, None])
+        data.write_csv(expected, [["t", "lbf"]], range(1, len(series) + 1), series[:, None])
         assert out.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("overrides, passes", [

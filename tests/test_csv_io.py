@@ -103,7 +103,7 @@ def test_lbf_file_bytes(tmp_path):
     trajectories = [
         run(local_level(2, 0.9, [beta, beta])[0], priors, obs) for beta in (0.95, 0.85)
     ]
-    values = lbf_from_trajectories(*trajectories).values
+    values = lbf_from_trajectories(*trajectories)
     expected = csv_writer_bytes(tmp_path, ["t", "lbf"], list(enumerate(values, start=1)))
     assert out.read_bytes() == expected
 

@@ -121,6 +121,29 @@ class TestIngestErrors:
             ingest(write(tmp_path, "2005-01-04,1\n"))
 
 
+class TestFirstFault:
+    """The first fault of a file is reported, in file order, then in column
+    order, whatever kind of fault comes later."""
+
+    @pytest.mark.parametrize("lines, error, row, col, message", [
+        (["2020-01-02,-1,2", "2020-01-03,1,2", "2020-01-04,x,2"],
+         NonPositivePrice, 3, 2, "price -1.0 in column 'a'"),
+        (["2020-01-02,-1,nan"], NonPositivePrice, 3, 2, "price -1.0 in column 'a'"),
+        (["2020-01-02,1,-2", "2020-01-03,1,2,3"], NonPositivePrice, 3, 3,
+         "price -2.0 in column 'b'"),
+        (["2020-01-02,1,0", "2020-01-01,1,2"], NonPositivePrice, 3, 3, "price 0.0 in column 'b'"),
+        (["2020-01-02,nan,-1", "2020-01-03,1"], ParseError, 3, 2, "non-finite value 'nan'"),
+        (["2020-01-01,1,2", "2020-01-03,x,-1"], NonMonotoneDates, 3, None,
+         "date 2020-01-01 does not increase past 2020-01-01"),
+    ])
+    def test_first_fault_in_file_then_column_order(self, tmp_path, lines, error, row, col,
+                                                   message):
+        path = write(tmp_path, "\n".join(["date,a,b", "2020-01-01,1,2", *lines]) + "\n")
+        with pytest.raises(error) as err:
+            ingest(path)
+        assert (err.value.row, err.value.col, str(err.value)) == (row, col, message)
+
+
 class TestRoundTrip:
     def test_write_ingest_byte_stable(self, tmp_path):
         rng = np.random.default_rng(2)

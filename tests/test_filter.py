@@ -17,6 +17,7 @@ from mvdlm.errors import (
     StateOverflow,
 )
 from mvdlm.diagnostics import compute_diagnostics, var_at_horizon
+from mvdlm.distributions import InvWishartParams, invwishart_sample
 from mvdlm.filter import (
     _closed_form_scales,
     _evolve,
@@ -200,6 +201,10 @@ class TestRun:
             run(spec, priors, np.zeros((5, 3)))
         with pytest.raises(DimensionMismatch, match="1-d observations"):
             run(spec, priors, np.zeros(5))
+        missing = np.zeros((5, 2))
+        missing[3, 1] = np.nan
+        with pytest.raises(DimensionMismatch, match="observation at step 4 has missing"):
+            run(spec, priors, missing)
         ys = np.array([3.0, -1.0, 0.5, 2.0])
         flat = run(scalar_spec, scalar_priors, ys)
         column = run(scalar_spec, scalar_priors, ys[:, None])
@@ -817,9 +822,9 @@ class TestLinearTransform:
         base = res.base_trajectory
         marg = res.trajectory
         assert np.all(np.abs(marg.S[1:, 0, 0] - base.S[1:, 0, 0]) < 1e-10)
-        # q = 1 marginal dof: n + 2(p - 1) + 2
+        # q = 1 marginal dof: n_N + 2q, with n_N = n at the fixed point
         n = compute_n(self.spec.vol_discounts)
-        assert_allclose(res.marginal_dof, n + 2.0 * (2 - 1) + 2.0)
+        assert_allclose(res.marginal_dof, n + 2.0)
 
     def test_general_mixing_transform(self):
         a = np.array([[0.7, 0.3]])
@@ -842,6 +847,39 @@ class TestLinearTransform:
         spec, priors = local_level(2, 0.9, [0.95, 0.85], p0=1.0)
         with pytest.raises(FeatureUnavailable):
             linear_transform(spec, priors, self.obs, np.array([[0.7, 0.3]]))
+
+
+class TestMarginalDof:
+    """``marginal_dof`` is the dof of the transformed posterior IW_q(n_N + 2q, S*_N): a linear
+    map of Sigma keeps the dimension-free n_N, so its mean is A Sigma_N A'."""
+
+    obs = np.random.default_rng(17).standard_normal((40, 2))
+
+    @pytest.mark.parametrize("beta, a, dof", [
+        (0.9, [[1.0, 0.0]], 12.0),  # n_N = n = 10 at the fixed point
+        (0.9, [[0.7, 0.3]], 12.0),
+        (0.9, [[1.0, 0.0], [0.0, 1.0]], 14.0),
+        (1.0, [[1.0, 0.0]], 43.0),  # n_N = n0 + N = 41
+    ])
+    def test_mean_is_the_mapped_posterior_mean(self, beta, a, dof):
+        spec, priors = local_level(2, 0.9, [beta, beta], p0=1.0)
+        res = linear_transform(spec, priors, self.obs, a)
+        a, base = np.array(a), res.base_trajectory
+        assert_allclose(res.marginal_dof, dof, rtol=1e-12)  # n = 1/(1 - 0.9) in floats
+        mean = InvWishartParams(res.marginal_dof, a @ base.S[-1] @ a.T).mean
+        assert_allclose(mean, a @ base.posterior_means[-1] @ a.T, rtol=1e-12)
+        assert_allclose(mean, res.trajectory.posterior_means[-1], rtol=1e-12)
+
+    def test_monte_carlo_mean(self):
+        # A Sigma A' over draws of the base posterior IW_2(n_N + 4, S_N)
+        spec, priors = local_level(2, 0.9, [0.9, 0.9], p0=1.0)
+        a = np.array([[1.0, 0.0]])
+        res = linear_transform(spec, priors, self.obs, a)
+        base, rng = res.base_trajectory, np.random.default_rng(5)
+        draws = np.array([(a @ invwishart_sample(base.n[-1] + 4.0, base.S[-1], rng) @ a.T)[0, 0]
+                          for _ in range(4000)])
+        mean = InvWishartParams(res.marginal_dof, a @ base.S[-1] @ a.T).mean[0, 0]
+        assert abs(draws.mean() - mean) < 4.0 * draws.std() / np.sqrt(len(draws))
 
 
 class TestSingleDiscountEquivalence:

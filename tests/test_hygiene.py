@@ -1,10 +1,10 @@
 """Static hygiene of the package, with the standard library's ``ast``: no
 module imports a name it never uses, every exported name resolves and a
 submodule exports only its own names, every module-level function or class
-has a reader, and every setting a configuration parses is read. Also the
-import weight of the CLI and of the commands that need no scipy, the scalar
-gamma draws of the samplers, and the README's package list, schema example
-and command-line section against the code."""
+has a reader, every setting a configuration parses is read and every raise
+names a library error. Also the import weight of the CLI and of the commands
+that need no scipy, the scalar gamma draws of the samplers, and the README's
+package list, schema example and command-line section against the code."""
 
 import argparse
 import ast
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import mvdlm
-from mvdlm import ModelSpec, Priors, cli, config
+from mvdlm import ModelSpec, Priors, cli, config, errors
 from mvdlm.data import write_observations_csv
 from mvdlm.distributions import (SingularBetaParams, evolve_precision, singular_beta_sample,
                                  wishart_sample)
@@ -135,6 +135,22 @@ def test_run_config_attributes_are_read():
     )
     unread = sorted(assigned - loaded)
     assert assigned and not unread, unread
+
+
+def test_every_raise_names_a_library_error():
+    """Every ``raise X(...)`` (or ``raise X``) in the package names a class of
+    ``mvdlm.errors``, so a caller catches every failure of the package as an
+    ``MvdlmError``; a bare ``raise`` re-raises and passes."""
+    typed = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, errors.MvdlmError)}
+    untyped = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in typed):
+                    untyped.append(f"{path.name}:{node.lineno}")
+    assert not untyped, untyped
 
 
 def _run_python(code):

@@ -14,6 +14,7 @@ from mvdlm.distributions import (
     singular_beta_sample,
     wishart_sample,
 )
+from mvdlm.errors import EmptyData
 from mvdlm.filter import covariance_pass, predict
 from mvdlm.linalg import cholesky_upper, inv_spd, symmetrize
 from mvdlm.model import FilterState
@@ -175,7 +176,7 @@ class TestSimulate:
 
     def test_rejects_empty_horizon(self):
         spec, priors = local_level(1, 0.9, [0.9])
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyData):
             simulate(spec, priors, 0)
 
     @pytest.mark.slow
