@@ -195,7 +195,9 @@ def _read_trajectory_csv(path):
     with _io("read", path):
         with open(path) as handle:  # without e_ columns, e_1 is reported missing
             p = sum(name.startswith("e_") for name in handle.readline().split(",")) or 1
-        data = read_columns(path, [*(f"{name}_{i + 1}" for name in "eu" for i in range(p)), "Q"])
+        e_names = [f"e_{i + 1}" for i in range(p)]  # u may be NaN: undefined where dof <= 2
+        data = read_columns(path, [*e_names, *(f"u_{i + 1}" for i in range(p)), "Q"],
+                            finite=[*e_names, "Q"], positive=["Q"])
         ends = read_end_rows(path, [f"sigma_post_{i + 1}_{j + 1}" for i, j in vech_indices(p)])
     e, u = (np.ascontiguousarray(data[:, i * p:(i + 1) * p]) for i in range(2))
     return e, u, data[:, 2 * p], ends

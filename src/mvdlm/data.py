@@ -10,6 +10,7 @@ line 1).
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import math
 import operator
@@ -88,17 +89,17 @@ def _read_table(path, columns=None, positive=False):
                     and all(map(operator.lt, dates, dates[1:]))):
                 return tuple(dates), values, tuple(names)
     _raise_first_fault(path, len(header), indices, "no fault located", dated=True,
-                       names=names if positive else None)
+                       finite=indices, positive=indices if positive else ())
 
 
-def _raise_first_fault(path, width, columns, fallback, dated=False, names=None):
+def _raise_first_fault(path, width, columns, fallback, dated=False, finite=(), positive=()):
     """Raise the first fault of the data lines of ``path``, in file order, then column order:
     a line of another width than ``width``; with ``dated``, a bad or non-increasing date in
-    column 1; a cell at ``columns`` that is not a number (with ``dated``, a finite one), and
-    with ``names`` (one per column), a price not above 0. Else raise ParseError(fallback)."""
+    column 1; a cell at ``columns`` that is not a number, at ``finite`` not a finite one, and
+    at ``positive`` one not above 0 (with ``dated``, a price). Else raise ParseError(fallback)."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        next(reader)
+        header = [h.strip() for h in next(reader)]
         prev_date = None
         for line_no, record in _data_rows(reader, width):
             if dated:
@@ -110,17 +111,19 @@ def _raise_first_fault(path, width, columns, fallback, dated=False, names=None):
                     raise NonMonotoneDates(f"date {date.isoformat()} does not increase past "
                                            f"{prev_date.isoformat()}", row=line_no)
                 prev_date = date
-            for j, col in enumerate(columns):
+            for col in columns:
                 cell = record[col].strip()
                 try:
                     value = float(cell)
                 except ValueError:
                     raise ParseError(f"bad number {cell!r}", row=line_no, col=col + 1) from None
-                if dated and not math.isfinite(value):
+                if col in finite and not math.isfinite(value):
                     raise ParseError(f"non-finite value {cell!r}", row=line_no, col=col + 1)
-                if names is not None and value <= 0.0:
-                    raise NonPositivePrice(f"price {value!r} in column {names[j]!r}",
-                                           row=line_no, col=col + 1)
+                if col in positive and not value > 0.0:
+                    if dated:
+                        raise NonPositivePrice(f"price {value!r} in column {header[col]!r}",
+                                               row=line_no, col=col + 1)
+                    raise ParseError(f"non-positive value {cell!r}", row=line_no, col=col + 1)
     raise ParseError(fallback)
 
 
@@ -208,29 +211,35 @@ def write_json(path, payload):
         handle.write("\n")
 
 
-def read_columns(path, names):
+def read_columns(path, names, finite=(), positive=()):
     """The named columns of a numeric CSV whose header needs no quoting, as
     a row-major (N, len(names)) float array; NaN cells read as NaN. A missing
-    column, a line of another width than the header or a cell of ``names``
-    that is not a number raises a :class:`ParseError` naming it."""
+    column, a line of another width than the header, a cell of ``names``
+    that is not a number, or a cell of ``finite`` that is not finite or of
+    ``positive`` not above 0 raises a :class:`ParseError` naming it."""
     with open(path) as handle:
         header = handle.readline().rstrip("\r\n").split(",")
     # the last column is read too, so that a truncated line fails the parse
     usecols = _column_indices(header, names) + [len(header) - 1]
+    scan = functools.partial(_raise_first_fault, path, len(header), usecols,
+                             finite=_column_indices(header, finite),
+                             positive=_column_indices(header, positive))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: raised below
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
     except ValueError as exc:
-        _raise_first_fault(path, len(header), usecols, str(exc))
+        scan(str(exc))
     with open(path, "rb") as handle:  # loadtxt skips cells past usecols: count them all
         commas = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord(","))
                      for block in iter(lambda: handle.read(1 << 20), b""))
     if commas != (len(header) - 1) * (data.shape[0] + 1):
-        _raise_first_fault(path, len(header), usecols,
-                           "the file holds more cells than lines of the header's width")
+        scan("the file holds more cells than lines of the header's width")
     if not data.shape[0]:
         raise ParseError("no data rows", row=2)
+    if not (np.isfinite(data[:, [names.index(name) for name in finite]]).all()
+            and (data[:, [names.index(name) for name in positive]] > 0.0).all()):
+        scan("no fault located")
     return data[:, :-1]
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscountOutOfRange, DofTooSmall, DimensionMismatch, NonPositiveDefinite
-from .linalg import cholesky_upper, factor_symmetric, inv_spd, logdet_spd, symmetrize
-from .linalg import solve_upper_t
+from .linalg import (cholesky_upper, factor_symmetric, inv_factor, inv_spd, logdet_factor,
+                     solve_upper_t, symmetrize)
 
 __all__ = [
     "InvWishartParams",
@@ -129,13 +129,13 @@ def invwishart_logpdf(x, params):
     if k <= 2 * p:
         raise DofTooSmall(f"inverted Wishart density requires dof > 2p = {2 * p}")
     a = (k - p - 1) / 2.0
-    x_inv = inv_spd(x)
+    root = cholesky_upper(x)  # one factor of x gives its inverse and its log-determinant
     return (
         -a * p * np.log(2.0)
-        + a * logdet_spd(s)
+        + a * logdet_factor(cholesky_upper(s))
         - log_multigamma(a, p)
-        - 0.5 * k * logdet_spd(x)
-        - 0.5 * float(np.sum(s * x_inv))
+        - 0.5 * k * logdet_factor(root)
+        - 0.5 * float(np.sum(s * inv_factor(root)))
     )
 
 
@@ -160,12 +160,11 @@ def mvt_logpdf(x, params):
     # v' S^{-1} v through one triangular solve.
     w = solve_upper_t(c, v)
     quad = float(w @ w)
-    logdet_s = 2.0 * np.sum(np.log(np.diag(c)))
     return (
         log_multigamma((nu + p - 1) / 2.0, p, ratio=True)
         - 0.5 * p * np.log(np.pi)
         - 0.5 * p * np.log(u)
-        - 0.5 * logdet_s
+        - 0.5 * logdet_factor(c)
         - 0.5 * (nu + p) * np.log1p(quad / u)
     )
 

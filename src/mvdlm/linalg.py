@@ -88,9 +88,8 @@ def inv_spd(m):
     return inv_factor(cholesky_upper(m))
 
 
-def logdet_spd(m):
-    """log|M| for SPD M via Cholesky (no sign ambiguity)."""
-    c = cholesky_upper(m)
+def logdet_factor(c):
+    """log|C'C| from the upper factor C (no sign ambiguity)."""
     return 2.0 * np.sum(np.log(np.diag(c)))
 
 

@@ -489,6 +489,25 @@ class TestMalformedTrajectory:
         assert code == 3
         assert f"expected {width} cells, found {width + 2} (line 6)" in err
 
+    @pytest.mark.parametrize("column, cell, message", [
+        ("Q", "0", "non-positive value '0'"),
+        ("Q", "-1", "non-positive value '-1'"),
+        ("Q", "inf", "non-finite value 'inf'"),
+        ("Q", "nan", "non-finite value 'nan'"),
+        ("e_2", "nan", "non-finite value 'nan'"),
+        ("e_2", "inf", "non-finite value 'inf'"),
+    ])
+    def test_unusable_e_or_q_cell(self, tmp_path, fitted, capsys, column, cell, message):
+        # u may be NaN (undefined where dof <= 2); e must be finite and Q above 0
+        config_path, lines = fitted
+        col = lines[0].split(",").index(column)
+        cells = lines[10].split(",")
+        cells[col] = cell
+        lines[10] = ",".join(cells)
+        code, err = self.diagnose(tmp_path, config_path, lines, capsys)
+        assert code == 3
+        assert f"{message} (line 11, column {col + 1})" in err
+
     def test_dimension_mismatch_is_config_error(self, tmp_path, fitted, capsys):
         _, lines = fitted  # a p = 2 trajectory
         config_path = write_config(tmp_path, {"p": 3, "vol_discounts": [0.9] * 3,

@@ -31,6 +31,7 @@ from mvdlm.errors import (
     InvalidWeights,
     LengthMismatch,
     MvdlmError,
+    NonPositiveDefinite,
     NoPositiveEigenvalues,
 )
 from mvdlm import diagnostics as diagnostics_module
@@ -234,6 +235,19 @@ class TestLoglikConstant:
                 perturbed = sigma_hat.copy()
                 perturbed[i, i] *= 1.0 + eps
                 assert loglik_constant_arrays(traj.e, traj.Q, perturbed) <= base + 1e-9
+
+    @pytest.mark.parametrize("sigma, message", [
+        ([[1.0, np.nan], [np.nan, 1.0]], "not finite"),
+        ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+    ], ids=["nan", "indefinite"])
+    def test_unusable_sigma_is_typed(self, sigma, message):
+        with pytest.raises(NonPositiveDefinite, match=message):
+            loglik_constant_arrays(np.ones((3, 2)), np.ones(3), sigma)
+
+    def test_singular_sigma_takes_the_jitter_retry(self):
+        # numpy's factor refuses diag(1, 1, 0); the LAPACK retry with jitter accepts it
+        errors = np.array([[0.5, -1.0, 0.0], [1.5, 0.2, 0.0]])
+        assert np.isfinite(loglik_constant_arrays(errors, [1.0, 2.0], np.diag([1.0, 1.0, 0.0])))
 
 
 class TestVarPortfolio:

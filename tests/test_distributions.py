@@ -19,7 +19,8 @@ from mvdlm.distributions import (
     wishart_sample,
 )
 from mvdlm.errors import DiscountOutOfRange, DofTooSmall, NonPositiveDefinite
-from mvdlm.linalg import cholesky_upper
+from mvdlm import linalg
+from mvdlm.linalg import cholesky_upper, factor_symmetric
 
 
 def rotation(angle):
@@ -86,6 +87,19 @@ class TestInvWishartLogpdf:
     def test_dof_guard(self):
         with pytest.raises(DofTooSmall):
             invwishart_logpdf([[1.0]], InvWishartParams(dof=2.0, scale=[[1.0]]))
+
+    def test_factors_x_and_the_scale_once_each(self, monkeypatch):
+        """x's one factor gives both its inverse and its log-determinant."""
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return factor_symmetric(m)
+
+        monkeypatch.setattr(linalg, "factor_symmetric", counting)
+        x = np.array([[1.5, -0.2], [-0.2, 0.9]])
+        invwishart_logpdf(x, InvWishartParams(dof=9.0, scale=[[2.0, 0.3], [0.3, 1.0]]))
+        assert len(calls) == 2
 
     def test_mean_property(self):
         params = InvWishartParams(dof=12.0, scale=2.0 * np.eye(2))

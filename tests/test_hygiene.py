@@ -200,22 +200,44 @@ def test_no_module_level_scipy_import(path):
     assert not scipy_imports, [f"{path.name}:{line}" for line in scipy_imports]
 
 
-def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
-    """``fit``, ``compare`` and ``diagnose`` of an evolving model run on numpy
-    and math alone; ``var`` (its quantiles), ``simulate`` (the samplers)
-    and a constant-volatility ``fit`` (LAPACK inverse) load scipy as they
-    need it, and still succeed."""
+def _scipy_after_commands(checked, then=()):
+    """Exit codes of ``main`` on each argv of ``checked``, then of ``then``, in one fresh
+    interpreter, and which of scipy.linalg and scipy.special the ``checked`` runs loaded."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mvdlm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {checked!r}]\n"
+        "    loaded = [m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]\n"
+        f"    codes += [main(argv) for argv in {then!r}]\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    return json.loads(_run_python(code))
+
+
+def _write_inputs(tmp_path, **configs):
+    """An 80-step return file and one p = 4 config per keyword (its overrides); returns
+    a function that gives the path of a file in ``tmp_path``."""
     rng = np.random.default_rng(3)
     write_observations_csv(tmp_path / "y.csv", 0.01 * rng.standard_normal((80, 4)))
     base = {"p": 4, "d": 1, "design": [1.0], "evolution": "identity",
             "state_discounts": 0.95, "vol_discounts": [0.95] * 4,
             "priors": {"m0": 0.0, "P0": 0.01, "S0": 1e-4, "n0": 1.0},
-            "data_kind": "returns", "weights": [0.25] * 4, "horizon": 30, "seed": 1}
-    configs = {"a": base, "b": {**base, "vol_discounts": [0.9, 0.97, 0.97, 0.9]},
-               "constant": {**base, "vol_discounts": [1.0] * 4}}
-    for name, raw in configs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
-    path = lambda name: str(tmp_path / name)  # noqa: E731
+            "data_kind": "returns", "horizon": 30, "seed": 1}
+    for name, overrides in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({**base, **overrides}))
+    return lambda name: str(tmp_path / name)
+
+
+def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
+    """``fit``, ``compare`` and ``diagnose`` of an evolving model run on numpy
+    and math alone; ``var`` (its quantiles) and ``simulate`` (the samplers)
+    load scipy as they need it, and still succeed, as does a
+    constant-volatility ``fit`` run after them."""
+    weights = {"weights": [0.25] * 4}
+    path = _write_inputs(tmp_path, a=weights,
+                         b={**weights, "vol_discounts": [0.9, 0.97, 0.97, 0.9]},
+                         constant={**weights, "vol_discounts": [1.0] * 4})
     common = ["--config", path("a.json")]
     evolving = [
         ["fit", *common, "--data", path("y.csv"), "--out", path("fit")],
@@ -229,18 +251,25 @@ def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
         ["fit", "--config", path("constant.json"), "--data", path("y.csv"),
          "--out", path("constant")],
     ]
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from mvdlm.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main(argv) for argv in {evolving!r}]\n"
-        "    loaded = [m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]\n"
-        f"    codes += [main(argv) for argv in {others!r}]\n"
-        "print(json.dumps([codes, loaded]))\n"
-    )
-    codes, loaded = json.loads(_run_python(code))
+    codes, loaded = _scipy_after_commands(evolving, others)
     assert codes == [0] * 6 and loaded == []
 
+
+def test_commands_on_a_constant_model_load_no_scipy(tmp_path):
+    """A constant-volatility (beta = I) ``fit``, the ``diagnose`` of its
+    trajectory and a ``grid`` without weights whose betas hold ``[1, 1, 1, 1]``
+    run on numpy alone: the beta = I likelihood factors Sigma_N by numpy's
+    Cholesky and solves its errors against that factor."""
+    grid = {"deltas": [0.9, 0.95], "betas": [[1.0] * 4, [0.95] * 4]}
+    path = _write_inputs(tmp_path, constant={"vol_discounts": [1.0] * 4, "grid": grid})
+    common = ["--config", path("constant.json")]
+    commands = [
+        ["fit", *common, "--data", path("y.csv"), "--out", path("fit")],
+        ["diagnose", *common, "--traj", path("fit/trajectory.csv"), "--out", path("d.json")],
+        ["grid", *common, "--data", path("y.csv"), "--out", path("grid.csv")],
+    ]
+    codes, loaded = _scipy_after_commands(commands)
+    assert codes == [0] * 3 and loaded == []
 
 
 class GammaCallCounter:
