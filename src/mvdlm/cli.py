@@ -7,7 +7,6 @@ numerical error, 1 unexpected internal error.
 import argparse
 import contextlib
 import functools
-import itertools
 import sys
 from pathlib import Path
 
@@ -26,8 +25,7 @@ from .data import (
     write_observations_csv,
 )
 from .errors import ConfigError, DataError, MvdlmError
-from .filter import (CLOSED_FORM_RTOL, posterior_path, run, run_models, step_blocks,
-                     trajectory_to_csv)
+from .filter import CLOSED_FORM_RTOL, posterior_path, run, run_models, trajectory_to_csv
 from .linalg import vech_indices
 from .simulate import simulate
 
@@ -74,26 +72,6 @@ def _model(config, table):
     return config.spec(), config.priors(), _observations(config, table)
 
 
-def _write_volatility_series(trajectory, path):
-    """Plot-ready series: forecast-volatility diagonals and correlations, block by block."""
-    p = trajectory.p
-    rows, cols = np.triu_indices(p, 1)
-    header = ["t", *(f"fore_var_{i + 1}" for i in range(p)),
-              *(f"fore_corr_{i + 1}_{j + 1}" for i, j in zip(rows, cols))]
-
-    def block(steps):
-        sigma = trajectory.volatility.forecast_means(trajectory.row, steps)  # NaN where undefined
-        diag = np.diagonal(sigma, axis1=1, axis2=2)
-        denom = np.sqrt(diag[:, rows] * diag[:, cols])
-        corr = np.divide(
-            sigma[:, rows, cols], denom, out=np.full(denom.shape, np.nan), where=denom > 0
-        )
-        return np.hstack([diag, corr])
-
-    table = itertools.chain.from_iterable(map(block, step_blocks(len(trajectory))))
-    write_csv(path, [header], range(1, len(trajectory) + 1), table)
-
-
 def _print_report(report):
     def fmt(vec):
         return " ".join(f"{x:.4f}" for x in vec)
@@ -113,8 +91,6 @@ def cmd_fit(args):
     out.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(trajectory, out / "trajectory.csv")
     diagnostics.export_report_json(report, out / "report.json")
-    diagnostics.export_report_csv(report, out / "report.csv")
-    _write_volatility_series(trajectory, out / "volatility_series.csv")
     _print_report(report)
     print(f"wrote {out / 'trajectory.csv'}")
     return EXIT_OK

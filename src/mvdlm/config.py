@@ -22,8 +22,9 @@ constant fill for the state mean):
 
 ``vol_discounts`` is required: all 1 is the time-invariant volatility
 model, anything else evolves. ``names`` holds p distinct strings and
-``weights`` p numbers that pass the VaR rule with ``var``. A key outside
-this schema, at any level, is a configuration error.
+``weights`` p numbers that pass the VaR rule with ``var``. The grid's deltas
+and betas lie in (0, 1], each given once. A key outside this schema, at any
+level, is a configuration error.
 """
 
 import json
@@ -31,8 +32,8 @@ import json
 import numpy as np
 
 from .diagnostics import check_var_settings
-from .errors import ConfigError, InvalidWeights
-from .model import ModelSpec, Priors
+from .errors import ConfigError, DiscountOutOfRange, InvalidWeights
+from .model import ModelSpec, Priors, check_discounts
 
 KEYS = {  # the schema above: top-level keys, then those of each section
     None: {"p", "d", "design", "evolution", "state_discounts", "vol_discounts", "priors",
@@ -47,7 +48,7 @@ def _as_matrix(value, rows, cols, what):
     if isinstance(value, (int, float)):
         arr = float(value) * np.eye(rows) if rows == cols else np.full((rows, cols), float(value))
     else:
-        arr = np.asarray(value, dtype=float)
+        arr = _floats(value, what)
     if arr.ndim == 1:
         if arr.size != rows * cols:
             raise ConfigError(
@@ -62,10 +63,18 @@ def _as_matrix(value, rows, cols, what):
 
 def _as_vector(value, length, what):
     scalar = isinstance(value, (int, float))
-    arr = np.full(length, float(value)) if scalar else np.asarray(value, dtype=float)
+    arr = np.full(length, float(value)) if scalar else _floats(value, what)
     if arr.shape != (length,):
         raise ConfigError(f"{what}: expected {length} entries, got shape {arr.shape}")
     return _finite(arr, what)
+
+
+def _floats(value, what):
+    """``value`` as a float array, else ConfigError (a string, an object, a ragged list)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what}: expected numbers, got {value!r}") from None
 
 
 def _finite(value, what):  # JSON admits NaN and Infinity; the model does not
@@ -110,13 +119,11 @@ class RunConfig:
         _check_keys(raw, path)
         self.raw = raw
         self.path = path
-        try:
-            self.p = int(raw["p"])
-            self.d = int(raw["d"])
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing required key {exc}") from None
-        if self.p < 1 or self.d < 1:
-            raise ConfigError(f"{path}: p and d must be positive")
+        for key in ("p", "d"):
+            if raw.get(key) is None:
+                raise ConfigError(f"{path}: missing required key {key!r}")
+        self.p = whole_number(raw["p"], "p", 1)
+        self.d = whole_number(raw["d"], "d", 1)
         self.data_kind = raw.get("data_kind", "prices")
         if self.data_kind not in ("prices", "returns"):
             raise ConfigError(f"{path}: unknown data_kind {self.data_kind!r}")
@@ -130,6 +137,7 @@ class RunConfig:
         if self.weights is not None and len(self.weights) != self.p:
             raise ConfigError(f"{path}: weights must be a list of {self.p} numbers")
         self.grid = raw.get("grid")
+        self.deltas, self.betas = _grid_values(self.grid or {}, self.p, path)
         var = raw.get("var") or {}
         self.var_family = var.get("family", "t")
         self.var_alphas = _numbers(var.get("alphas", [95, 99]), "var.alphas")
@@ -188,14 +196,33 @@ class RunConfig:
     def grid_candidates(self):
         if not self.grid:
             raise ConfigError(f"{self.path}: no 'grid' section")
-        deltas = self.grid.get("deltas")
-        betas = self.grid.get("betas")
-        if not deltas or not betas:
+        if not self.deltas or not self.betas:
             raise ConfigError(
                 f"{self.path}: grid needs non-empty 'deltas' and 'betas'"
             )
-        deltas = [float(x) for x in _numbers(deltas, "grid.deltas")]
-        return deltas, [_as_vector(b, self.p, "grid beta") for b in betas]
+        return self.deltas, self.betas
+
+
+def _grid_values(grid, p, path):
+    """The grid's deltas (floats) and betas (length-p arrays), empty where
+    absent; every entry in (0, 1], as :class:`ModelSpec` requires of the
+    model's discounts, and no delta or beta row given twice."""
+    betas = grid.get("betas")
+    if betas is not None and type(betas) is not list:
+        raise ConfigError(f"{path}: grid.betas must be a list of beta vectors, got {betas!r}")
+    deltas = [float(x) for x in _numbers(grid.get("deltas"), "grid.deltas") or []]
+    betas = [_as_vector(b, p, "grid beta") for b in betas or []]
+    try:
+        check_discounts(deltas, "grid.deltas: delta")
+        for row, beta in enumerate(betas, start=1):
+            check_discounts(beta, f"grid.betas row {row}: beta")
+    except DiscountOutOfRange as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for name, keys in (("grid.deltas", deltas), ("grid.betas", [b.tolist() for b in betas])):
+        repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+        if repeated:
+            raise ConfigError(f"{path}: {name} repeats {repeated[0]}")
+    return deltas, betas
 
 
 def load_config(path):

@@ -388,11 +388,3 @@ def export_report_json(report, path=None):
         write_json(path, payload)
     return payload
 
-
-def export_report_csv(report, path):
-    """One-row CSV export of a diagnostics report."""
-    p = report.msse.size
-    header = [f"{name}_{i + 1}" for name in ("msse", "mae", "me") for i in range(p)]
-    row = [*report.msse.tolist(), *report.mae.tolist(), *report.me.tolist(), report.loglik,
-           report.n_obs]
-    write_csv(path, [header + ["loglik", "n_obs"], row])

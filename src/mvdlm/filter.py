@@ -146,12 +146,6 @@ class VolatilityPass:
         p = self.betas.shape[1]
         return _iw_means(self.S[k, steps], self.n[k, steps] + 2 * p, p)
 
-    def forecast_means(self, k, steps=slice(None)):
-        """One-step forecast means of row k, t = 1..N (at ``steps``), NaN where undefined."""
-        p = self.betas.shape[1]
-        scales, dofs = forecast_law(self.betas[k])(self.S[k, :-1][steps], self.n[k, :-1][steps])
-        return _iw_means(scales, dofs + 2 * p, p)
-
 
 def _iw_means(scales, dof, p):
     """Inverted-Wishart means scale / (dof - 2p - 2) of a stack of scales,
@@ -200,7 +194,12 @@ class Trajectory:
 
     forecast_dofs = property(lambda self: forecast_law(self.spec.vol_discounts).mean * self.n[:-1])
     posterior_means = property(lambda self: self.volatility.posterior_means(self.row))
-    forecast_means = property(lambda self: self.volatility.forecast_means(self.row))
+
+    @property
+    def forecast_means(self):
+        """One-step forecast means E[Sigma_t | D_{t-1}], t = 1..N (N, p, p), NaN where undefined."""
+        scales, dofs = self.forecast_laws()
+        return _iw_means(scales, dofs + 2 * self.p, self.p)
 
 
 def _evolve(P, g, delta_outer):

@@ -53,6 +53,14 @@ def compute_n(beta):
     return 1.0 / (1.0 - mean_beta)
 
 
+def check_discounts(values, name):
+    """Raise :class:`DiscountOutOfRange` at the first discount outside (0, 1],
+    naming it ``<name>_<i>``."""
+    for i, value in enumerate(values):
+        if not 0.0 < value <= 1.0:
+            raise DiscountOutOfRange(f"{name}_{i + 1} = {value}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable model configuration.
@@ -94,12 +102,8 @@ class ModelSpec:
             raise DimensionMismatch("state_discounts must have length d")
         if self.vol_discounts.shape != (self.p,):
             raise DimensionMismatch("vol_discounts must have length p")
-        for i, delta in enumerate(self.state_discounts):
-            if not 0.0 < delta <= 1.0:
-                raise DiscountOutOfRange(f"state discount delta_{i + 1} = {delta}")
-        for i, beta in enumerate(self.vol_discounts):
-            if not 0.0 < beta <= 1.0:
-                raise DiscountOutOfRange(f"volatility discount beta_{i + 1} = {beta}")
+        check_discounts(self.state_discounts, "state discount delta")
+        check_discounts(self.vol_discounts, "volatility discount beta")
         # Freeze constant providers as arrays of the right shape up front.
         for name, shape in (("design", (self.d,)), ("evolution", (self.d, self.d))):
             provider = getattr(self, name)

@@ -112,7 +112,7 @@ class TestCliPipeline:
         assert len(report["msse"]) == 2
         assert report["n_obs"] == 60
         assert np.isfinite(report["loglik"])
-        assert (out_dir / "volatility_series.csv").exists()
+        assert sorted(path.name for path in out_dir.iterdir()) == ["report.json", "trajectory.csv"]
 
         # the stored trajectory reproduces the in-memory pipeline
         config = load_config(config_path)
@@ -325,8 +325,8 @@ class TestExitCodes:
 
     def test_compare_refuses_models_of_different_p(self, tmp_path, capsys):
         # the second config reads two of the data's four columns by name
-        config1 = write_config(tmp_path, {"p": 4, "vol_discounts": 0.9, "weights": None},
-                               name="p4.json")
+        config1 = write_config(tmp_path, {"p": 4, "vol_discounts": 0.9, "weights": None,
+                                          "grid": None}, name="p4.json")
         config2 = write_config(tmp_path, {"names": ["series_1", "series_2"]}, name="p2.json")
         obs_path = tmp_path / "obs.csv"
         write_observations_csv(obs_path, np.random.default_rng(2).standard_normal((60, 4)))
@@ -381,7 +381,7 @@ class TestExitCodes:
         config_path = write_config(tmp_path, {
             "p": 4, "vol_discounts": [0.66, 0.9, 0.9, 0.66], "state_discounts": 0.95,
             "priors": {**BASE_CONFIG["priors"], "S0": 0.01}, "weights": [0.25] * 4,
-            "seed": 20, "horizon": 333,
+            "seed": 20, "horizon": 333, "grid": None,
         })
         sim, out = tmp_path / "sim.csv", tmp_path / "var.json"
         assert main(["simulate", "--config", str(config_path), "--out", str(sim)]) == 0
@@ -410,7 +410,7 @@ class TestReferenceConfiguration:
             assert main(["fit", "--config", str(config_path), "--data", str(obs_path),
                          "--out", str(tmp_path / name)]) == 0
             outputs.append([(tmp_path / name / file).read_bytes() for file in (
-                "trajectory.csv", "report.json", "volatility_series.csv")])
+                "trajectory.csv", "report.json")])
         assert outputs[0] == outputs[1]
 
     def test_unobserved_mean_overflow_equals_level_model(self, tmp_path):
@@ -430,8 +430,7 @@ class TestReferenceConfiguration:
             assert main(["fit", *common, str(tmp_path / name)]) == 0
             assert main(["var", *common, str(tmp_path / name / "var.json")]) == 0
             outputs.append([(tmp_path / name / file).read_bytes() for file in (
-                "trajectory.csv", "report.json", "report.csv", "volatility_series.csv",
-                "var.json")])
+                "trajectory.csv", "report.json", "var.json")])
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("horizon,code", [(333, 4), (100, 0)])
@@ -511,7 +510,8 @@ class TestMalformedTrajectory:
     def test_dimension_mismatch_is_config_error(self, tmp_path, fitted, capsys):
         _, lines = fitted  # a p = 2 trajectory
         config_path = write_config(tmp_path, {"p": 3, "vol_discounts": [0.9] * 3,
-                                              "weights": [0.5, 0.25, 0.25]}, "p3.json")
+                                              "weights": [0.5, 0.25, 0.25], "grid": None},
+                                   "p3.json")
         code, err = self.diagnose(tmp_path, config_path, lines, capsys)
         assert code == 2
         assert "trajectory has 2 series but the config declares p = 3" in err
@@ -582,6 +582,41 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, key):
     assert key in capsys.readouterr().err
 
 
+GRID = BASE_CONFIG["grid"]
+
+
+@pytest.mark.parametrize("command, overrides, at_load", [
+    ("fit", {"p": 2.5}, True),
+    ("fit", {"d": 1.5}, True),
+    ("fit", {"p": "2"}, True),
+    ("fit", {"p": None}, True),
+    ("fit", {"p": "x"}, True),
+    ("fit", {"design": "x"}, False),
+    ("fit", {"design": {"a": 1}}, False),
+    ("fit", {"vol_discounts": "x"}, False),
+    ("fit", {"state_discounts": ["a"]}, False),
+    ("fit", {"evolution": [["a"]]}, False),
+    ("grid", {"grid": {**GRID, "betas": [["a", 0.9]]}}, True),
+    ("grid", {"grid": {**GRID, "betas": 0.9}}, True),
+    ("grid", {"grid": {**GRID, "deltas": [0.9, 1.5]}}, True),
+    ("grid", {"grid": {**GRID, "betas": [[0.9, 0.0]]}}, True),
+    ("fit", {"grid": {**GRID, "betas": [[0.9, 1.2]]}}, True),
+    ("grid", {"grid": {**GRID, "deltas": [0.8, 0.9, 0.8]}}, True),
+    ("grid", {"grid": {**GRID, "betas": [[0.9, 0.85], [0.8, 0.8], [0.9, 0.85]]}}, True),
+])
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, overrides, at_load):
+    """A non-numeric or fractional value, a grid entry outside (0, 1] and a
+    repeated grid candidate are configuration errors, never internal ones;
+    those ``at_load`` stop the command before it reads ``--data``."""
+    config_path = write_config(tmp_path, overrides)
+    data_path = tmp_path / "absent.csv" if at_load else write_returns(tmp_path)[0]
+    assert main([command, "--config", str(config_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "internal error" not in err
+
+
 @pytest.mark.parametrize("command", ["fit", "grid", "var", "compare"])
 def test_var_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command):
     config_path = str(write_config(tmp_path, {"var": {"alphas": [95, 100]}}))
@@ -600,7 +635,7 @@ THREE_SERIES = "date,a,b,c\n2000-01-03,0.1,0.2,0.3\n2000-01-04,0.2,0.1,0.3\n"
 
 
 @pytest.mark.parametrize("command, raw, data_text, code, key", [
-    ("fit", {**BASE_CONFIG, "p": 0}, None, 2, "p and d must be positive"),
+    ("fit", {**BASE_CONFIG, "p": 0}, None, 2, "p: expected a whole number >= 1, got 0"),
     ("fit", {**BASE_CONFIG, "data_kind": "xls"}, None, 2, "unknown data_kind 'xls'"),
     ("fit", _without("design"), None, 2, "missing design vector"),
     ("fit", {**BASE_CONFIG, "evolution": "foo"}, None, 2,
@@ -612,8 +647,8 @@ THREE_SERIES = "date,a,b,c\n2000-01-03,0.1,0.2,0.3\n2000-01-04,0.2,0.1,0.3\n"
     ("fit", {**BASE_CONFIG, "priors": {"S0": [[1.0, 0.0, 0.0]]}}, None, 2,
      "S0: expected shape (2, 2), got (1, 3)"),
     ("fit", [BASE_CONFIG], None, 2, "top level must be an object"),
-    ("fit", {**BASE_CONFIG, "p": 4, "vol_discounts": 0.9, "weights": [0.25] * 4}, THREE_SERIES,
-     2, "data has 3 series but the config declares p = 4"),
+    ("fit", {**BASE_CONFIG, "p": 4, "vol_discounts": 0.9, "weights": [0.25] * 4, "grid": None},
+     THREE_SERIES, 2, "data has 3 series but the config declares p = 4"),
     ("simulate", _without("horizon"), None, 2, "simulation needs a 'horizon' key"),
     ("var", _without("weights"), None, 2, "VaR needs a 'weights' key"),
     ("fit", {**BASE_CONFIG, "vol_discounts": [0.6, 0.6]}, None, 4,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mvdlm import data, run
-from mvdlm.cli import _read_trajectory_csv, _write_volatility_series, main
+from mvdlm.cli import _read_trajectory_csv, main
 from mvdlm.data import (
     ingest_returns, read_columns, read_end_rows, synthetic_dates, write_csv,
     write_observations_csv,
@@ -67,20 +67,6 @@ def test_trajectory_csv_bytes(tmp_path, trajectory):
     trajectory_to_csv(trajectory, out)
     assert b"nan" in expected
     assert out.read_bytes() == expected
-
-
-def test_volatility_series_bytes(tmp_path, trajectory):
-    p = trajectory.p
-    header = ["t"] + [f"fore_var_{i + 1}" for i in range(p)]
-    header += [f"fore_corr_{i + 1}_{j + 1}" for i in range(p) for j in range(i + 1, p)]
-    rows = []
-    for t, sigma in enumerate(trajectory.forecast_means, start=1):
-        denom = {(i, j): sigma[i, i] * sigma[j, j] for i in range(p) for j in range(i + 1, p)}
-        corr = [sigma[ij] / np.sqrt(d) if d > 0 else np.nan for ij, d in denom.items()]
-        rows.append([t, *np.diag(sigma).tolist(), *corr])
-    out = tmp_path / "volatility_series.csv"
-    _write_volatility_series(trajectory, out)
-    assert out.read_bytes() == csv_writer_bytes(tmp_path, header, rows)
 
 
 def test_lbf_file_bytes(tmp_path):

@@ -14,7 +14,6 @@ from mvdlm import ModelSpec, Priors, predict, run
 from mvdlm.diagnostics import (
     compute_diagnostics,
     error_summary,
-    export_report_csv,
     export_report_json,
     grid_search,
     lbf_from_trajectories,
@@ -607,9 +606,6 @@ class TestReportExport:
         assert payload["n_obs"] == 3
         assert set(payload) == {"msse", "mae", "me", "loglik", "n_obs"}
         assert (tmp_path / "report.json").exists()
-        export_report_csv(report, tmp_path / "report.csv")
-        header = (tmp_path / "report.csv").read_text().splitlines()[0]
-        assert header == "msse_1,mae_1,me_1,loglik,n_obs"
 
 
 class TestLbfClosedForm:

@@ -1,5 +1,5 @@
 """Blocks of steps: every stage that reads the scales S_0..S_N of a volatility
-pass (the whitening, the factor of the scale stack and the two CSV exports)
+pass (the whitening, the factor of the scale stack and the trajectory CSV)
 works on at most ``filter.BLOCK_STEPS`` steps at a time, and its numbers are
 bitwise those of a one-block run."""
 
@@ -11,7 +11,7 @@ import pytest
 
 from mvdlm import filter as filter_module
 from mvdlm import linalg as linalg_module
-from mvdlm.cli import _write_volatility_series, main
+from mvdlm.cli import main
 from mvdlm.config import load_config
 from mvdlm.data import write_observations_csv
 from mvdlm.diagnostics import compute_diagnostics, posterior_loglik
@@ -22,7 +22,7 @@ from mvdlm.linalg import cholesky_upper
 from test_filter import assert_bitwise
 
 B = filter_module.BLOCK_STEPS
-FILES = ("trajectory.csv", "volatility_series.csv", "report.json", "report.csv", "diagnose.json")
+FILES = ("trajectory.csv", "report.json", "diagnose.json")
 
 
 def returns(n_steps, p, seed=5):
@@ -132,7 +132,6 @@ class TestWorkingMemory:
             trajectory = run(*model)
             compute_diagnostics(trajectory)
             trajectory_to_csv(trajectory, tmp_path / "trajectory.csv")
-            _write_volatility_series(trajectory, tmp_path / "volatility_series.csv")
 
         assert self.traced_peak(fit) < self.bound()
 
