@@ -84,8 +84,18 @@ def _callable_design_model():
     return spec, Priors(m0=np.zeros((2, 2)), P0=0.5 * np.eye(2), S0=[[1.0, 0.2], [0.2, 0.5]])
 
 
+def _one_fixed_component_model():
+    spec = ModelSpec(
+        p=2, d=2, design=[1.0, 0.0], evolution=[[1.0, 0.1], [0.0, 1.0]],
+        state_discounts=[0.9, 1.0], vol_discounts=[0.9, 0.85],
+    )
+    return spec, Priors(m0=np.zeros((2, 2)), P0=0.5 * np.eye(2), S0=np.eye(2))
+
+
 REFERENCE_CASES = {
     "time-varying beta": (local_level(3, 0.9, [0.95, 0.9, 0.9]), {}),
+    "no state evolution": (local_level(3, 1.0, [0.95, 0.9, 0.9]), {}),
+    "one state discount of 1": (_one_fixed_component_model(), {}),
     "beta = 1": (local_level(3, 0.9, [1.0, 1.0, 1.0], n0=6.0), {}),
     "callable F and G": (_callable_design_model(), {}),
     "d = 1, p = 1": (local_level(1, 0.5, [0.9], p0=1.0), {}),
