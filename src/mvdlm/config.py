@@ -44,8 +44,13 @@ KEYS = {  # the schema above: top-level keys, then those of each section
 }
 
 
+# A JSON number parses to int or float (true and false to bool, "1" to str).
+def _is_number(value):
+    return type(value) in (int, float)
+
+
 def _as_matrix(value, rows, cols, what):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         arr = float(value) * np.eye(rows) if rows == cols else np.full((rows, cols), float(value))
     else:
         arr = _floats(value, what)
@@ -62,19 +67,20 @@ def _as_matrix(value, rows, cols, what):
 
 
 def _as_vector(value, length, what):
-    scalar = isinstance(value, (int, float))
-    arr = np.full(length, float(value)) if scalar else _floats(value, what)
+    arr = np.full(length, float(value)) if _is_number(value) else _floats(value, what)
     if arr.shape != (length,):
         raise ConfigError(f"{what}: expected {length} entries, got shape {arr.shape}")
     return _finite(arr, what)
 
 
 def _floats(value, what):
-    """``value`` as a float array, else ConfigError (a string, an object, a ragged list)."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: expected numbers, got {value!r}") from None
+    """A list of numbers, or a list of such lists, as a float array, else
+    ConfigError (a string, a bool, an object, a ragged list)."""
+    rows = value if type(value) is list and all(type(x) is list for x in value) else [value]
+    numbers = all(type(row) is list and all(map(_is_number, row)) for row in rows)
+    if not (numbers and len({len(row) for row in rows}) < 2):
+        raise ConfigError(f"{what}: expected numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 def _finite(value, what):  # JSON admits NaN and Infinity; the model does not
@@ -83,10 +89,9 @@ def _finite(value, what):  # JSON admits NaN and Infinity; the model does not
     return value
 
 
-# A JSON number parses to int or float (true and false to bool).
 def _numbers(value, what):
     """A list of finite numbers (None passes through), else ConfigError."""
-    numbers = type(value) is list and all(type(x) in (int, float) for x in value)
+    numbers = type(value) is list and all(map(_is_number, value))
     if value is not None and not numbers:
         raise ConfigError(f"{what}: expected a list of numbers, got {value!r}")
     return value if value is None else _finite(value, what)
@@ -182,11 +187,14 @@ class RunConfig:
     def priors(self):
         raw = self.raw.get("priors", {})
         try:
+            n0 = raw.get("n0", 1.0)
+            if not _is_number(n0):
+                raise ConfigError(f"n0: expected a number, got {n0!r}")
             return Priors(
                 m0=_as_matrix(raw.get("m0", 0.0), self.d, self.p, "m0"),
                 P0=_as_matrix(raw.get("P0", 1.0), self.d, self.d, "P0"),
                 S0=_as_matrix(raw.get("S0", 1.0), self.p, self.p, "S0"),
-                n0=_finite(float(raw.get("n0", 1.0)), "n0"),
+                n0=_finite(float(n0), "n0"),
             )
         except ConfigError:
             raise

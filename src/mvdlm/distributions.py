@@ -265,14 +265,6 @@ def _evolution_constants(beta, n):
     return half_dofs, inv_root[:, None] * inv_root
 
 
-def _evolve_factored(c_prev, half_dofs, scale_outer, rng):
-    """Phi_t = beta^{-1/2} C' B C beta^{-1/2} from the factor C of Phi_{t-1},
-    and the factor of Phi_t, which fails fast if the draw degenerated."""
-    b = _singular_beta(half_dofs, rng)
-    phi = symmetrize(c_prev.T @ b @ c_prev * scale_outer)
-    return phi, factor_symmetric(phi)
-
-
 def evolve_precision(phi_prev, beta, n, rng):
     """One stochastic step of the precision evolution.
 
@@ -289,4 +281,7 @@ def evolve_precision(phi_prev, beta, n, rng):
     if phi_prev.shape != (p, p):
         raise DimensionMismatch(f"phi_prev has shape {phi_prev.shape}, expected {(p, p)}")
     half_dofs, scale_outer = _evolution_constants(beta, n)
-    return _evolve_factored(factor_symmetric(phi_prev), half_dofs, scale_outer, rng)[0]
+    c = factor_symmetric(phi_prev)
+    phi = symmetrize(c.T @ _singular_beta(half_dofs, rng) @ c * scale_outer)
+    factor_symmetric(phi)  # fails fast if the draw degenerated
+    return phi

@@ -375,16 +375,16 @@ class TestExitCodes:
         assert code == 4
 
     def test_var_of_a_singular_final_scale_exits_model_error(self, tmp_path, capsys):
-        # a simulated path whose volatility drifts over 30 orders of magnitude:
-        # the final scale has eigenvalues (-6.3e-13, 4.9, 9.7e3, 2.5e15) and
-        # VaR must not be read off it (var reads no u, so no whitening trips)
+        # series 3 and 4 repeat series 1 and 2: the data give the scale rank 2
+        # and the prior's share decays as 0.9^333, so the final scale is
+        # singular to working precision and VaR must not be read off it (var
+        # reads no u, so no whitening trips)
         config_path = write_config(tmp_path, {
-            "p": 4, "vol_discounts": [0.66, 0.9, 0.9, 0.66], "state_discounts": 0.95,
-            "priors": {**BASE_CONFIG["priors"], "S0": 0.01}, "weights": [0.25] * 4,
-            "seed": 20, "horizon": 333, "grid": None,
+            "p": 4, "vol_discounts": [0.9] * 4, "weights": [0.25] * 4, "grid": None,
         })
+        y = write_returns(tmp_path, n=333)[1].observations
         sim, out = tmp_path / "sim.csv", tmp_path / "var.json"
-        assert main(["simulate", "--config", str(config_path), "--out", str(sim)]) == 0
+        write_observations_csv(sim, np.hstack([y, y]))
         assert main(["var", "--config", str(config_path), "--data", str(sim),
                      "--out", str(out)]) == 4
         assert "final volatility scale is not positive definite" in capsys.readouterr().err
@@ -603,11 +603,19 @@ GRID = BASE_CONFIG["grid"]
     ("fit", {"grid": {**GRID, "betas": [[0.9, 1.2]]}}, True),
     ("grid", {"grid": {**GRID, "deltas": [0.8, 0.9, 0.8]}}, True),
     ("grid", {"grid": {**GRID, "betas": [[0.9, 0.85], [0.8, 0.8], [0.9, 0.85]]}}, True),
+    ("fit", {"vol_discounts": True}, False),
+    ("fit", {"vol_discounts": ["0.9", "0.9"]}, False),
+    ("fit", {"design": ["1"]}, False),
+    ("fit", {"priors": {**BASE_CONFIG["priors"], "n0": "5"}}, False),
+    ("fit", {"priors": {**BASE_CONFIG["priors"], "n0": True}}, False),
+    ("fit", {"priors": {**BASE_CONFIG["priors"], "S0": [["1", 0], [0, 1]]}}, False),
+    ("grid", {"grid": {**GRID, "betas": [["0.9", 0.9]]}}, True),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, overrides, at_load):
-    """A non-numeric or fractional value, a grid entry outside (0, 1] and a
-    repeated grid candidate are configuration errors, never internal ones;
-    those ``at_load`` stop the command before it reads ``--data``."""
+    """A non-numeric or fractional value, a bool or a numeric string where a
+    number belongs (none is read as 1 or parsed), a grid entry outside (0, 1]
+    and a repeated grid candidate are configuration errors, never internal
+    ones; those ``at_load`` stop the command before it reads ``--data``."""
     config_path = write_config(tmp_path, overrides)
     data_path = tmp_path / "absent.csv" if at_load else write_returns(tmp_path)[0]
     assert main([command, "--config", str(config_path), "--data", str(data_path),

@@ -308,6 +308,23 @@ def test_samplers_draw_each_gamma_with_a_scalar_shape():
         assert all(np.ndim(shape) == 0 for shape in counter.gamma_shapes), name
 
 
+def test_simulate_factors_no_matrix_per_step(monkeypatch):
+    """The LAPACK ``potrf`` calls of one ``simulate`` do not grow with its
+    horizon: every per-step factor comes from a stacked numpy Cholesky."""
+    from mvdlm import linalg
+    spec = ModelSpec(p=4, d=2, design=[1.0, 0.0], evolution=np.eye(2),
+                     state_discounts=[0.95, 0.95], vol_discounts=[0.95, 0.92, 0.92, 0.95])
+    priors = Priors(m0=np.zeros((2, 4)), P0=0.01 * np.eye(2), S0=np.eye(4), n0=1.0)
+    simulate(spec, priors, 1, seed=0)  # the first LAPACK call rebinds linalg.dpotrf
+    potrf, counts = linalg.dpotrf, []
+    for n_steps in (10, 100):
+        calls = []
+        monkeypatch.setattr(linalg, "dpotrf", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+        simulate(spec, priors, n_steps, seed=0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def _subcommands():
     """The subcommand parsers of ``cli.build_parser()``, by name."""
     return next(action for action in cli.build_parser()._actions

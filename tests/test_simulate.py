@@ -14,7 +14,7 @@ from mvdlm.distributions import (
     singular_beta_sample,
     wishart_sample,
 )
-from mvdlm.errors import EmptyData
+from mvdlm.errors import EmptyData, NonPositiveDefinite
 from mvdlm.filter import covariance_pass, predict
 from mvdlm.linalg import cholesky_upper, inv_spd, symmetrize
 from mvdlm.model import FilterState
@@ -75,6 +75,50 @@ def simulate_reference(spec, priors, n_steps, rng, sigma0=None, theta0=None):
     return [np.array(column) for column in zip(*rows)]
 
 
+def _cholesky_lower_ld(m):
+    low = np.zeros_like(m)
+    for j in range(len(m)):
+        low[j, j] = np.sqrt(m[j, j] - low[j, :j] @ low[j, :j])
+        low[j + 1:, j] = (m[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+def _solve_lower_ld(low, b):
+    x = np.zeros_like(b)
+    for i in range(len(low)):
+        x[i] = (b[i] - low[i, :i] @ x[:i]) / low[i, i]
+    return x
+
+
+def volatility_oracle(beta, d, n_steps, rng, sigma0):
+    """Sigma_1..Sigma_N in long double, from ``sigma0`` and the state of ``rng``
+    after the initial draws, for a model whose Omega_t is never 0. Each step
+    replays the documented draws (p gammas, the Bartlett normals, u, the d x p
+    state and the p observation normals); B_t = W_tW_t' with W_t = L_t^{-1}T_t
+    and L_tL_t' = T_tT_t' + u_tu_t', and Phi_t = V_tV_t' with
+    V_t = beta^{-1/2} V_{t-1} W_t from the lower factor V_0 of Phi_0."""
+    p, ld = len(beta), np.longdouble
+    n = 1.0 / (1.0 - np.mean(beta))  # the working dof, and the beta's shape a
+    a = (np.sum(beta) / p * n + p - 1) / 2.0
+    eye = np.eye(p, dtype=ld)
+    x = _solve_lower_ld(_cholesky_lower_ld(np.asarray(sigma0, dtype=ld)), eye)
+    v = _cholesky_lower_ld(x.T @ x)
+    inv_root = 1 / np.sqrt(np.asarray(beta, dtype=ld))
+    out = np.empty((n_steps, p, p), dtype=ld)
+    for i in range(n_steps):
+        t = np.zeros((p, p), dtype=ld)
+        gammas = [rng.gamma((2 * a - j) / 2, 2.0) for j in range(p)]
+        t[np.diag_indices(p)] = np.sqrt(np.array(gammas, dtype=ld))
+        t[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+        u = rng.standard_normal(p).astype(ld)
+        rng.standard_normal(d * p + p)
+        w = _solve_lower_ld(_cholesky_lower_ld(t @ t.T + np.outer(u, u)), t)
+        v = inv_root[:, None] * (v @ w)
+        x = _solve_lower_ld(v, eye)
+        out[i] = x.T @ x
+    return out
+
+
 def _callable_design_model():
     spec = ModelSpec(
         p=2, d=2, design=lambda t: np.array([1.0, np.sin(t / 7.0)]),
@@ -108,17 +152,20 @@ REFERENCE_CASES = {
 
 
 class TestBitwiseReference:
-    """The simulator and the samplers draw exactly what the public pieces
-    and the scipy-based constructions draw from the same seed."""
+    """The samplers draw exactly what the scipy-based constructions draw from
+    the same seed; the simulator draws the same numbers in the same order as
+    the public samplers composed step by step, and equals them within 1e-10."""
 
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
     def test_simulate_equals_step_loop(self, case):
         (spec, priors), overrides = REFERENCE_CASES[case]
         for seed in range(3):
-            path = simulate(spec, priors, 120, rng=default_rng(seed), **overrides)
-            ref = simulate_reference(spec, priors, 120, default_rng(seed), **overrides)
+            rng, ref_rng = default_rng(seed), default_rng(seed)
+            path = simulate(spec, priors, 120, rng=rng, **overrides)
+            ref = simulate_reference(spec, priors, 120, ref_rng, **overrides)
+            assert rng.random() == ref_rng.random()
             for got, want in zip((path.observations, path.states, path.volatilities), ref):
-                assert np.array_equal(got, want)
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("p", [1, 2, 4, 16])
     def test_samplers_equal_scipy_constructions(self, p):
@@ -136,6 +183,27 @@ class TestBitwiseReference:
             phi, phi_ref = evolve_precision(phi, beta, n, rng), evolve_reference(phi_ref, beta, n, ref)
             assert np.array_equal(phi, phi_ref)
         assert rng.random() == ref.random()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="no long double wider than double")
+def test_volatilities_match_a_long_double_oracle():
+    """Each Sigma_t is within 1e-12 of the same draws evaluated in long double,
+    on a path whose cond(Sigma_t) reaches 4e10; re-factoring Phi_t squares its
+    condition number and errs by 3e-6 here."""
+    beta = np.full(4, 0.9)
+    spec, priors = local_level(4, 0.9, beta, p0=1.0)
+    path = simulate(spec, priors, 600, rng=default_rng(0), sigma0=np.eye(4),
+                    theta0=np.zeros((1, 4)))
+    oracle = volatility_oracle(beta, 1, 600, default_rng(0), np.eye(4))
+    err = np.abs(path.volatilities - oracle).max(axis=(1, 2)) / np.abs(oracle).max(axis=(1, 2))
+    assert err.max() <= 1e-12
+
+
+def test_a_precision_past_the_float_range_is_a_typed_error():
+    # beta = 0.02 inflates Sigma_t by about 50 a step, past the float range in 200
+    spec, priors = local_level(2, 0.9, [0.02, 0.02])
+    with pytest.raises(NonPositiveDefinite):
+        simulate(spec, priors, 500, seed=0)
 
 
 class TestSimulate:
