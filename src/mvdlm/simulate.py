@@ -41,7 +41,7 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     When every volatility discount is 1 the volatility stays at its initial
     value for the whole path. An Omega_t that is not finite (the state
     discounts inflate a component past the float range within the horizon)
-    raises :class:`StateOverflow`.
+    raises :class:`StateOverflow`, and a precision draw past it :class:`NonPositiveDefinite`.
     """
     n = validate(spec, priors)
     if n_steps < 1:
