@@ -231,9 +231,9 @@ def _write_inputs(tmp_path, **configs):
 
 def test_commands_on_an_evolving_model_load_no_scipy(tmp_path):
     """``fit``, ``compare`` and ``diagnose`` of an evolving model run on numpy
-    and math alone; ``var`` (its quantiles) and ``simulate`` (the samplers)
-    load scipy as they need it, and still succeed, as does a
-    constant-volatility ``fit`` run after them."""
+    and math alone; ``simulate`` (the samplers) loads scipy as it needs it,
+    and still succeeds, as do ``var`` and a constant-volatility ``fit`` run
+    after it."""
     weights = {"weights": [0.25] * 4}
     path = _write_inputs(tmp_path, a=weights,
                          b={**weights, "vol_discounts": [0.9, 0.97, 0.97, 0.9]},
@@ -270,6 +270,21 @@ def test_commands_on_a_constant_model_load_no_scipy(tmp_path):
     ]
     codes, loaded = _scipy_after_commands(commands)
     assert codes == [0] * 3 and loaded == []
+
+
+def test_var_and_a_weighted_grid_load_no_scipy(tmp_path):
+    """``var`` and a ``grid`` with weights over an evolving and a beta = I cell take
+    their VaR quantiles from ``math`` and ``statistics``, for both families."""
+    grid = {"deltas": [0.95], "betas": [[0.95] * 4, [1.0] * 4]}
+    path = _write_inputs(tmp_path, t={"weights": [0.25] * 4, "grid": grid},
+                         normal={"weights": [0.25] * 4, "grid": grid,
+                                 "var": {"family": "normal", "alphas": [1.0, 99.0]}})
+    commands = [[command, "--config", path(f"{family}.json"), "--data", path("y.csv"),
+                 "--out", path(f"{command}-{family}.{suffix}")]
+                for family in ("t", "normal") for command, suffix in (("var", "json"),
+                                                                     ("grid", "csv"))]
+    codes, loaded = _scipy_after_commands(commands)
+    assert codes == [0] * 4 and loaded == []
 
 
 class GammaCallCounter:
