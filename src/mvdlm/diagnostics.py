@@ -28,7 +28,7 @@ from .errors import (
     NoPositiveEigenvalues,
 )
 from .filter import forecast_law, predict, run_models
-from .linalg import cholesky_upper_stack, logdet_factor, symmetrize
+from .linalg import cholesky_upper_stack, logdet_factor, solve_lower_stack, symmetrize
 
 QUANTILE_FAMILIES = ("t", "normal")  # of the VaR
 WEIGHT_TOL = 1e-10
@@ -155,15 +155,15 @@ def _final_means(vol, rows):
 
 def loglik_constant_arrays(errors, q_values, sigma):
     """Array-level core of the constant-volatility log-likelihood at ``sigma``, from one
-    factor Sigma = C'C and one solve of C'x = e_t for all N errors."""
+    factor Sigma = C'C and one forward substitution C'x = e_t for all N errors."""
     errors = np.atleast_2d(np.asarray(errors, dtype=float))
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     n_steps, p = errors.shape
     if n_steps == 0:
         raise EmptyData("likelihood evaluation needs at least one step")
     upper = cholesky_upper_stack(symmetrize(np.atleast_2d(sigma)))
-    solved = np.linalg.solve(upper.T, errors.T)
-    quad = float(np.sum(solved * solved / q_values))
+    solved = solve_lower_stack(upper.T, errors)
+    quad = float(np.sum(solved * solved / q_values[:, None]))
     return (
         -0.5 * p * n_steps * np.log(2.0 * np.pi)
         - 0.5 * p * float(np.sum(np.log(q_values)))

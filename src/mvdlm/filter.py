@@ -41,7 +41,7 @@ from .errors import (
     RankDeficient,
     StateOverflow,
 )
-from .linalg import cholesky_upper_stack, symmetrize, vech_indices
+from .linalg import cholesky_upper_stack, solve_lower_stack, symmetrize, vech_indices
 from .model import FilterState, ModelSpec, Priors, validate
 
 FIXED_POINT_TOL = 1e-9
@@ -117,7 +117,7 @@ class VolatilityPass:
     @cached_property
     def scale_terms(self):
         """log|S_0|..log|S_N| (K, N+1) and r_t = e_t' S_t^{-1} e_t / Q_t (K, N) for all K
-        rows, from one batched Cholesky S_t = C_t'C_t and one batched solve of C_t' x = e_t
+        rows, from one batched Cholesky S_t = C_t'C_t and a forward substitution C_t'x = e_t
         per block of :func:`step_blocks` (S_0 joins the first); no factor is kept."""
         logdet, r = np.empty(self.n.shape), np.empty((len(self.n), len(self.Q)))
         for steps in step_blocks(len(self.Q)):
@@ -125,9 +125,9 @@ class VolatilityPass:
             upper = cholesky_upper_stack(self.S[:, lo:steps.stop + 1])
             logdet[:, lo:steps.stop + 1] = 2.0 * np.sum(
                 np.log(np.diagonal(upper, axis1=-2, axis2=-1)), axis=-1)
-            solved = np.linalg.solve(np.swapaxes(upper[:, steps.start + 1 - lo:], -1, -2),
-                                     self.e[None, steps, :, None])
-            r[:, steps] = np.sum(solved[..., 0] ** 2, axis=-1) / self.Q[steps]
+            solved = solve_lower_stack(np.swapaxes(upper[:, steps.start + 1 - lo:], -1, -2),
+                                       self.e[None, steps])
+            r[:, steps] = np.sum(solved ** 2, axis=-1) / self.Q[steps]
         return logdet, r
 
     @cached_property

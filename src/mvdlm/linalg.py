@@ -83,6 +83,16 @@ def cholesky_upper_stack(m):
     return np.stack([cholesky_upper(x) for x in flat]).reshape(m.shape)
 
 
+def solve_lower_stack(low, b):
+    """x with Lx = b for a (..., p, p) stack of lower-triangular L and (..., p) right-hand
+    sides, broadcast together, by forward substitution: one entry of x at a time."""
+    x = np.empty(np.broadcast_shapes(low.shape[:-1], np.shape(b)))
+    for i in range(x.shape[-1]):
+        dot = np.einsum("...k,...k->...", low[..., i, :i], x[..., :i])
+        x[..., i] = (b[..., i] - dot) / low[..., i, i]
+    return x
+
+
 def inv_spd(m):
     """Inverse of an SPD matrix via its Cholesky factor, symmetrized."""
     return inv_factor(cholesky_upper(m))

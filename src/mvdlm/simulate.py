@@ -63,7 +63,7 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
     normals = np.zeros((n_steps, k + d * p + p))
     moving = cov.omega.any(axis=(1, 2))
     if evolving:
-        half_dofs, gammas = _evolution_constants(spec.vol_discounts, n)[0], np.empty((n_steps, p))
+        half_dofs, gammas = _evolution_constants(spec.vol_discounts, n), np.empty((n_steps, p))
         root_beta = np.sqrt(spec.vol_discounts)
     for i, move in enumerate(moving.tolist()):
         if evolving:

@@ -3,8 +3,9 @@ module imports a name it never uses, every exported name resolves and a
 submodule exports only its own names, every module-level function or class
 has a reader, every setting a configuration parses is read and every raise
 names a library error. Also the import weight of the CLI and of the commands
-that need no scipy, the scalar gamma draws of the samplers, and the README's
-package list, schema example and command-line section against the code."""
+that need no scipy, the scalar gamma draws and the LAPACK calls of the
+samplers, and the README's package list, schema example and command-line
+section against the code."""
 
 import argparse
 import ast
@@ -338,6 +339,26 @@ def test_simulate_factors_no_matrix_per_step(monkeypatch):
         simulate(spec, priors, n_steps, seed=0)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_precision_draws_factor_once_and_solve_once(monkeypatch):
+    """LAPACK calls of one draw: ``singular_beta_sample`` factors [T u][T u]'
+    once and solves for its root once; ``evolve_precision`` adds only the factor
+    of the previous precision (no second solve, no factor of its result)."""
+    from mvdlm import linalg
+    rng, params = np.random.default_rng(0), SingularBetaParams(shape_a=3.0, p=3)
+    singular_beta_sample(params, rng)  # the first LAPACK call rebinds linalg's routines
+    for draw, expected in ((lambda: singular_beta_sample(params, rng), (1, 1)),
+                           (lambda: evolve_precision(np.eye(3), [0.9, 0.9, 0.95], 10.0, rng),
+                            (2, 1))):
+        calls = []
+        for name in ("dpotrf", "dtrtrs"):
+            routine = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, name=name, routine=routine, **k:
+                                calls.append(name) or routine(*a, **k))
+        draw()
+        monkeypatch.undo()
+        assert (calls.count("dpotrf"), calls.count("dtrtrs")) == expected
 
 
 def _subcommands():

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from mvdlm import filter as filter_module
 from mvdlm import linalg as linalg_module
@@ -17,7 +18,7 @@ from mvdlm.data import write_observations_csv
 from mvdlm.diagnostics import compute_diagnostics, posterior_loglik
 from mvdlm.errors import NonPositiveDefinite
 from mvdlm.filter import VolatilityPass, run, step_blocks, trajectory_to_csv, volatility_pass
-from mvdlm.linalg import cholesky_upper
+from mvdlm.linalg import cholesky_upper, solve_lower_stack
 
 from test_filter import assert_bitwise
 
@@ -170,9 +171,11 @@ class TestCholeskyFallbackPerBlock:
         assert len(factored) == self.block  # block two only
         vol = self.pass_with(jittered)
         upper = np.stack([cholesky_upper(s) for s in vol.S[0, 5:9]])
-        solved = np.linalg.solve(np.swapaxes(upper, -1, -2), vol.e[4:8, :, None])
+        solved = solve_lower_stack(np.swapaxes(upper, -1, -2), vol.e[4:8])
         assert_bitwise(logdet[0, 5:9], 2.0 * np.sum(np.log(np.diagonal(upper, 0, -2, -1)), -1))
-        assert_bitwise(r[0, 4:8], np.sum(solved[..., 0] ** 2, axis=-1) / vol.Q[4:8])
+        assert_bitwise(r[0, 4:8], np.sum(solved ** 2, axis=-1) / vol.Q[4:8])
+        lu = np.linalg.solve(np.swapaxes(upper, -1, -2), vol.e[4:8, :, None])[..., 0]
+        assert_allclose(r[0, 4:8], np.sum(lu ** 2, axis=-1) / vol.Q[4:8], rtol=1e-13, atol=0)
         # the other blocks keep the batched factor: their terms are a good pass's
         good_logdet, good_r = self.pass_with(np.eye(self.p)).scale_terms
         for steps in (slice(0, 5), slice(9, None)):
