@@ -71,19 +71,20 @@ def _msse(u):
     return np.mean(u[defined] ** 2, axis=0)
 
 
-def loglik_arrays(q_values, logdet, r, vol_discounts):
+def loglik_arrays(q_values, logdet, quad, vol_discounts):
     """Array-level core of the evolving-volatility path log-likelihood at the
     posterior means Sigma_t = S_t / (n - 2) of the filter, Sigma_0 (the
     prior's) to Sigma_N, from the spreads Q_t (N,) and a row of
     :attr:`~mvdlm.filter.VolatilityPass.scale_terms`: log|S_0|..log|S_N|
-    (N+1,) and r_t = e_t' S_t^{-1} e_t / Q_t (N,); given R rows of them and
-    (R, p) discounts, the R likelihoods, each bitwise that of its row alone.
+    (N+1,) and q_t = e_t' A_t^{-1} e_t / Q_t (N,) against the prior scale A_t; given
+    R rows of them and (R, p) discounts, the R likelihoods, each bitwise its row's alone.
 
     For each step the positive eigenvalues of I - B_t, with
     B_t = (C_{t-1}')^{-1} beta^{1/2} Sigma_t^{-1} beta^{1/2} C_{t-1}^{-1}
     and C_{t-1} the upper Cholesky factor of Sigma_{t-1}^{-1}, enter
     through their log-determinant. On the posterior-mean path I - B_t has
-    rank one, and its only non-zero eigenvalue is r_t (the closed form);
+    rank one, and its only non-zero eigenvalue is r_t = e_t' S_t^{-1} e_t / Q_t
+    = q_t / (1 + q_t) (the closed form), with log r_t = log q_t - log1p(q_t);
     log|Sigma_t| = log|S_t| - p log(n - 2), and the quadratic form
     e_t' Sigma_t^{-1} e_t / Q_t is (n - 2) r_t. No factorization runs here.
     """
@@ -107,7 +108,7 @@ def loglik_arrays(q_values, logdet, r, vol_discounts):
         - 0.5 * p * np.log(2.0)
         - p * np.log(np.pi)
     )
-    positive = np.reshape(r > 0.0, (-1, n_steps)).all(axis=0)
+    positive = np.reshape(quad > 0.0, (-1, n_steps)).all(axis=0)
     if not np.all(positive):
         raise NoPositiveEigenvalues(
             f"step {int(np.argmin(positive)) + 1}: the volatility transition "
@@ -118,8 +119,8 @@ def loglik_arrays(q_values, logdet, r, vol_discounts):
     terms = (
         p * np.log(q_values)
         + (p - m_param) * logdet[..., :-1]
-        + scale * r
-        + p * np.log(r)
+        + scale * (quad / (1.0 + quad))
+        + p * (np.log(quad) - np.log1p(quad))
         + (m_param - p - 2) * logdet[..., 1:]
     )  # broadcasting may lay rows out column-major: each must sum pairwise, as one row does
     total = np.sum(np.ascontiguousarray(terms), axis=-1)
@@ -140,8 +141,8 @@ def posterior_loglik(vol, k):
     for i in np.flatnonzero(constant):
         loglik[i] = loglik_constant_arrays(vol.e, vol.Q, sigma[i])
     if not constant.all():
-        (logdet, r), evolving = vol.scale_terms, rows[~constant]
-        loglik[~constant] = loglik_arrays(vol.Q, logdet[evolving], r[evolving],
+        (logdet, quad), evolving = vol.scale_terms, rows[~constant]
+        loglik[~constant] = loglik_arrays(vol.Q, logdet[evolving], quad[evolving],
                                           vol.betas[evolving])
     return loglik if np.ndim(k) else float(loglik[0])
 
@@ -250,11 +251,9 @@ def lbf_from_trajectories(traj1, traj2):
     predictive law of a standardized error with k_t degrees of freedom is the
     multivariate t with identity covariance (column scale (k_t - 2) I).
     Positive values favour model 1. The density reads u_t only through
-    log(1 + u_t'u_t / (k_t - 2)) = log(1 + e_t' A_t^{-1} e_t / Q_t), with A_t
-    the prior scale beta^{1/2} S_{t-1} beta^{1/2}; since S_t = A_t +
-    e_t e_t' / Q_t, the matrix determinant lemma makes that term
-    log|S_t| - log|S_{t-1}| - sum_i log beta_i, read from the ``scale_terms``
-    of each model's volatility pass. Nothing is whitened.
+    log(1 + u_t'u_t / (k_t - 2)) = log1p(q_t), with q_t = e_t' A_t^{-1} e_t / Q_t
+    against the prior scale A_t = beta^{1/2} S_{t-1} beta^{1/2}, read from the
+    ``scale_terms`` of each model's volatility pass. Nothing is whitened.
     """
     if len(traj1) != len(traj2):
         raise LengthMismatch("trajectories cover different horizons")
@@ -267,8 +266,7 @@ def lbf_from_trajectories(traj1, traj2):
         )
     p, terms = traj1.p, []
     for traj, k in zip((traj1, traj2), dofs):
-        logdet = traj.volatility.scale_terms[0][traj.row]
-        log1p_quad = np.diff(logdet) - np.sum(np.log(traj.spec.vol_discounts))
+        log1p_quad = np.log1p(traj.volatility.scale_terms[1][traj.row])
         distinct, step = np.unique(k, return_inverse=True)
         ratio = np.array([log_multigamma((dof + p - 1) / 2.0, p, ratio=True) for dof in distinct])
         terms.append(ratio[step] - 0.5 * p * np.log(np.pi * (k - 2.0))

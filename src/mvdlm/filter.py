@@ -41,7 +41,8 @@ from .errors import (
     RankDeficient,
     StateOverflow,
 )
-from .linalg import cholesky_upper_stack, solve_lower_stack, symmetrize, vech_indices
+from .linalg import (cholesky_upper_stack, logdet_factor, solve_lower_stack, symmetrize,
+                     vech_indices)
 from .model import FilterState, ModelSpec, Priors, validate
 
 FIXED_POINT_TOL = 1e-9
@@ -116,19 +117,18 @@ class VolatilityPass:
 
     @cached_property
     def scale_terms(self):
-        """log|S_0|..log|S_N| (K, N+1) and r_t = e_t' S_t^{-1} e_t / Q_t (K, N) for all K
-        rows, from one batched Cholesky S_t = C_t'C_t and a forward substitution C_t'x = e_t
-        per block of :func:`step_blocks` (S_0 joins the first); no factor is kept."""
-        logdet, r = np.empty(self.n.shape), np.empty((len(self.n), len(self.Q)))
+        """log|S_0|..log|S_N| (K, N+1) and q_t = e_t' A_t^{-1} e_t / Q_t (K, N) against the
+        prior scale A_t = beta^{1/2} S_{t-1} beta^{1/2}, for all K rows: per block of
+        :func:`step_blocks`, one batched Cholesky S_t = C_t'C_t of S_start..S_stop and a
+        forward substitution C_{t-1}'w = beta^{-1/2} e_t per step; no factor is kept."""
+        logdet, q = np.empty(self.n.shape), np.empty((len(self.n), len(self.Q)))
+        root = np.sqrt(self.betas)[:, None]
         for steps in step_blocks(len(self.Q)):
-            lo = steps.start + 1 if steps.start else 0
-            upper = cholesky_upper_stack(self.S[:, lo:steps.stop + 1])
-            logdet[:, lo:steps.stop + 1] = 2.0 * np.sum(
-                np.log(np.diagonal(upper, axis1=-2, axis2=-1)), axis=-1)
-            solved = solve_lower_stack(np.swapaxes(upper[:, steps.start + 1 - lo:], -1, -2),
-                                       self.e[None, steps])
-            r[:, steps] = np.sum(solved ** 2, axis=-1) / self.Q[steps]
-        return logdet, r
+            upper = cholesky_upper_stack(self.S[:, steps.start:steps.stop + 1])
+            logdet[:, steps.start:steps.stop + 1] = logdet_factor(upper)
+            w = solve_lower_stack(np.swapaxes(upper[:, :-1], -1, -2), self.e[steps] / root)
+            q[:, steps] = np.sum(w ** 2, axis=-1) / self.Q[steps]
+        return logdet, q
 
     @cached_property
     def u(self):  # (K, N, p) standardized errors, NaN where dof <= 2

@@ -99,8 +99,8 @@ def inv_spd(m):
 
 
 def logdet_factor(c):
-    """log|C'C| from the upper factor C (no sign ambiguity)."""
-    return 2.0 * np.sum(np.log(np.diag(c)))
+    """log|C'C| from the upper factor C (no sign ambiguity), over a (..., p, p) stack."""
+    return 2.0 * np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1)
 
 
 def vech_indices(p):

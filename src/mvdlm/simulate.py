@@ -16,7 +16,8 @@ from .distributions import _evolution_constants, _psd_lower_factor
 from .distributions import invwishart_sample, matrix_normal_sample
 from .errors import EmptyData, NonPositiveDefinite
 from .filter import _check_finite, covariance_pass
-from .linalg import cholesky_upper, cholesky_upper_stack, factor_symmetric, symmetrize
+from .linalg import (cholesky_upper, cholesky_upper_stack, factor_symmetric, solve_lower_stack,
+                     symmetrize)
 from .model import validate
 
 
@@ -76,14 +77,12 @@ def simulate(spec, priors, n_steps, rng=None, seed=None, sigma0=None, theta0=Non
         tu[:, below], tu[:, :, p] = normals[:, :k - p], normals[:, k - p:k]
         tu.reshape(n_steps, -1)[:, ::p + 2] = np.sqrt(gammas)
         c = cholesky_upper_stack(tu @ tu.swapaxes(1, 2))
-        try:
-            y = np.linalg.solve(tu[:, :, :p], c.swapaxes(1, 2))
-        except np.linalg.LinAlgError:  # a Bartlett diagonal drawn as 0: the check below raises
-            y = np.zeros_like(c)
-        y[:, below[:, :p].T] = 0.0  # the solve's rounding above the diagonal
         # X_t = V_t^{-1} from the lower X_0 with X_0'X_0 = Sigma_0 (the reversed factor).
-        x, prev = np.empty_like(y), factor_symmetric(sigma[::-1, ::-1])[::-1, ::-1]
-        with np.errstate(over="ignore", invalid="ignore"):
+        x, prev = np.empty_like(c), factor_symmetric(sigma[::-1, ::-1])[::-1, ::-1]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # T_tY_t = C_t' column by column, exactly 0 above the diagonal; a Bartlett
+            # diagonal drawn as 0 gives inf or NaN, which the check below raises on
+            y = solve_lower_stack(tu[:, None, :, :p], c).swapaxes(1, 2)
             for i in range(n_steps):
                 prev = x[i] = (y[i] @ prev) * root_beta
             diag = np.diagonal(x, axis1=1, axis2=2)

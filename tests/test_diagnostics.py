@@ -72,8 +72,8 @@ class TestMsse:
 
 def path_loglik(traj):
     """:func:`loglik_arrays` of a trajectory at its own discounts."""
-    logdet, r = (terms[traj.row] for terms in traj.volatility.scale_terms)
-    return loglik_arrays(traj.Q, logdet, r, traj.spec.vol_discounts)
+    logdet, q = (terms[traj.row] for terms in traj.volatility.scale_terms)
+    return loglik_arrays(traj.Q, logdet, q, traj.spec.vol_discounts)
 
 
 class TestLoglikTimeVarying:
@@ -145,10 +145,10 @@ class TestLoglikTimeVarying:
         betas = [[o, i, i, o] for o in levels for i in levels if (o + i) / 2 > 2 / 3 and o * i < 1]
         models = [(replace(spec, vol_discounts=np.array(beta)), priors, obs) for beta in betas]
         vol = run_models(models)[0].volatility
-        logdet, r = vol.scale_terms
-        rows = loglik_arrays(vol.Q, logdet, r, vol.betas)
+        logdet, q = vol.scale_terms
+        rows = loglik_arrays(vol.Q, logdet, q, vol.betas)
         assert rows.shape == (len(betas),)
-        assert rows.tolist() == [loglik_arrays(vol.Q, logdet[k], r[k], beta)
+        assert rows.tolist() == [loglik_arrays(vol.Q, logdet[k], q[k], beta)
                                  for k, beta in enumerate(betas)]
         assert rows.tolist() == [compute_diagnostics(t).loglik for t in run_models(models)]
 
@@ -692,7 +692,9 @@ class TestLbfClosedForm:
         ill = run(spec, priors, obs)
         other = run(replace(spec, vol_discounts=np.full(4, 0.9)), priors, obs)
         (ill_terms, log1p), (other_terms, _) = exact_terms(ill), exact_terms(other)
-        logdet = ill.volatility.scale_terms[0][ill.row]
+        logdet, q = (terms[ill.row] for terms in ill.volatility.scale_terms)
+        assert_allclose(np.log1p(q), log1p, rtol=0, atol=1e-12)
+        # the determinant lemma, S_t = A_t + e_t e_t' / Q_t, checks log|S_t| on the same terms
         assert_allclose(np.diff(logdet) - np.sum(np.log(spec.vol_discounts)), log1p,
                         rtol=0, atol=1e-12)
         # in the log Bayes factor the terms carry (k_t + p)/2 = 4 and 6.5

@@ -228,23 +228,37 @@ class TestTQuantile:
                 upper = distributions._t_quantile(dof, alpha)
                 assert upper > 0.0 and upper == -distributions._t_quantile(dof, 100.0 - alpha)
 
-    def test_against_high_precision(self):
-        """Spot values against 40-digit roots of I_x(dof/2, 1/2) / 2 = tail, where
-        scipy.stats lies within 4.6e-16 of them."""
+    @staticmethod
+    def exact(dof, alpha):
+        """The 40-digit root of I_x(dof/2, 1/2) / 2 = tail, as a float."""
         mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            k, level = mpmath.mpf(dof), mpmath.mpf(alpha) / 100
+            tail = min(level, 1 - level)
+            root = mpmath.findroot(
+                lambda t: mpmath.betainc(k / 2, 0.5, 0, k / (k + t * t), regularized=True)
+                / 2 - tail, -abs(scipy.stats.t.ppf(float(tail), dof)))
+            return float(root if alpha < 50.0 else -root)
+
+    def test_against_high_precision(self):
+        """Spot values against 40-digit roots, where scipy.stats lies within 4.6e-16 of them."""
         points = [(2.001, 0.01), (2.001, 99.99), (2.5, 5.0), (3.0, 1.0), (4.5, 25.0),
                   (7.0, 99.0), (12.3, 49.9), (30.0, 95.0), (100.0, 50.1), (400.0, 75.0),
                   (2000.0, 0.01), (1e4, 5.0)]
-        with mpmath.workdps(40):
-            for dof, alpha in points:
-                k, level = mpmath.mpf(dof), mpmath.mpf(alpha) / 100
-                tail = min(level, 1 - level)
-                root = mpmath.findroot(
-                    lambda t: mpmath.betainc(k / 2, 0.5, 0, k / (k + t * t), regularized=True)
-                    / 2 - tail, -abs(scipy.stats.t.ppf(float(tail), dof)))
-                exact = float(root if alpha < 50.0 else -root)
-                value = distributions._t_quantile(dof, alpha)
-                assert abs(value - exact) <= self.rtol(dof, 2e-14) * abs(exact), (dof, alpha)
+        for dof, alpha in points:
+            exact = self.exact(dof, alpha)
+            value = distributions._t_quantile(dof, alpha)
+            assert abs(value - exact) <= self.rtol(dof, 2e-14) * abs(exact), (dof, alpha)
+
+    @pytest.mark.parametrize("alpha, bound", [(0.1, 1e-12), (1.0, 5e-14), (5.0, 1e-14),
+                                              (25.0, 1e-14)])
+    def test_large_dof_against_high_precision(self, alpha, bound):
+        """dof 1e4 to 1e8, where the tails take the complement's fraction: measured within
+        3.2e-13 at alpha 0.1, 2.0e-14 at 1, 3.5e-15 at 5 and 2.3e-15 at 25. The direct
+        fraction was 2.5e-10 and 1.7e-10 off at alpha 0.1 and 1, dof 1e8."""
+        for dof in np.geomspace(1e4, 1e8, 9):
+            exact = self.exact(dof, alpha)
+            assert abs(distributions._t_quantile(dof, alpha) - exact) <= bound * abs(exact), dof
 
     def test_a_solve_that_does_not_converge_raises(self, monkeypatch):
         with pytest.raises(MvdlmError, match="did not converge"):  # at x = 1, with b < 1

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from mvdlm.model import FilterState
 from mvdlm.simulate import simulate
 
 from conftest import local_level, paired_volatility_scenario
+from long_double import needs_long_double, quadratic_forms_ld
 
 
 def initial_state(spec, priors):
@@ -718,7 +720,8 @@ class TestRunModels:
 
     def test_scale_terms_equal_a_per_step_loop(self):
         # one batched factor of the pass's S stack gives each row, evolving or
-        # constant, the log|S_t| and e_t' S_t^{-1} e_t / Q_t of a per-step loop
+        # constant, the log|S_t| and q_t = e_t' A_t^{-1} e_t / Q_t of a per-step loop,
+        # with A_t = beta^{1/2} S_{t-1} beta^{1/2} the prior scale
         # (S0 at the data's scale keeps log|S_t| away from 0, where rtol means little)
         spec, priors, obs = self.models()
         priors = replace(priors, S0=1e-4 * np.eye(4))
@@ -726,13 +729,14 @@ class TestRunModels:
                   for beta, n0 in (([0.66, 0.9, 0.9, 0.66], 1.0), ([0.95] * 4, 1.0),
                                    ([1.0] * 4, 1.0), ([1.0] * 4, 7.0))]
         trajectories = run_models(models)
-        logdet, r = trajectories[0].volatility.scale_terms
-        assert logdet.shape == (4, 121) and r.shape == (4, 120)
+        logdet, q = trajectories[0].volatility.scale_terms
+        assert logdet.shape == (4, 121) and q.shape == (4, 120)
         for k, t in enumerate(trajectories):
             assert t.volatility is trajectories[0].volatility and t.row == k
             assert_allclose(logdet[k], [np.linalg.slogdet(s)[1] for s in t.S], rtol=1e-12)
-            quad = [e @ np.linalg.solve(s, e) / q for s, e, q in zip(t.S[1:], t.e, t.Q)]
-            assert_allclose(r[k], quad, rtol=1e-12)
+            quad = [e @ np.linalg.solve(a, e) / q_t
+                    for a, e, q_t in zip(t.forecast_laws()[0], t.e, t.Q)]
+            assert_allclose(q[k], quad, rtol=1e-12)
 
     def test_blocks_of_rows(self, monkeypatch):
         spec, priors, obs = self.models()
@@ -743,6 +747,36 @@ class TestRunModels:
         trajectories = run_models(models)
         assert len(passes) == 3  # blocks of 2, 2 and 1 rows
         self.assert_alone(trajectories, models)
+
+
+class TestQuadraticForm:
+    """q_t = e_t' A_t^{-1} e_t / Q_t of ``scale_terms``, against the prior scale
+    A_t = beta^{1/2} S_{t-1} beta^{1/2}, on paths simulated from the fitted model."""
+
+    @staticmethod
+    def fitted(p, beta, n_steps, seed, **priors):
+        spec, priors = local_level(p, 0.9, beta, **priors)
+        traj = run(spec, priors, simulate(spec, priors, n_steps, seed=seed).observations)
+        return traj, traj.volatility.scale_terms[1][traj.row]
+
+    # cond(S_t) reaches 6.7e3 and 6.7e7; measured 2.9e-15 and 1.6e-10, where the
+    # log-determinant route expm1(log|S_t| - log|S_{t-1}| - sum log beta) was 6.6e-13
+    # and 3.3e-9 off
+    @needs_long_double
+    @pytest.mark.parametrize("p, beta, n_steps, bound", [(2, [0.95, 0.92], 250, 1e-14),
+                                                         (16, [0.97] * 16, 1000, 5e-10)])
+    def test_matches_a_long_double_recursion(self, p, beta, n_steps, bound):
+        traj, q = self.fitted(p, beta, n_steps, seed=0, p0=1.0)
+        oracle = quadratic_forms_ld(traj.e, traj.Q, beta, traj.S[0])
+        assert np.max(np.abs(q - oracle) / oracle) <= bound
+
+    def test_finite_on_a_drifting_path(self):
+        # cond(S_t) passes 1e29 and r_t = q_t / (1 + q_t) rounds to 1.0 at one step;
+        # q_t stays finite, and no step warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, q = self.fitted(4, [0.66, 0.9, 0.9, 0.66], 333, seed=20, p0=1.0, s0_scale=0.01)
+        assert np.isfinite(q).all() and np.any(q / (1.0 + q) == 1.0)
 
 
 class TestConstantVolatility:

@@ -2,10 +2,11 @@
 module imports a name it never uses, every exported name resolves and a
 submodule exports only its own names, every module-level function or class
 has a reader, every setting a configuration parses is read and every raise
-names a library error. Also the import weight of the CLI and of the commands
-that need no scipy, the scalar gamma draws and the LAPACK calls of the
-samplers, and the README's package list, schema example and command-line
-section against the code."""
+names a library error, and no module calls numpy's general ``solve`` or
+``inv``. Also the import weight of the CLI and of the commands that need no
+scipy, the scalar gamma draws and the LAPACK calls of the samplers, the one
+factor call per block of the scale stack, and the README's package list,
+schema example and command-line section against the code."""
 
 import argparse
 import ast
@@ -152,6 +153,38 @@ def test_every_raise_names_a_library_error():
                 if not (isinstance(exc, ast.Name) and exc.id in typed):
                     untyped.append(f"{path.name}:{node.lineno}")
     assert not untyped, untyped
+
+
+def test_no_general_solve_or_inverse():
+    """No module calls numpy's ``linalg.solve`` or ``linalg.inv`` (LU with pivoting):
+    every solve in the package runs against a triangular factor it already holds."""
+    calls = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                calls += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in ("solve", "inv")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("solve", "inv")
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                calls.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+    assert not calls, calls
+
+
+def test_scale_terms_factor_each_block_once(monkeypatch):
+    """The likelihood of a pass makes one batched ``cholesky_upper_stack`` call per block
+    of steps, of S_start..S_stop: the factor of S_{t-1} that gives q_t comes from the call
+    that factors S_t, and a block after the first factors one scale more."""
+    from mvdlm import filter as filter_module
+    from mvdlm.diagnostics import posterior_loglik
+    stack, shapes = filter_module.cholesky_upper_stack, []
+    monkeypatch.setattr(filter_module, "BLOCK_STEPS", 4)
+    monkeypatch.setattr(filter_module, "cholesky_upper_stack",
+                        lambda m: shapes.append(m.shape) or stack(m))
+    rng, betas = np.random.default_rng(4), [[0.95] * 3, [0.93, 0.95, 0.97]]
+    vol = filter_module.volatility_pass(0.01 * rng.standard_normal((10, 3)), 1.0 + rng.random(10),
+                                        betas, 1e-4 * np.eye(3), [20.0, 20.0])
+    posterior_loglik(vol, [0, 1])
+    assert shapes == [(2, 5, 3, 3), (2, 5, 3, 3), (2, 3, 3, 3)]  # steps 1-4, 5-8, 9-10
 
 
 def _run_python(code):

@@ -23,6 +23,7 @@ from mvdlm.model import FilterState
 from mvdlm.simulate import simulate
 
 from conftest import local_level, paired_volatility_scenario
+from long_double import cholesky_lower_ld, needs_long_double, solve_lower_ld
 
 
 def wishart_reference(dof, scale, rng):
@@ -77,21 +78,6 @@ def simulate_reference(spec, priors, n_steps, rng, sigma0=None, theta0=None):
     return [np.array(column) for column in zip(*rows)]
 
 
-def _cholesky_lower_ld(m):
-    low = np.zeros_like(m)
-    for j in range(len(m)):
-        low[j, j] = np.sqrt(m[j, j] - low[j, :j] @ low[j, :j])
-        low[j + 1:, j] = (m[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def _solve_lower_ld(low, b):
-    x = np.zeros_like(b)
-    for i in range(len(low)):
-        x[i] = (b[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x
-
-
 def _singular_root_ld(a, p, rng):
     """W = L^{-1} T in long double from the documented draws of one singular beta
     (p gammas, the Bartlett normals, u), with LL' = TT' + uu'."""
@@ -101,7 +87,7 @@ def _singular_root_ld(a, p, rng):
     t[np.diag_indices(p)] = np.sqrt(np.array(gammas, dtype=ld))
     t[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
     u = rng.standard_normal(p).astype(ld)
-    return _solve_lower_ld(_cholesky_lower_ld(t @ t.T + np.outer(u, u)), t)
+    return solve_lower_ld(cholesky_lower_ld(t @ t.T + np.outer(u, u)), t)
 
 
 def volatility_oracle(beta, d, n_steps, rng, sigma0):
@@ -115,15 +101,15 @@ def volatility_oracle(beta, d, n_steps, rng, sigma0):
     n = 1.0 / (1.0 - np.mean(beta))  # the working dof, and the beta's shape a
     a = (np.sum(beta) / p * n + p - 1) / 2.0
     eye = np.eye(p, dtype=ld)
-    x = _solve_lower_ld(_cholesky_lower_ld(np.asarray(sigma0, dtype=ld)), eye)
-    v = _cholesky_lower_ld(x.T @ x)
+    x = solve_lower_ld(cholesky_lower_ld(np.asarray(sigma0, dtype=ld)), eye)
+    v = cholesky_lower_ld(x.T @ x)
     inv_root = 1 / np.sqrt(np.asarray(beta, dtype=ld))
     out = np.empty((n_steps, p, p), dtype=ld)
     for i in range(n_steps):
         w = _singular_root_ld(a, p, rng)
         rng.standard_normal(d * p + p)
         v = inv_root[:, None] * (v @ w)
-        x = _solve_lower_ld(v, eye)
+        x = solve_lower_ld(v, eye)
         out[i] = x.T @ x
     return out
 
@@ -197,7 +183,7 @@ class TestBitwiseReference:
         assert rng.random() == ref.random()
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="no long double wider than double")
+@needs_long_double
 def test_volatilities_match_a_long_double_oracle():
     """Each Sigma_t is within 1e-12 of the same draws evaluated in long double,
     on a path whose cond(Sigma_t) reaches 4e10; re-factoring Phi_t squares its
@@ -211,7 +197,7 @@ def test_volatilities_match_a_long_double_oracle():
     assert err.max() <= 1e-12
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="no long double wider than double")
+@needs_long_double
 def test_evolved_precisions_match_a_long_double_oracle():
     """A 600-step chain of evolve_precision against the same draws evaluated in
     long double, through the chain of lower factors V_t = beta^{-1/2} V_{t-1} W_t
@@ -240,6 +226,34 @@ def test_an_evolved_precision_past_the_float_range_is_a_typed_error():
         for beta in ([1.0, 5e-324], [1e-4, 1.0]):
             with pytest.raises(NonPositiveDefinite, match="float range"):
                 evolve_precision(1e307 * np.eye(2), beta, 10.0, default_rng(0))
+
+
+class ZeroGamma:
+    """A Generator stand-in whose ``zero_at``-th ``gamma`` draw returns 0.0; every
+    other draw goes to a real generator."""
+
+    def __init__(self, seed, zero_at):
+        self.rng, self.count, self.zero_at = default_rng(seed), 0, zero_at
+
+    def gamma(self, shape, scale=1.0):
+        self.count += 1
+        draw = self.rng.gamma(shape, scale)
+        return 0.0 if self.count == self.zero_at else draw
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_a_bartlett_diagonal_drawn_as_zero_is_a_typed_error():
+    """At p = 4 the ninth gamma is the first Bartlett diagonal of step 3: T_3 is
+    singular, the forward substitution gives inf and NaN, and the check of the precision
+    factors raises NonPositiveDefinite, with no RuntimeWarning."""
+    spec, priors = local_level(4, 0.9, [0.95, 0.9, 0.9, 0.95])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveDefinite, match="float range"):
+            simulate(spec, priors, 5, rng=ZeroGamma(3, 9), sigma0=np.eye(4),
+                     theta0=np.zeros((1, 4)))
 
 
 def test_a_precision_past_the_float_range_is_a_typed_error():

@@ -64,9 +64,9 @@ def three_rows(n_steps, p, seed=7):
 
 
 def pass_numbers(vol):
-    logdet, r = vol.scale_terms
+    logdet, q = vol.scale_terms
     rows = list(range(len(vol.betas)))
-    return vol.u, logdet, r, posterior_loglik(vol, rows)
+    return vol.u, logdet, q, posterior_loglik(vol, rows)
 
 
 @pytest.mark.parametrize("n_steps, blocks", [(0, 1), (1, 1), (B - 1, 1), (B, 1), (B + 1, 2),
@@ -150,7 +150,7 @@ class TestCholeskyFallbackPerBlock:
     matrix by matrix by LAPACK (``cholesky_upper``, with its jitter retry)."""
 
     p, n_steps, block = 3, 12, 4  # steps in blocks [0, 4), [4, 8), [8, 12)
-    bad = 6  # S_5..S_8 are the second block's scales
+    bad = 6  # S_4..S_8 are the second block's scales, S_4 the prior scale of its first step
 
     def pass_with(self, matrix):
         rng = np.random.default_rng(11)
@@ -167,21 +167,22 @@ class TestCholeskyFallbackPerBlock:
         monkeypatch.setattr(linalg_module, "cholesky_upper",
                             lambda m: factored.append(m) or cholesky_upper(m))
         jittered = np.diag([1.0, 1.0, -1e-13])  # its retry adds 6.7e-11 to the diagonal
-        logdet, r = self.pass_with(jittered).scale_terms
-        assert len(factored) == self.block  # block two only
+        logdet, q = self.pass_with(jittered).scale_terms
+        assert len(factored) == self.block + 1  # block two only
         vol = self.pass_with(jittered)
-        upper = np.stack([cholesky_upper(s) for s in vol.S[0, 5:9]])
-        solved = solve_lower_stack(np.swapaxes(upper, -1, -2), vol.e[4:8])
-        assert_bitwise(logdet[0, 5:9], 2.0 * np.sum(np.log(np.diagonal(upper, 0, -2, -1)), -1))
-        assert_bitwise(r[0, 4:8], np.sum(solved ** 2, axis=-1) / vol.Q[4:8])
-        lu = np.linalg.solve(np.swapaxes(upper, -1, -2), vol.e[4:8, :, None])[..., 0]
-        assert_allclose(r[0, 4:8], np.sum(lu ** 2, axis=-1) / vol.Q[4:8], rtol=1e-13, atol=0)
+        upper = np.stack([cholesky_upper(s) for s in vol.S[0, 4:9]])
+        solved = solve_lower_stack(np.swapaxes(upper[:-1], -1, -2), vol.e[4:8])
+        # S_8 is factored again, batched, by block three, which writes its log|S_8|
+        assert_bitwise(logdet[0, 4:8],
+                       2.0 * np.sum(np.log(np.diagonal(upper[:-1], 0, -2, -1)), -1))
+        assert_bitwise(q[0, 4:8], np.sum(solved ** 2, axis=-1) / vol.Q[4:8])
+        lu = np.linalg.solve(np.swapaxes(upper[:-1], -1, -2), vol.e[4:8, :, None])[..., 0]
+        assert_allclose(q[0, 4:8], np.sum(lu ** 2, axis=-1) / vol.Q[4:8], rtol=1e-13, atol=0)
         # the other blocks keep the batched factor: their terms are a good pass's
-        good_logdet, good_r = self.pass_with(np.eye(self.p)).scale_terms
-        for steps in (slice(0, 5), slice(9, None)):
-            assert_bitwise(logdet[0, steps], good_logdet[0, steps])
+        good_logdet, good_q = self.pass_with(np.eye(self.p)).scale_terms
         for steps in (slice(0, 4), slice(8, None)):
-            assert_bitwise(r[0, steps], good_r[0, steps])
+            assert_bitwise(logdet[0, steps], good_logdet[0, steps])
+            assert_bitwise(q[0, steps], good_q[0, steps])
 
     def test_not_positive_definite_still_raises(self, monkeypatch):
         monkeypatch.setattr(filter_module, "BLOCK_STEPS", self.block)
