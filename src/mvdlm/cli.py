@@ -188,7 +188,9 @@ def cmd_diagnose(args):
         )
     msse, mae, me = diagnostics.error_summary(e, u)
     vol = posterior_path(e, q, config.spec(), config.priors())
-    means = vol.posterior_means(0, [1, -1])  # Sigma_1 shows S0 and n0, Sigma_N beta
+    first = next(vol.blocks())[1][0, 1]  # S_1: the first block of the path, never all of it
+    # Sigma_1 shows S0 and n0, Sigma_N beta
+    means = vol.posterior_means(0, np.stack([first, vol.final[0]]), [1, -1])
     rows, cols = np.array(vech_indices(config.p)).T
     if not np.allclose(means[:, rows, cols], ends, CLOSED_FORM_RTOL, 0.0, equal_nan=True):
         raise ConfigError(f"{args.traj} was not fitted with this config's discounts and priors")

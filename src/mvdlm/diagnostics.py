@@ -151,7 +151,7 @@ def _final_means(vol, rows):
     """Sigma_N of ``rows`` of the pass ``vol``; an undefined one (n <= 2) raises DofTooSmall."""
     if not np.all(vol.n[rows, -1] > 2.0):
         raise DofTooSmall("posterior mean of the volatility requires n > 2")
-    return vol.posterior_means(rows, -1)
+    return vol.posterior_means(rows, vol.final[rows], -1)
 
 
 def loglik_constant_arrays(errors, q_values, sigma):
@@ -336,7 +336,7 @@ def _pass_var(members, weights, family, alphas):
     from one check of their final scales, one :func:`~mvdlm.filter.predict` at step N + 1
     and one :func:`var_portfolio` call."""
     vol, rows, p = members[0].volatility, [t.row for t in members], members[0].p
-    lam = np.linalg.eigvalsh(vol.S[rows, -1])  # below p eps of the largest, round-off sets the sign
+    lam = np.linalg.eigvalsh(vol.final[rows])  # below p eps of the largest, round-off sets the sign
     if not np.all(lam[:, 0] > lam[:, -1] * p * np.finfo(float).eps):  # NaN S: 0, inf S: NaN
         raise NonPositiveDefinite("final volatility scale is not positive definite")
     final = members[0].final

@@ -48,13 +48,42 @@ from .model import FilterState, ModelSpec, Priors, validate
 FIXED_POINT_TOL = 1e-9
 CLOSED_FORM_RTOL = 1e-8
 BLOCK_ROWS = 64  # rows of one batched volatility_pass in run_models
-BLOCK_STEPS = 512  # steps of one block of the whitening, the factor and the exports
+BLOCK_BYTES = 1 << 20  # scales of one block of steps: K rows x steps x p^2 x 8 bytes
 
 
-def step_blocks(n_steps):
-    """Slices of up to ``BLOCK_STEPS`` of the steps 0..N-1 (one empty slice at N = 0): a
-    stage that reads a pass's scales holds the temporaries of one block at a time."""
-    return [slice(lo, min(lo + BLOCK_STEPS, n_steps)) for lo in range(0, n_steps or 1, BLOCK_STEPS)]
+def step_blocks(n_steps, n_rows, p):
+    """Slices of the steps 0..N-1 (one empty slice at N = 0), each of as many steps, at least
+    one, as keep the scales of ``n_rows`` rows of p series within ``BLOCK_BYTES``: a stage
+    that reads a pass's scales holds one block of them and its temporaries at a time."""
+    size = max(1, BLOCK_BYTES // (n_rows * p * p * 8))
+    return [slice(lo, min(lo + size, n_steps)) for lo in range(0, n_steps or 1, size)]
+
+
+def scale_blocks(e, Q, betas, S0):
+    """The scale path S_0..S_N of the K rows of ``betas`` (K, p) from ``S0`` (K, p, p), one
+    block of :func:`step_blocks` at a time: yields each block's steps and its
+    S_start..S_stop, a (K, len + 1, p, p) view of one buffer that the next block reuses.
+    Every run gives the same bits, so a reader replays the path rather than keep it.
+
+    The buffer is time-major, so that step t of every row is one contiguous (K, p, p)
+    block. The rank-one terms e_t e_t' / Q_t of a block are built in place in row 0 of its
+    steps, then copied to the other rows. Sums and products of exactly symmetric operands
+    stay exactly symmetric, so each step is two in-place ufuncs without symmetrize: the
+    step adds its prior, then forms the next prior."""
+    law = forecast_law(betas)
+    prior = law(S0, 0.0)[0]  # symmetrized, as a caller's S0 may not be
+    blocks = step_blocks(len(Q), *betas.shape)
+    buffer, start = np.empty((blocks[0].stop + 1, *S0.shape)), S0
+    for steps in blocks:
+        block = buffer[:steps.stop - steps.start + 1]
+        block[0] = start  # S0, then the last scale of the block before
+        outer = np.multiply(e[steps, :, None], e[steps, None, :], out=block[1:, 0])
+        block[1:, 1:] = np.divide(outer, Q[steps, None, None], out=outer)[:, None]
+        for scale in block[1:]:
+            np.add(prior, scale, scale)
+            np.multiply(scale, law.outer, prior)
+        yield steps, np.swapaxes(block, 0, 1)
+        start = block[-1]
 
 
 @dataclass(frozen=True)
@@ -106,45 +135,61 @@ class StatePass:
 @dataclass(frozen=True, eq=False)  # a pass of arrays equals only itself
 class VolatilityPass:
     """Output of the volatility recursions for K discount vectors ``betas``
-    over ``e`` and ``Q``. Its ``scale_terms`` and ``u`` are each computed on
-    first read, for all K rows."""
+    over ``e`` and ``Q``: the ends S_0 and S_N of the scale path, the degrees
+    of freedom and the scale terms, all from one run of :func:`scale_blocks`.
+    The path itself is kept only when it is one block (``whole``); a reader
+    of S_t otherwise replays it by :meth:`blocks`. ``u`` is computed on first
+    read, for all K rows."""
 
-    S: np.ndarray  # (K, N+1, p, p) scales S_0..S_N, a view of time-major storage
+    S0: np.ndarray  # (K, p, p) starting scales S_0
+    final: np.ndarray  # (K, p, p) final scales S_N
     n: np.ndarray  # (K, N+1) degrees of freedom n_0..n_N
     e: np.ndarray  # (N, p) forecast errors
     Q: np.ndarray  # (N,) forecast spreads
     betas: np.ndarray  # (K, p) volatility discounts
+    terms: tuple  # the scale_terms, filled up to a failed factor
+    failure: str | None  # the message of a scale that did not factor, raised by scale_terms
+    whole: np.ndarray | None  # (K, N+1, p, p) S_0..S_N when the pass is one block
 
-    @cached_property
+    @property
     def scale_terms(self):
         """log|S_0|..log|S_N| (K, N+1) and q_t = e_t' A_t^{-1} e_t / Q_t (K, N) against the
-        prior scale A_t = beta^{1/2} S_{t-1} beta^{1/2}, for all K rows: per block of
-        :func:`step_blocks`, one batched Cholesky S_t = C_t'C_t of S_start..S_stop and a
-        forward substitution C_{t-1}'w = beta^{-1/2} e_t per step; no factor is kept."""
-        logdet, q = np.empty(self.n.shape), np.empty((len(self.n), len(self.Q)))
-        root = np.sqrt(self.betas)[:, None]
-        for steps in step_blocks(len(self.Q)):
-            upper = cholesky_upper_stack(self.S[:, steps.start:steps.stop + 1])
-            logdet[:, steps.start:steps.stop + 1] = logdet_factor(upper)
-            w = solve_lower_stack(np.swapaxes(upper[:, :-1], -1, -2), self.e[steps] / root)
-            q[:, steps] = np.sum(w ** 2, axis=-1) / self.Q[steps]
-        return logdet, q
+        prior scale A_t = beta^{1/2} S_{t-1} beta^{1/2}, for all K rows, computed by
+        :func:`volatility_pass`; a scale that did not factor raises here, where it is read."""
+        if self.failure is not None:
+            raise NonPositiveDefinite(self.failure)
+        return self.terms
+
+    def blocks(self):
+        """The blocks of :func:`scale_blocks`: ``whole`` as its one block, else a replay
+        from S_0. Each S_start..S_stop holds only until the next block is drawn."""
+        if self.whole is not None:
+            return iter([(slice(0, len(self.Q)), self.whole)])
+        return scale_blocks(self.e, self.Q, self.betas, self.S0)
+
+    def scales(self, rows=slice(None)):
+        """S_0..S_N of ``rows`` (..., N+1, p, p), a new array filled block by block."""
+        out = np.empty((*self.S0[rows].shape[:-2], len(self.Q) + 1, *self.S0.shape[-2:]))
+        for steps, S in self.blocks():
+            out[..., steps.start:steps.stop + 1, :, :] = S[rows]
+        return out
 
     @cached_property
     def u(self):  # (K, N, p) standardized errors, NaN where dof <= 2
         law = forecast_law(self.betas[:, None])  # broadcast over the steps of a block
         u = np.empty((len(self.betas), *self.e.shape))
-        for steps in step_blocks(len(self.Q)):
-            scale = self.S[:, steps] * law.outer  # the priors, exactly symmetric past a caller's
+        for steps, S in self.blocks():
+            scale = S[:, :-1] * law.outer  # the priors, exactly symmetric past a caller's S0
             if not steps.start:
                 scale[:, :1] = symmetrize(scale[:, :1])  # S0: symmetrize runs on that row only
             u[:, steps] = _whiten(self.e[steps], self.Q[steps], scale, law.mean * self.n[:, steps])
         return u
 
-    def posterior_means(self, k, steps=slice(None)):
-        """Posterior means Sigma_0..Sigma_N of row k (at ``steps``), NaN where undefined."""
+    def posterior_means(self, k, scales, steps):
+        """Posterior means of row k (or rows k) from its ``scales`` at ``steps``, NaN where
+        undefined."""
         p = self.betas.shape[1]
-        return _iw_means(self.S[k, steps], self.n[k, steps] + 2 * p, p)
+        return _iw_means(scales, self.n[k, steps] + 2 * p, p)
 
 
 def _iw_means(scales, dof, p):
@@ -158,8 +203,9 @@ def _iw_means(scales, dof, p):
 @dataclass
 class Trajectory:
     """Filter output over N steps: the arrays of the state pass ``states``
-    and row ``row`` of the volatility pass ``volatility``: ``S``, ``n`` and
-    ``u``, which is computed on its first read, once for every row of the pass.
+    and row ``row`` of the volatility pass ``volatility``: ``S``, replayed on
+    each read, ``n`` and ``u``, which is computed on its first read, once for
+    every row of the pass.
 
     The :class:`StepResult` that :func:`update` records at step t is row
     t - 1 of ``f``, ``e``, ``Q``, ``R``, ``residuals`` and ``u`` (a NaN row
@@ -177,13 +223,14 @@ class Trajectory:
     e = property(lambda self: self.states.e)  # (N, p) forecast errors
     Q = property(lambda self: self.states.Q)  # (N,) forecast spreads
     R = property(lambda self: self.states.R)  # (N, d, d) prior state covariances
-    S = property(lambda self: self.volatility.S[self.row])  # (N+1, p, p) S_0..S_N
+    S = property(lambda self: self.volatility.scales(self.row))  # (N+1, p, p) S_0..S_N
     n = property(lambda self: self.volatility.n[self.row])  # (N+1,) n_0..n_N
     u = property(lambda self: self.volatility.u[self.row])  # (N, p), NaN where dof <= 2
     residuals = property(lambda self: self.e / self.Q[:, None])
     p = property(lambda self: self.spec.p)
     final = property(lambda self: FilterState(  # the posterior after step N
-        t=len(self.Q), m=self.states.m, P=self.states.P, S=self.S[-1], n=float(self.n[-1])))
+        t=len(self.Q), m=self.states.m, P=self.states.P, S=self.volatility.final[self.row],
+        n=float(self.n[-1])))
 
     def __len__(self):
         return len(self.Q)
@@ -193,7 +240,8 @@ class Trajectory:
         return forecast_law(self.spec.vol_discounts)(self.S[:-1], self.n[:-1])
 
     forecast_dofs = property(lambda self: forecast_law(self.spec.vol_discounts).mean * self.n[:-1])
-    posterior_means = property(lambda self: self.volatility.posterior_means(self.row))
+    posterior_means = property(  # Sigma_0..Sigma_N (N+1, p, p), NaN where undefined
+        lambda self: self.volatility.posterior_means(self.row, self.S, slice(None)))
 
     @property
     def forecast_means(self):
@@ -500,17 +548,21 @@ def volatility_pass(e, Q, betas, S0, n):
     beta_i = 1 grow n by one per step. For the others n must be the fixed
     point 1/(1 - tr(beta)/p), which is asserted, and the closed-form
     expression for S_N is checked against the recursion to relative 1e-8.
-    Returns a :class:`VolatilityPass`, which whitens only when its ``u`` is
-    first read.
+
+    The scale path runs once, block by block (:func:`scale_blocks`). While a
+    block is held, its scale terms are computed: one batched Cholesky
+    S_t = C_t'C_t of S_start..S_stop and a forward substitution
+    C_{t-1}'w = beta^{-1/2} e_t per step; no factor is kept, and a block after
+    the first factors one scale more. Returns a :class:`VolatilityPass`, which
+    whitens only when its ``u`` is first read.
     """
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n_cells, p = betas.shape
     n_steps = len(Q)
     constant = np.all(betas == 1.0, axis=1)
     n0 = np.broadcast_to(np.asarray(n, dtype=float), (n_cells,))
-    S0 = np.broadcast_to(S0, (n_cells, p, p))
-    law = forecast_law(betas)
-    n1 = law.mean * n0 + 1.0
+    S0 = np.array(np.broadcast_to(S0, (n_cells, p, p)), dtype=float)  # kept for the replays
+    n1 = forecast_law(betas).mean * n0 + 1.0
     off = ~constant & (np.abs(n1 - n0) > FIXED_POINT_TOL * np.maximum(1.0, np.abs(n0)))
     if off.any():
         k = int(np.argmax(off))
@@ -519,30 +571,32 @@ def volatility_pass(e, Q, betas, S0, n):
         )
     growth = np.broadcast_to(constant[:, None], (n_cells, n_steps))
     n_path = np.cumsum(np.hstack([n0[:, None], growth]), axis=1)
-    # time-major, so that step t of every row is one contiguous (K, p, p) block
-    steps = np.empty((n_steps + 1, n_cells, p, p))
-    # e_t e_t' / Q_t is built in place in row 0 of each step, then copied to the other rows
-    outer = np.multiply(e[:, :, None], e[:, None, :], out=steps[1:, 0])
-    steps[0], steps[1:, 1:] = S0, np.divide(outer, Q[:, None, None], out=outer)[:, None]
-    prior = law(S0, n0)[0]  # symmetrized, as a caller's S0 may not be
-    # sums and products of exactly symmetric operands stay exactly symmetric,
-    # so each step is two in-place ufuncs without symmetrize; step t adds its prior
-    for block in steps[1:]:
-        np.add(prior, block, block)
-        np.multiply(block, law.outer, prior)
-    S = np.swapaxes(steps, 0, 1)  # (K, N+1, p, p), a view
+    logdet, q = np.empty((n_cells, n_steps + 1)), np.empty((n_cells, n_steps))
+    root, failure = np.sqrt(betas)[:, None], None
+    for steps, S in scale_blocks(e, Q, betas, S0):
+        if failure is not None:
+            continue
+        try:
+            upper = cholesky_upper_stack(S)
+        except NonPositiveDefinite as exc:  # raised where the terms are read: var reads none
+            failure = str(exc)
+            continue
+        logdet[:, steps.start:steps.stop + 1] = logdet_factor(upper)
+        w = solve_lower_stack(np.swapaxes(upper[:, :-1], -1, -2), e[steps] / root)
+        q[:, steps] = np.sum(w ** 2, axis=-1) / Q[steps]
+    final = S[:, -1].copy()
     if n_steps and not constant.all():
-        final = S[~constant, -1]
         closed = _closed_form_scales(e, Q, np.sqrt(betas[~constant]), S0[~constant])
-        rel = np.max(np.abs(closed - final), axis=(1, 2)) / np.maximum(
-            np.max(np.abs(final), axis=(1, 2)), 1e-300
+        rel = np.max(np.abs(closed - final[~constant]), axis=(1, 2)) / np.maximum(
+            np.max(np.abs(final[~constant]), axis=(1, 2)), 1e-300
         )
         if np.any(rel > CLOSED_FORM_RTOL):
             raise MvdlmError(
                 f"closed-form scale accumulation deviates from the recursion "
                 f"(relative error {float(np.max(rel)):.3e})"
             )
-    return VolatilityPass(S=S, n=n_path, e=e, Q=Q, betas=betas)
+    return VolatilityPass(S0=S0, final=final, n=n_path, e=e, Q=Q, betas=betas,
+                          terms=(logdet, q), failure=failure, whole=None if steps.start else S)
 
 
 def _closed_form_scales(e, q, roots, S0):
@@ -608,7 +662,7 @@ def update(state, y_t, spec, t, prediction=None):
     q, e = prediction.Q, y_t - prediction.f
     m_new = prediction.a + np.outer(prediction.gain, e)
     vol = volatility_pass(e[None], np.array([q]), spec.vol_discounts, state.S, state.n)
-    s_new, n_new, u = vol.S[0, 1], float(vol.n[0, 1]), vol.u[0, 0]
+    s_new, n_new, u = vol.final[0], float(vol.n[0, 1]), vol.u[0, 0]
     sigma_post = InvWishartParams(dof=n_new + 2 * spec.p, scale=s_new)
     step = StepResult(
         t, prediction.f, q, prediction.R, e, e / q, None if np.isnan(u[0]) else u,
@@ -773,8 +827,8 @@ def trajectory_to_csv(trajectory, path):
     header = ["t", *(f"{name}_{i + 1}" for name in "feu" for i in range(p)), "Q",
               *(f"sigma_post_{i + 1}_{j + 1}" for i, j in pairs)]
     rows, cols = (np.array(idx) for idx in zip(*pairs))
-    blocks = (np.column_stack([trajectory.f[steps], trajectory.e[steps], trajectory.u[steps],
-                               trajectory.Q[steps], vol.posterior_means(
-                                   row, slice(steps.start + 1, steps.stop + 1))[:, rows, cols]])
-              for steps in step_blocks(len(trajectory)))
+    f, e, u, q = trajectory.f, trajectory.e, trajectory.u, trajectory.Q
+    blocks = (np.column_stack([f[steps], e[steps], u[steps], q[steps], vol.posterior_means(
+        row, S[row, 1:], slice(steps.start + 1, steps.stop + 1))[:, rows, cols]])
+              for steps, S in vol.blocks())
     write_csv(path, [header], range(1, len(trajectory) + 1), itertools.chain.from_iterable(blocks))

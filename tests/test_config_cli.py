@@ -888,8 +888,9 @@ class TestDiagnoseRederivesThePath:
     ("var", 0), ("diagnose", 0), ("mle_constant", 0), ("linear_transform", 0),
 ])
 def test_whitening_once_per_block_where_u_is_read(tmp_path, monkeypatch, action, whitenings):
-    """fit and grid whiten each block of rows of their run_models call once
-    (the grid lattice runs in two blocks, one per delta); compare, var,
+    """fit and grid whiten each batch of rows of their run_models call once,
+    each step of it in one call per block of steps (the grid lattice runs in
+    two batches, one per delta, each two blocks of steps); compare, var,
     diagnose, mle_constant and linear_transform read no u and never whiten."""
     configs, data_path = metals_inputs(
         tmp_path, paired={"vol_discounts": PAIRED}, uniform={"vol_discounts": [0.9] * 4},
@@ -919,4 +920,4 @@ def test_whitening_once_per_block_where_u_is_read(tmp_path, monkeypatch, action,
         }.get(action) or ["compare", "--config", configs["paired"], "--config2",
                           configs[second], "--data", data_path, "--out", f"{out}.csv"]
         assert main(argv) == 0
-    assert len(calls) == whitenings
+    assert sum(len(args[0]) for args in calls) == whitenings * len(returns)

@@ -270,7 +270,7 @@ class TestTwoPassEngine:
         vol = volatility_pass(states.e, states.Q, betas, priors.S0, n0)
         for k in range(3):
             one = volatility_pass(states.e, states.Q, betas[k:k + 1], priors.S0, n0[k])
-            assert np.array_equal(vol.S[k], one.S[0])
+            assert np.array_equal(vol.scales(k), one.scales(0))
             assert np.array_equal(vol.n[k], one.n[0])
             assert_allclose(vol.u[k], one.u[0], rtol=1e-12, atol=1e-14)
         assert_allclose(vol.n[1], priors.n0 + np.arange(61))  # grows at beta = 1
@@ -613,7 +613,7 @@ class TestKernelPins:
                 S.append(symmetrize(prior + np.outer(e[i], e[i]) / Q[i]))
                 n.append(n[-1] + 1.0 if k == 2 else n[-1])
                 u.append(_whiten(e[i], Q[i], prior, dof))
-            assert_bitwise(vol.S[k], np.array(S))
+            assert_bitwise(vol.scales(k), np.array(S))
             assert_bitwise(vol.n[k], np.array(n))
             assert_bitwise(vol.u[k], np.array(u))
 
@@ -633,7 +633,7 @@ class TestKernelPins:
         n0[~constant] = 1.0 / (1.0 - betas[~constant].mean(axis=1))
         S0 = np.eye(p) + 0.2 * rng.random((n_cells, p, p))  # asymmetric, as a caller may give
         vol = volatility_pass(e, Q, betas, S0, n0)
-        assert vol.S.shape == (n_cells, n_steps + 1, p, p)
+        assert vol.scales().shape == (n_cells, n_steps + 1, p, p)
         assert vol.n.shape == (n_cells, n_steps + 1)
         for k, beta in enumerate(betas):
             law = forecast_law(beta)
@@ -641,9 +641,9 @@ class TestKernelPins:
             for e_t, q_t in zip(e, Q):
                 S.append(prior + e_t[:, None] * e_t[None, :] / q_t)
                 prior = S[-1] * law.outer
-            assert_bitwise(vol.S[k], np.array(S))
+            assert_bitwise(vol.scales(k), np.array(S))
             one = volatility_pass(e, Q, beta[None], S0[k], n0[k])
-            assert_bitwise(vol.S[k], one.S[0])
+            assert_bitwise(vol.scales(k), one.scales(0))
             assert_bitwise(vol.n[k], one.n[0])
             assert_bitwise(vol.n[k], n0[k] + constant[k] * np.arange(n_steps + 1.0))
 

@@ -171,13 +171,13 @@ def test_no_general_solve_or_inverse():
 
 
 def test_scale_terms_factor_each_block_once(monkeypatch):
-    """The likelihood of a pass makes one batched ``cholesky_upper_stack`` call per block
+    """A volatility pass makes one batched ``cholesky_upper_stack`` call per block
     of steps, of S_start..S_stop: the factor of S_{t-1} that gives q_t comes from the call
     that factors S_t, and a block after the first factors one scale more."""
     from mvdlm import filter as filter_module
     from mvdlm.diagnostics import posterior_loglik
     stack, shapes = filter_module.cholesky_upper_stack, []
-    monkeypatch.setattr(filter_module, "BLOCK_STEPS", 4)
+    monkeypatch.setattr(filter_module, "BLOCK_BYTES", 2 * 4 * 3 * 3 * 8)  # 4 steps of 2 rows
     monkeypatch.setattr(filter_module, "cholesky_upper_stack",
                         lambda m: shapes.append(m.shape) or stack(m))
     rng, betas = np.random.default_rng(4), [[0.95] * 3, [0.93, 0.95, 0.97]]
